@@ -33,19 +33,23 @@ lint: require-go
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,
 # graceful drain), and the storage-fault chaos smoke (the same plan
 # with torn writes/ENOSPC/failed renames injected under the state
-# dir). Lint runs before the race suite so invariant violations fail
-# in seconds, not minutes.
+# dir), and the benchmark module's own tests (perfbench is a nested
+# module that the root ./... skips, so a change to an API it calls
+# would otherwise break the benchmark build unnoticed). Lint runs
+# before the race suite so invariant violations fail in seconds, not
+# minutes.
 check: build
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) test ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-compare
 	$(MAKE) resilience-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) faultfs-smoke
-	@echo "check: gates passed: build lint vet race fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
+	@echo "check: gates passed: build lint vet race perfbench fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
 
 fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s

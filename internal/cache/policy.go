@@ -176,13 +176,17 @@ func (c Config) Granularity() int {
 	return c.ValidGranularity
 }
 
+// MaxLineSize is the largest line size a cache supports: a line's
+// per-byte valid and dirty state is one 64-bit mask each.
+const MaxLineSize = 64
+
 // Validate reports whether the configuration is realizable.
 func (c Config) Validate() error {
 	if !isPow2(c.Size) || c.Size <= 0 {
 		return fmt.Errorf("cache: size %d is not a positive power of two", c.Size)
 	}
-	if !isPow2(c.LineSize) || c.LineSize < 4 || c.LineSize > 64 {
-		return fmt.Errorf("cache: line size %d is not a power of two in [4,64]", c.LineSize)
+	if !isPow2(c.LineSize) || c.LineSize < 4 || c.LineSize > MaxLineSize {
+		return fmt.Errorf("cache: line size %d is not a power of two in [4,%d]", c.LineSize, MaxLineSize)
 	}
 	if c.Assoc <= 0 {
 		return fmt.Errorf("cache: associativity %d must be positive", c.Assoc)

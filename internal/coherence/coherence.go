@@ -36,6 +36,7 @@ import (
 	"fmt"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/trace"
 )
 
@@ -100,19 +101,9 @@ func (c Config) Validate() error {
 	if c.Cores < 1 || c.Cores > MaxCores {
 		return fmt.Errorf("coherence: %d cores outside [1,%d]", c.Cores, MaxCores)
 	}
-	if err := c.L1.Validate(); err != nil {
-		return fmt.Errorf("coherence: L1: %w", err)
-	}
-	if c.L2 != nil {
-		if err := c.L2.Validate(); err != nil {
-			return fmt.Errorf("coherence: L2: %w", err)
-		}
-		if c.L2.LineSize < c.L1.LineSize {
-			return fmt.Errorf("coherence: L2 line size %dB smaller than L1's %dB", c.L2.LineSize, c.L1.LineSize)
-		}
-		if c.L2.Size < c.L1.Size {
-			return fmt.Errorf("coherence: L2 size %dB smaller than one L1's %dB", c.L2.Size, c.L1.Size)
-		}
+	// Each core's L1 and the shared L2 must form a valid hierarchy.
+	if err := (hierarchy.Config{L1: c.L1, L2: c.L2}).Validate(); err != nil {
+		return fmt.Errorf("coherence: %w", err)
 	}
 	switch c.Scheme {
 	case Invalidate, Update, Hybrid:
@@ -125,23 +116,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates system-wide traffic and coherence counters. The
-// L1ToL2*/L2ToMem* fields mirror hierarchy.Stats semantics exactly, so
-// a 1-core system is stat-identical to the single-core hierarchy.
+// Stats aggregates system-wide traffic and coherence counters.
 type Stats struct {
-	// L1ToL2Transactions/Bytes count everything leaving the L1 complex
-	// toward the shared level: line fetches, dirty write-backs
-	// (including coherence-forced flushes) and write-through words.
-	L1ToL2Transactions uint64
-	L1ToL2Bytes        uint64
-	// L2ToMem* mirror hierarchy.Stats: traffic at the back of the
-	// shared L2, with write-backs charged full line size in
-	// L2ToMemBytes and their dirty bytes recorded separately.
-	L2ToMemTransactions   uint64
-	L2ToMemBytes          uint64
-	L2ToMemWritebacks     uint64
-	L2ToMemWritebackBytes uint64
-	L2ToMemDirtyBytes     uint64
+	// Traffic is counted by hierarchy's own L1 and memory ports, so a
+	// 1-core system is stat-identical to the single-core hierarchy.
+	// L1ToL2* cover everything leaving the L1s toward the shared level,
+	// coherence-forced flushes included.
+	hierarchy.Traffic
 
 	// InvalidationsSent counts write broadcasts (Invalidate scheme)
 	// that removed at least one remote copy; InvalidationsReceived
@@ -178,7 +159,8 @@ func (s Stats) BusBytes() uint64 { return s.L1ToL2Bytes + s.UpdateTrafficBytes }
 // CoreStats is one core's share of the coherence counters (see Stats
 // for field semantics, counted from this core's perspective: Sent
 // counters are broadcasts this core issued, Received counters are
-// actions applied to this core's copies).
+// actions applied to this core's copies). The system-wide Stats sum
+// them.
 type CoreStats struct {
 	L1ToL2Transactions    uint64
 	L1ToL2Bytes           uint64
@@ -194,6 +176,9 @@ type CoreStats struct {
 // core is one core's private state.
 type core struct {
 	l1 *cache.Cache
+	// traffic is counted by the L1's back-side port; only its L1ToL2
+	// counters move.
+	traffic hierarchy.Traffic
 	// invalidated records line numbers removed from this core's L1 by
 	// a coherence action; a later tag miss on such a line is a sharing
 	// miss (entry consumed on first re-access).
@@ -206,9 +191,11 @@ type core struct {
 
 // System is the N-core simulator. Not safe for concurrent use.
 type System struct {
-	cfg       Config
-	cores     []core
-	l2        *cache.Cache
+	cfg   Config
+	cores []core
+	l2    *cache.Cache
+	// stats holds the counters no core owns (L2ToMem traffic,
+	// intervention and update bytes); Stats adds the per-core ones.
 	stats     Stats
 	lineSize  uint32
 	lineShift uint
@@ -239,19 +226,20 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 		s.l2 = l2
-		l2.SetBackside(&memSink{s: s})
+		l2.SetBackside(&hierarchy.MemPort{T: &s.stats.Traffic})
 	}
 	for i := range s.cores {
 		l1, err := cache.New(cfg.L1)
 		if err != nil {
 			return nil, err
 		}
-		s.cores[i] = core{
+		c := &s.cores[i]
+		*c = core{
 			l1:          l1,
 			invalidated: make(map[uint32]struct{}),
 			hybrid:      make(map[uint32]uint16),
 		}
-		l1.SetBackside(&coreSink{s: s, core: i})
+		l1.SetBackside(&hierarchy.L1Port{T: &c.traffic, L2: s.l2})
 	}
 	return s, nil
 }
@@ -268,11 +256,33 @@ func (s *System) L1(i int) *cache.Cache { return s.cores[i].l1 }
 // L2 returns the shared second-level cache, or nil.
 func (s *System) L2() *cache.Cache { return s.l2 }
 
-// Stats returns the system-wide counters accumulated so far.
-func (s *System) Stats() Stats { return s.stats }
+// Stats returns the system-wide counters accumulated so far: the
+// shared level's own counters plus every core's share.
+func (s *System) Stats() Stats {
+	st := s.stats
+	for i := range s.cores {
+		c := s.CoreStats(i)
+		st.L1ToL2Transactions += c.L1ToL2Transactions
+		st.L1ToL2Bytes += c.L1ToL2Bytes
+		st.InvalidationsSent += c.InvalidationsSent
+		st.InvalidationsReceived += c.InvalidationsReceived
+		st.UpdatesSent += c.UpdatesSent
+		st.UpdatesReceived += c.UpdatesReceived
+		st.Interventions += c.Interventions
+		st.HybridInvalidations += c.HybridInvalidations
+		st.SharingMisses += c.SharingMisses
+	}
+	return st
+}
 
-// CoreStats returns core i's coherence counters.
-func (s *System) CoreStats(i int) CoreStats { return s.cores[i].stats }
+// CoreStats returns core i's counters.
+func (s *System) CoreStats(i int) CoreStats {
+	c := &s.cores[i]
+	st := c.stats
+	st.L1ToL2Transactions = c.traffic.L1ToL2Transactions
+	st.L1ToL2Bytes = c.traffic.L1ToL2Bytes
+	return st
+}
 
 // AggregateL1 sums every core's L1 counters — the system-wide view of
 // the paper's per-cache statistics.
@@ -318,7 +328,6 @@ func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 		if _, ok := me.invalidated[lineNum]; ok {
 			delete(me.invalidated, lineNum)
 			me.stats.SharingMisses++
-			s.stats.SharingMisses++
 		}
 	}
 	// A local reference resets the competitive update counter: the
@@ -381,14 +390,18 @@ func (s *System) writeWillFetch(local cache.LineState, covered bool, addr, n uin
 // but the requesting core's fill now observes the newest bytes.
 func (s *System) downgradeRemotes(c int, lineAddr uint32) {
 	for j := range s.cores {
-		if j == c {
-			continue
+		if j != c {
+			s.downgrade(&s.cores[j], lineAddr)
 		}
-		if _, dirty := s.cores[j].l1.Downgrade(lineAddr, int(s.lineSize)); dirty > 0 {
-			s.cores[j].stats.Interventions++
-			s.stats.Interventions++
-			s.stats.InterventionDirtyBytes += uint64(dirty)
-		}
+	}
+}
+
+// downgrade flushes core r's dirty bytes of the line at lineAddr to
+// the shared level, counting the intervention.
+func (s *System) downgrade(r *core, lineAddr uint32) {
+	if _, dirty := r.l1.Downgrade(lineAddr, int(s.lineSize)); dirty > 0 {
+		r.stats.Interventions++
+		s.stats.InterventionDirtyBytes += uint64(dirty)
 	}
 }
 
@@ -402,21 +415,15 @@ func (s *System) invalidateRemotes(c int, lineAddr, lineNum uint32) {
 			continue
 		}
 		r := &s.cores[j]
-		if _, dirty := r.l1.Downgrade(lineAddr, int(s.lineSize)); dirty > 0 {
-			r.stats.Interventions++
-			s.stats.Interventions++
-			s.stats.InterventionDirtyBytes += uint64(dirty)
-		}
+		s.downgrade(r, lineAddr)
 		if lines, _ := r.l1.InvalidateRange(lineAddr, int(s.lineSize)); lines > 0 {
 			hit = true
 			r.stats.InvalidationsReceived++
-			s.stats.InvalidationsReceived++
 			r.invalidated[lineNum] = struct{}{}
 		}
 	}
 	if hit {
 		s.cores[c].stats.InvalidationsSent++
-		s.stats.InvalidationsSent++
 	}
 }
 
@@ -445,14 +452,9 @@ func (s *System) updateRemotes(c int, addr, n uint32, lineNum, lineAddr uint32) 
 				// updates this core is not reading; flush any dirty
 				// claim and drop the copy.
 				delete(r.hybrid, lineNum)
-				if _, dirty := r.l1.Downgrade(lineAddr, int(s.lineSize)); dirty > 0 {
-					r.stats.Interventions++
-					s.stats.Interventions++
-					s.stats.InterventionDirtyBytes += uint64(dirty)
-				}
+				s.downgrade(r, lineAddr)
 				r.l1.InvalidateRange(lineAddr, int(s.lineSize))
 				r.stats.HybridInvalidations++
-				s.stats.HybridInvalidations++
 				r.invalidated[lineNum] = struct{}{}
 				hit = true // the broadcast still happened
 				continue
@@ -462,11 +464,9 @@ func (s *System) updateRemotes(c int, addr, n uint32, lineNum, lineAddr uint32) 
 		r.l1.SnoopUpdate(addr, uint8(n))
 		hit = true
 		r.stats.UpdatesReceived++
-		s.stats.UpdatesReceived++
 	}
 	if hit {
 		s.cores[c].stats.UpdatesSent++
-		s.stats.UpdatesSent++
 		s.stats.UpdateTrafficBytes += uint64(n)
 	}
 }
@@ -568,71 +568,4 @@ func spanMask(off, n uint32) uint64 {
 		return ^uint64(0)
 	}
 	return ((uint64(1) << n) - 1) << off
-}
-
-// coreSink receives one core's L1 back-side traffic, mirroring the
-// single-core hierarchy's accounting exactly (the 1-core equivalence
-// tests pin this) while attributing traffic to the issuing core.
-type coreSink struct {
-	s    *System
-	core int
-}
-
-func (k *coreSink) FetchLine(addr uint32, size int) {
-	s := k.s
-	s.stats.L1ToL2Transactions++
-	s.stats.L1ToL2Bytes += uint64(size)
-	c := &s.cores[k.core].stats
-	c.L1ToL2Transactions++
-	c.L1ToL2Bytes += uint64(size)
-	if s.l2 != nil {
-		s.l2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: trace.Read})
-	}
-}
-
-func (k *coreSink) WritebackLine(addr uint32, size, dirtyBytes int) {
-	s := k.s
-	s.stats.L1ToL2Transactions++
-	s.stats.L1ToL2Bytes += uint64(size)
-	c := &s.cores[k.core].stats
-	c.L1ToL2Transactions++
-	c.L1ToL2Bytes += uint64(size)
-	if s.l2 != nil {
-		s.l2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: trace.Write})
-	}
-}
-
-func (k *coreSink) WriteWord(addr uint32, size uint8) {
-	s := k.s
-	s.stats.L1ToL2Transactions++
-	s.stats.L1ToL2Bytes += uint64(size)
-	c := &s.cores[k.core].stats
-	c.L1ToL2Transactions++
-	c.L1ToL2Bytes += uint64(size)
-	if s.l2 != nil {
-		s.l2.Access(trace.Event{Addr: addr, Size: size, Kind: trace.Write})
-	}
-}
-
-// memSink counts traffic at the back of the shared L2, mirroring the
-// single-core hierarchy's memSink (including the sub-block dirty-byte
-// accounting).
-type memSink struct{ s *System }
-
-func (m *memSink) FetchLine(addr uint32, size int) {
-	m.s.stats.L2ToMemTransactions++
-	m.s.stats.L2ToMemBytes += uint64(size)
-}
-
-func (m *memSink) WritebackLine(addr uint32, size, dirtyBytes int) {
-	m.s.stats.L2ToMemTransactions++
-	m.s.stats.L2ToMemBytes += uint64(size)
-	m.s.stats.L2ToMemWritebacks++
-	m.s.stats.L2ToMemWritebackBytes += uint64(size)
-	m.s.stats.L2ToMemDirtyBytes += uint64(dirtyBytes)
-}
-
-func (m *memSink) WriteWord(addr uint32, size uint8) {
-	m.s.stats.L2ToMemTransactions++
-	m.s.stats.L2ToMemBytes += uint64(size)
 }

@@ -323,6 +323,68 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestCoreStatsSumToSystem: with 4 cores under every scheme and
+// policy pair, the system-wide L1→L2 traffic and coherence counters are
+// exactly the sums of the per-core ones, and each core's L1→L2 port
+// saw exactly the back-side transactions and bytes its L1 reports
+// (flush write-backs included).
+func TestCoreStatsSumToSystem(t *testing.T) {
+	base := synthTrace(4000, 11, 1<<13)
+	w, err := BuildWorkload(base, WorkloadConfig{Cores: 4, SharedFraction: 0.5, Stagger: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l1 := range hitMissCombos() {
+		for _, scheme := range Schemes() {
+			name := l1.String() + "/" + scheme.String()
+			sys := mustSystem(t, Config{Cores: 4, L1: l1, L2: l2cfg(), Scheme: scheme})
+			if err := sys.Run(w); err != nil {
+				t.Fatal(err)
+			}
+			sys.Flush()
+			var sum CoreStats
+			for i := 0; i < sys.Cores(); i++ {
+				c := sys.CoreStats(i)
+				ls := sys.L1(i).Stats()
+				if got := ls.BacksideTransactions() + ls.FlushWritebacks; c.L1ToL2Transactions != got {
+					t.Errorf("%s core %d: port counted %d transactions, L1 issued %d", name, i, c.L1ToL2Transactions, got)
+				}
+				flushBytes := ls.FlushWritebacks * uint64(l1.LineSize)
+				if got := ls.BacksideBytes(false) + flushBytes; c.L1ToL2Bytes != got {
+					t.Errorf("%s core %d: port counted %d bytes, L1 issued %d", name, i, c.L1ToL2Bytes, got)
+				}
+				sum.L1ToL2Transactions += c.L1ToL2Transactions
+				sum.L1ToL2Bytes += c.L1ToL2Bytes
+				sum.InvalidationsSent += c.InvalidationsSent
+				sum.InvalidationsReceived += c.InvalidationsReceived
+				sum.UpdatesSent += c.UpdatesSent
+				sum.UpdatesReceived += c.UpdatesReceived
+				sum.Interventions += c.Interventions
+				sum.HybridInvalidations += c.HybridInvalidations
+				sum.SharingMisses += c.SharingMisses
+			}
+			st := sys.Stats()
+			want := CoreStats{
+				L1ToL2Transactions:    st.L1ToL2Transactions,
+				L1ToL2Bytes:           st.L1ToL2Bytes,
+				InvalidationsSent:     st.InvalidationsSent,
+				InvalidationsReceived: st.InvalidationsReceived,
+				UpdatesSent:           st.UpdatesSent,
+				UpdatesReceived:       st.UpdatesReceived,
+				Interventions:         st.Interventions,
+				HybridInvalidations:   st.HybridInvalidations,
+				SharingMisses:         st.SharingMisses,
+			}
+			if sum != want {
+				t.Errorf("%s: per-core sums differ from system stats:\n sum %+v\n sys %+v", name, sum, want)
+			}
+			if sum.L1ToL2Transactions == 0 || sum.InvalidationsSent+sum.UpdatesSent == 0 {
+				t.Errorf("%s: workload produced no traffic or no broadcasts: %+v", name, sum)
+			}
+		}
+	}
+}
+
 // TestRunRejectsMismatchedWorkload: core-count mismatches are errors,
 // not silent truncation.
 func TestRunRejectsMismatchedWorkload(t *testing.T) {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cachewrite/internal/cache"
@@ -127,5 +130,64 @@ func TestReductionsZeroDenominators(t *testing.T) {
 	if cmp.WriteMissReduction(cache.WriteValidate) != 0 ||
 		cmp.TotalMissReduction(cache.WriteValidate) != 0 {
 		t.Error("zero denominators must give zero, not NaN")
+	}
+}
+
+// TestResultJSONShape pins the field names and order of Result as JSON
+// — what cachesim -json prints — so a refactor of the embedded stats
+// structs cannot silently rename, drop or reorder an output field.
+func TestResultJSONShape(t *testing.T) {
+	b, err := json.Marshal(Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheFields := []string{"Instructions", "Reads", "Writes", "ReadMissEvents",
+		"PartialValidReadMisses", "WriteMissEvents", "FetchedWriteMisses",
+		"EliminatedWriteMisses", "WritesToDirtyLines", "WriteHitEvents", "Fetches",
+		"FetchBytes", "WriteThroughs", "WriteThroughBytes", "Writebacks",
+		"WritebackBytesFull", "WritebackBytesDirty", "Victims", "DirtyVictims",
+		"VictimDirtyBytes", "VictimBytes", "Invalidates", "SubblockWriteFills",
+		"FlushVictims", "FlushDirtyVictims", "FlushVictimDirtyBytes",
+		"FlushVictimBytes", "FlushWritebacks"}
+	want := map[string][]string{
+		"":      {"Trace", "L1", "L2", "Hierarchy"},
+		"Trace": {"Instructions", "Reads", "Writes", "ReadBytes", "WriteBytes"},
+		"L1":    cacheFields,
+		"L2":    cacheFields,
+		"Hierarchy": {"L1ToL2Transactions", "L1ToL2Bytes", "L2ToMemTransactions",
+			"L2ToMemBytes", "L2ToMemWritebacks", "L2ToMemWritebackBytes",
+			"L2ToMemDirtyBytes", "VictimHits", "BackInvalidations", "InclusionDirtyBytes"},
+	}
+	got := map[string][]string{}
+	dec := json.NewDecoder(strings.NewReader(string(b)))
+	var path []string // enclosing object keys; the top level is ""
+	var key string    // the last key read in the current object
+	expectKey := false
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			break
+		}
+		switch tok {
+		case json.Delim('{'):
+			path = append(path, key)
+			expectKey = true
+			continue
+		case json.Delim('}'):
+			path = path[:len(path)-1]
+			expectKey = true
+			continue
+		}
+		if expectKey {
+			key = tok.(string)
+			obj := path[len(path)-1]
+			got[obj] = append(got[obj], key)
+			expectKey = false
+		} else {
+			expectKey = true
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Result JSON fields changed:\n got  %v\n want %v\n json %s", got, want, b)
 	}
 }

@@ -62,6 +62,8 @@ func TestLoadConfigErrors(t *testing.T) {
 		`{"l1": {"size": 8192, "line_size": 16, "assoc": 1, "write_hit": "wb", "write_miss": "fow"},
 		  "l2": {"size": 4096, "line_size": 64, "assoc": 4, "write_hit": "wb", "write_miss": "nope"}}`,
 		`{"l1": {"size": 8192, "line_size": 16, "assoc": 1, "write_hit": "wb", "write_miss": "fow"}}  extra`,
+		`{"l1": {"size": 8192, "line_size": 16, "assoc": 1, "write_hit": "wt", "write_miss": "fow"},
+		  "write_cache": {"entries": 5, "line_size": 256}}`,
 	}
 	for i, doc := range cases {
 		if _, err := LoadConfig(strings.NewReader(doc)); err == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/sweep"
 )
 
 // TestCacheStatsComputeOnceConcurrent hammers the memo from many
@@ -81,14 +82,14 @@ func TestCacheStatsMemoizedErrors(t *testing.T) {
 }
 
 // TestPrecomputeGangGoldenEquality is the golden-equality gate for the
-// gang engine through the Env path: after a gang-driven Precompute,
+// gang engine through the Env path: after a gang-driven PrecomputeSweep,
 // every sweep key must be memoized bit-identically to what a fresh
 // sequential simulation produces, for every write-hit/write-miss combo
 // in the paper sweep — and the precomputed env must not simulate again
 // when the figures read those keys back.
 func TestPrecomputeGangGoldenEquality(t *testing.T) {
 	env := syntheticEnv()
-	if err := env.Precompute(4); err != nil {
+	if err := env.PrecomputeSweep(context.Background(), sweep.Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	preComputes := env.Computes()
@@ -123,7 +124,7 @@ func TestPrecomputeCancelled(t *testing.T) {
 	env := syntheticEnv()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := env.PrecomputeContext(ctx, 2); err == nil {
-		t.Fatal("PrecomputeContext(cancelled) returned nil")
+	if err := env.PrecomputeSweep(ctx, sweep.Options{Workers: 2}); err == nil {
+		t.Fatal("PrecomputeSweep(cancelled) returned nil")
 	}
 }

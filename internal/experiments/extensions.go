@@ -270,26 +270,36 @@ func extFaults(e *Env) (Result, error) {
 		Columns: []string{"benchmark", "WT+parity losses", "WB+parity losses", "WB+ECC losses", "WB+ECC corrected", "injected (WB)"},
 	}
 	for _, t := range e.Traces {
+		// Only the L1 is struck, with no other level behind it.
+		inject := func(c cache.Config, s faults.Scheme) (faults.LayerReport, error) {
+			rep, err := faults.InjectHierarchy(faults.HierarchyConfig{
+				Hierarchy:  hierarchy.Config{L1: c},
+				Layers:     []faults.Layer{faults.LayerL1},
+				Schemes:    [faults.NumLayers]faults.Scheme{faults.LayerL1: s},
+				ErrorEvery: 200,
+			}, t)
+			return rep.Layer(faults.LayerL1), err
+		}
 		wt := stdConfig(StdCacheSize, StdLineSize)
 		wt.WriteHit = cache.WriteThrough
 		wb := stdConfig(StdCacheSize, StdLineSize)
 
-		wtRep, err := faults.Inject(faults.Config{Cache: wt, Scheme: faults.ByteParity, ErrorEvery: 200}, t)
+		wtRep, err := inject(wt, faults.ByteParity)
 		if err != nil {
 			return Result{}, err
 		}
-		wbPar, err := faults.Inject(faults.Config{Cache: wb, Scheme: faults.ByteParity, ErrorEvery: 200}, t)
+		wbPar, err := inject(wb, faults.ByteParity)
 		if err != nil {
 			return Result{}, err
 		}
-		wbECC, err := faults.Inject(faults.Config{Cache: wb, Scheme: faults.WordSECECC, ErrorEvery: 200}, t)
+		wbECC, err := inject(wb, faults.WordSECECC)
 		if err != nil {
 			return Result{}, err
 		}
 		tbl.AddRow(t.Name,
-			fmt.Sprint(wtRep.DataLoss),
-			fmt.Sprint(wbPar.DataLoss),
-			fmt.Sprint(wbECC.DataLoss),
+			fmt.Sprint(wtRep.DUE+wtRep.SDC),
+			fmt.Sprint(wbPar.DUE+wbPar.SDC),
+			fmt.Sprint(wbECC.DUE+wbECC.SDC),
 			fmt.Sprint(wbECC.CorrectedInPlace),
 			fmt.Sprint(wbECC.Injected))
 	}

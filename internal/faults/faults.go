@@ -8,31 +8,25 @@
 // in comparison to only one error for an ECC-protected write-back
 // cache word."
 //
-// This package makes it quantitative: it injects single-bit upsets
-// into the cache's data array at a configurable rate during a trace
-// replay and classifies each error's outcome under a protection
-// scheme:
+// This package makes it quantitative: InjectHierarchy injects
+// single-bit upsets into the data arrays of a hierarchy at a
+// configurable rate during a trace replay and classifies each error's
+// outcome under a protection scheme. Striking only LayerL1 answers the
+// paper's single-cache question:
 //
 //   - Write-through + byte parity: any number of errors in a clean
-//     line is recovered by refetch (counted, with its traffic); only
-//     errors that race a line's brief residency in the write buffer
-//     could be lost, which the model treats as protected (buffer
-//     entries are parity-checked before leaving).
+//     line is recovered by refetch (counted, with its traffic).
 //   - Write-back + word SEC ECC: one error per 32-bit word corrects;
-//     two errors in the same word of a dirty line are an uncorrectable
-//     data loss (clean lines still recover by refetch).
-//   - Write-back + parity only: any error on a dirty line is a data
-//     loss — the paper's reason write-back "requires" ECC.
+//     two errors in the same word of a dirty line are a detected
+//     unrecoverable error (clean lines still recover by refetch).
+//   - Write-back + parity only: any error on a dirty word is a
+//     detected unrecoverable error — the paper's reason write-back
+//     "requires" ECC.
 //
 // Injection is deterministic for a given seed.
 package faults
 
-import (
-	"fmt"
-
-	"cachewrite/internal/cache"
-	"cachewrite/internal/trace"
-)
+import "fmt"
 
 // Scheme is a protection configuration.
 type Scheme uint8
@@ -90,148 +84,4 @@ func ParseScheme(s string) (Scheme, error) {
 	default:
 		return 0, fmt.Errorf("faults: unknown protection scheme %q (want parity, ecc or none)", s)
 	}
-}
-
-// Config parameterizes an injection run.
-type Config struct {
-	// Cache is the cache configuration under test.
-	Cache cache.Config
-	// Scheme is the protection applied to the data array.
-	Scheme Scheme
-	// ErrorEvery injects one single-bit upset per this many accesses
-	// (deterministically spread). Must be positive.
-	ErrorEvery int
-	// Seed randomizes which resident line and word each upset strikes.
-	Seed uint64
-}
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if err := c.Cache.Validate(); err != nil {
-		return fmt.Errorf("faults: %w", err)
-	}
-	if c.ErrorEvery <= 0 {
-		return fmt.Errorf("faults: ErrorEvery must be positive")
-	}
-	return nil
-}
-
-// Report classifies injected errors.
-type Report struct {
-	Injected uint64
-	// CorrectedInPlace counts ECC single-bit corrections.
-	CorrectedInPlace uint64
-	// RecoveredByRefetch counts errors on clean data healed by
-	// re-reading the next level (possible under both schemes).
-	RecoveredByRefetch uint64
-	// DataLoss counts unrecoverable errors: any dirty-data error under
-	// parity, double-bit-in-word dirty errors under ECC.
-	DataLoss uint64
-	// RefetchTraffic is the extra fetch bytes spent healing.
-	RefetchTraffic uint64
-}
-
-// LossRate returns data losses per injected error.
-func (r Report) LossRate() float64 {
-	if r.Injected == 0 {
-		return 0
-	}
-	return float64(r.DataLoss) / float64(r.Injected)
-}
-
-// wordState tracks accumulated upsets per (line, word) so ECC
-// double-bit failures can be detected.
-type wordKey struct {
-	lineAddr uint32
-	word     uint8
-}
-
-// Inject replays the trace, injecting upsets into resident lines and
-// classifying outcomes. The functional cache simulation is unaffected
-// (errors are modelled on the side): the paper's question is about
-// recoverability, not about corrupting the reference stream.
-func Inject(cfg Config, t *trace.Trace) (Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return Report{}, err
-	}
-	c, err := cache.New(cfg.Cache)
-	if err != nil {
-		return Report{}, err
-	}
-	var rep Report
-	rng := cfg.Seed
-	if rng == 0 {
-		rng = 0x9e3779b97f4a7c15
-	}
-	next := func() uint64 {
-		rng ^= rng >> 12
-		rng ^= rng << 25
-		rng ^= rng >> 27
-		return rng * 0x2545f4914f6cdd1d
-	}
-	upsets := make(map[wordKey]int)
-	wordsPerLine := cfg.Cache.LineSize / 4
-
-	for i, e := range t.Events {
-		c.Access(e)
-		if (i+1)%cfg.ErrorEvery != 0 {
-			continue
-		}
-		// Strike a pseudo-random resident line: probe random addresses
-		// near this access until one is resident (bounded tries).
-		var struck uint32
-		found := false
-		for try := 0; try < 8; try++ {
-			cand := (e.Addr &^ uint32(cfg.Cache.LineSize-1)) +
-				uint32(next()%64)*uint32(cfg.Cache.LineSize)
-			if c.Probe(cand).Present {
-				struck = cand &^ uint32(cfg.Cache.LineSize-1)
-				found = true
-				break
-			}
-		}
-		if !found {
-			continue // no resident victim found; no upset this period
-		}
-		rep.Injected++
-		word := uint8(next() % uint64(wordsPerLine))
-		key := wordKey{struck, word}
-		upsets[key]++
-
-		st := c.Probe(struck)
-		// The struck word's 4 bytes within the line's per-byte dirty mask.
-		wordDirty := st.Dirty&(uint64(0xf)<<(uint32(word)*4)) != 0
-
-		switch cfg.Scheme {
-		case None:
-			// Undetected: the corruption is consumed or written back
-			// silently. It is still a loss of correct data.
-			rep.DataLoss++
-		case ByteParity:
-			if wordDirty {
-				// Parity detects but cannot correct; the only copy of the
-				// dirty data is gone.
-				rep.DataLoss++
-			} else {
-				rep.RecoveredByRefetch++
-				rep.RefetchTraffic += uint64(cfg.Cache.LineSize)
-			}
-		case WordSECECC:
-			if upsets[key] == 1 {
-				rep.CorrectedInPlace++
-			} else if wordDirty {
-				// Second upset in the same word before any scrub: SEC
-				// cannot correct a double; dirty data lost.
-				rep.DataLoss++
-			} else {
-				rep.RecoveredByRefetch++
-				rep.RefetchTraffic += uint64(cfg.Cache.LineSize)
-			}
-		}
-		// A refetch or correction scrubs the word.
-		if cfg.Scheme == ByteParity || upsets[key] > 1 {
-			delete(upsets, key)
-		}
-	}
-	return rep, nil
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // TestInjectGoldenCounts pins the exact recovery accounting of every
-// protection scheme at both paper-relevant line sizes. Injection is
-// documented to be deterministic for a given seed; these goldens turn
-// that promise into a regression tripwire — any change to the RNG
-// stream, the strike-selection loop or the classification rules shows
-// up as a count drift here.
+// protection scheme at both paper-relevant line sizes, striking only
+// the L1. Injection is documented to be deterministic for a given
+// seed; these goldens turn that promise into a regression tripwire —
+// any change to the RNG stream, the strike-selection loop or the
+// classification rules shows up as a count drift here.
 func TestInjectGoldenCounts(t *testing.T) {
 	tr, err := synth.HotCold(3, 30000, 16, 16, 1<<16, 80, 40)
 	if err != nil {
@@ -21,32 +21,27 @@ func TestInjectGoldenCounts(t *testing.T) {
 	cases := []struct {
 		lineSize int
 		scheme   Scheme
-		want     Report
+		want     LayerReport
 	}{
-		{16, ByteParity, Report{Injected: 364, RecoveredByRefetch: 276, DataLoss: 88, RefetchTraffic: 4416}},
-		{16, WordSECECC, Report{Injected: 364, CorrectedInPlace: 224, RecoveredByRefetch: 104, DataLoss: 36, RefetchTraffic: 1664}},
-		{16, None, Report{Injected: 364, DataLoss: 364}},
-		{32, ByteParity, Report{Injected: 263, RecoveredByRefetch: 212, DataLoss: 51, RefetchTraffic: 6784}},
-		{32, WordSECECC, Report{Injected: 263, CorrectedInPlace: 174, RecoveredByRefetch: 66, DataLoss: 23, RefetchTraffic: 2112}},
-		{32, None, Report{Injected: 263, DataLoss: 263}},
+		{16, ByteParity, LayerReport{Injected: 364, Corrected: 276, RecoveredByRefetch: 276, DUE: 88, RefetchTraffic: 4416}},
+		{16, WordSECECC, LayerReport{Injected: 364, Corrected: 328, CorrectedInPlace: 224, RecoveredByRefetch: 104, DUE: 36, RefetchTraffic: 1664}},
+		{16, None, LayerReport{Injected: 364, SDC: 364}},
+		{32, ByteParity, LayerReport{Injected: 263, Corrected: 212, RecoveredByRefetch: 212, DUE: 51, RefetchTraffic: 6784}},
+		{32, WordSECECC, LayerReport{Injected: 263, Corrected: 240, CorrectedInPlace: 174, RecoveredByRefetch: 66, DUE: 23, RefetchTraffic: 2112}},
+		{32, None, LayerReport{Injected: 263, SDC: 263}},
 	}
 	for _, tc := range cases {
-		cfg := Config{
-			Cache: cache.Config{Size: 4 << 10, LineSize: tc.lineSize, Assoc: 1,
-				WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite},
-			Scheme:     tc.scheme,
-			ErrorEvery: 50,
-			Seed:       7,
-		}
-		rep, err := Inject(cfg, tr)
-		if err != nil {
-			t.Fatalf("line %d %s: %v", tc.lineSize, tc.scheme, err)
-		}
+		c := cache.Config{Size: 4 << 10, LineSize: tc.lineSize, Assoc: 1,
+			WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
+		rep := injectL1(t, c, tc.scheme, 50, 7, tr)
 		if rep != tc.want {
 			t.Errorf("line %d %s:\n got  %+v\n want %+v", tc.lineSize, tc.scheme, rep, tc.want)
 		}
-		if got := rep.CorrectedInPlace + rep.RecoveredByRefetch + rep.DataLoss; got != rep.Injected {
+		if got := rep.Corrected + rep.DUE + rep.SDC; got != rep.Injected {
 			t.Errorf("line %d %s: outcomes %d != injected %d", tc.lineSize, tc.scheme, got, rep.Injected)
+		}
+		if got := rep.CorrectedInPlace + rep.RecoveredByRefetch; got != rep.Corrected {
+			t.Errorf("line %d %s: corrected by mechanism %d != corrected %d", tc.lineSize, tc.scheme, got, rep.Corrected)
 		}
 	}
 }
@@ -62,18 +57,10 @@ func TestInjectSchemeOrdering(t *testing.T) {
 	for _, ls := range []int{16, 32} {
 		loss := map[Scheme]uint64{}
 		for _, s := range []Scheme{ByteParity, WordSECECC, None} {
-			cfg := Config{
-				Cache: cache.Config{Size: 4 << 10, LineSize: ls, Assoc: 1,
-					WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite},
-				Scheme:     s,
-				ErrorEvery: 50,
-				Seed:       7,
-			}
-			rep, err := Inject(cfg, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loss[s] = rep.DataLoss
+			c := cache.Config{Size: 4 << 10, LineSize: ls, Assoc: 1,
+				WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
+			rep := injectL1(t, c, s, 50, 7, tr)
+			loss[s] = rep.DUE + rep.SDC
 		}
 		if !(loss[WordSECECC] < loss[ByteParity] && loss[ByteParity] < loss[None]) {
 			t.Errorf("line %d: loss ordering violated: ecc %d, parity %d, none %d",

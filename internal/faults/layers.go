@@ -15,8 +15,8 @@ import (
 // structure between the CPU and memory holds data whose only copy may
 // be in flight: the coalescing write buffer, the write cache and the
 // L2 all have the same clean-vs-dirty recoverability split. This file
-// extends the single-cache model of Inject to the whole hierarchy and
-// classifies every upset into the standard reliability taxonomy:
+// models every one of them, the L1 included, and classifies every
+// upset into the standard reliability taxonomy:
 //
 //   - corrected: the error was repaired — in place (ECC), by
 //     refetching clean data from the next level, or by replaying a
@@ -272,6 +272,13 @@ func (c HierarchyConfig) Validate() error {
 	return nil
 }
 
+// wordKey names one 32-bit word of a line: ECC-protected arrays count
+// accumulated upsets per word so double-bit failures can be detected.
+type wordKey struct {
+	lineAddr uint32
+	word     uint8
+}
+
 // injector carries one run's mutable state.
 type injector struct {
 	cfg HierarchyConfig
@@ -298,10 +305,10 @@ func (in *injector) next() uint64 {
 // InjectHierarchy replays the trace through the configured hierarchy,
 // striking every selected layer once per ErrorEvery accesses and
 // classifying each upset as corrected, DUE or SDC under that layer's
-// protection scheme. Like Inject, the functional simulation is
-// unaffected — errors are modelled on the side, because the question
-// is recoverability, not the corrupted values themselves. Injection is
-// deterministic for a given configuration and trace.
+// protection scheme. The functional simulation is unaffected — errors
+// are modelled on the side, because the question is recoverability,
+// not the corrupted values themselves. Injection is deterministic for
+// a given configuration and trace.
 func InjectHierarchy(cfg HierarchyConfig, t *trace.Trace) (HierarchyReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return HierarchyReport{}, err
@@ -370,7 +377,7 @@ func (in *injector) strikeCacheLayer(layer Layer, addr uint32) {
 	rep := &in.rep.Layers[layer]
 
 	// Probe random addresses near this access until one is resident
-	// (bounded tries), as Inject does.
+	// (bounded tries).
 	var struck uint32
 	found := false
 	for try := 0; try < 8; try++ {

@@ -44,6 +44,11 @@ func (c Config) Validate() error {
 		if err := c.WriteCache.Validate(); err != nil {
 			return fmt.Errorf("hierarchy: write cache: %w", err)
 		}
+		if c.WriteCache.LineSize > cache.MaxLineSize {
+			// An eviction reaches the next level as one whole-line write
+			// event, which must fit in a cache line.
+			return fmt.Errorf("hierarchy: write-cache line size %dB exceeds the %dB maximum", c.WriteCache.LineSize, cache.MaxLineSize)
+		}
 		if c.L1.WriteHit != cache.WriteThrough {
 			return fmt.Errorf("hierarchy: a write cache requires a write-through L1 (got %s)", c.L1.WriteHit)
 		}
@@ -74,8 +79,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates the hierarchy's traffic counters.
-type Stats struct {
+// Traffic counts what crosses the two back-side ports of a two-level
+// hierarchy: L1 → L2 and L2 → memory. L1Port and MemPort are the only
+// code that increments it.
+type Traffic struct {
 	// L1ToL2Transactions counts transactions leaving the L1 complex
 	// (after write-cache merging): line fetches, dirty write-backs, and
 	// write-through words or write-cache evictions.
@@ -96,6 +103,21 @@ type Stats struct {
 	L2ToMemWritebacks     uint64
 	L2ToMemWritebackBytes uint64
 	L2ToMemDirtyBytes     uint64
+}
+
+// L2ToMemBytesSubblock returns the L2 back-side byte traffic with
+// write-backs charged only their dirty bytes — the traffic a memory
+// port with sub-block write capability would carry
+// (bus.Config.SubblockWriteback at the L2 backside).
+func (t Traffic) L2ToMemBytesSubblock() uint64 {
+	return t.L2ToMemBytes - t.L2ToMemWritebackBytes + t.L2ToMemDirtyBytes
+}
+
+// Stats aggregates the hierarchy's traffic counters.
+type Stats struct {
+	// Traffic comes first so the promoted counters keep their place
+	// in JSON output.
+	Traffic
 	// VictimHits counts L1 line fetches satisfied by the write cache in
 	// victim mode (each one is an avoided L1->L2 transaction).
 	VictimHits uint64
@@ -104,14 +126,6 @@ type Stats struct {
 	// data merged into outgoing L2 victims in the process.
 	BackInvalidations   uint64
 	InclusionDirtyBytes uint64
-}
-
-// L2ToMemBytesSubblock returns the L2 back-side byte traffic with
-// write-backs charged only their dirty bytes — the traffic a memory
-// port with sub-block write capability would carry
-// (bus.Config.SubblockWriteback at the L2 backside).
-func (s Stats) L2ToMemBytesSubblock() uint64 {
-	return s.L2ToMemBytes - s.L2ToMemWritebackBytes + s.L2ToMemDirtyBytes
 }
 
 // Hierarchy is a composed simulator. Drive it with Access/AccessTrace
@@ -135,25 +149,24 @@ func New(cfg Config) (*Hierarchy, error) {
 	if h.l1, err = cache.New(cfg.L1); err != nil {
 		return nil, err
 	}
-	if cfg.WriteCache != nil {
-		if h.wc, err = writecache.New(*cfg.WriteCache); err != nil {
-			return nil, err
-		}
-		h.wc.SetOnEvict(func(lineAddr uint32) {
-			h.stats.L1ToL2Transactions++
-			h.stats.L1ToL2Bytes += uint64(h.wc.LineSize())
-			if h.l2 != nil {
-				h.l2.Access(trace.Event{Addr: lineAddr, Size: uint8(h.wc.LineSize()), Kind: trace.Write})
-			}
-		})
-	}
 	if cfg.L2 != nil {
 		if h.l2, err = cache.New(*cfg.L2); err != nil {
 			return nil, err
 		}
-		h.l2.SetBackside(&memSink{h: h})
+		h.l2.SetBackside(&memSink{MemPort: MemPort{T: &h.stats.Traffic}, h: h})
 	}
-	h.l1.SetBackside(&l1Sink{h: h})
+	sink := &l1Sink{L1Port: L1Port{T: &h.stats.Traffic, L2: h.l2}, h: h}
+	if cfg.WriteCache != nil {
+		if h.wc, err = writecache.New(*cfg.WriteCache); err != nil {
+			return nil, err
+		}
+		// A write-cache eviction is one whole-line write to the next
+		// level.
+		h.wc.SetOnEvict(func(lineAddr uint32) {
+			sink.L1Port.WriteWord(lineAddr, uint8(h.wc.LineSize()))
+		})
+	}
+	h.l1.SetBackside(sink)
 	return h, nil
 }
 
@@ -190,9 +203,67 @@ func (h *Hierarchy) WriteCache() *writecache.Cache { return h.wc }
 // Stats returns the hierarchy-level traffic counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
-// l1Sink receives L1 back-side traffic, routes write words through the
-// write cache when present, and forwards everything to the L2.
-type l1Sink struct{ h *Hierarchy }
+// L1Port is the back side of a first-level cache. It counts every line
+// fetch, write-back and write-through word into T's L1ToL2 counters
+// and, when L2 is non-nil, forwards it to the L2 as a read or write of
+// the same bytes. Attach it with cache.SetBackside.
+type L1Port struct {
+	T  *Traffic
+	L2 *cache.Cache
+}
+
+// FetchLine implements cache.Backside.
+func (p *L1Port) FetchLine(addr uint32, size int) { p.send(addr, size, trace.Read) }
+
+// WritebackLine implements cache.Backside.
+func (p *L1Port) WritebackLine(addr uint32, size, dirtyBytes int) { p.send(addr, size, trace.Write) }
+
+// WriteWord implements cache.Backside.
+func (p *L1Port) WriteWord(addr uint32, size uint8) { p.send(addr, int(size), trace.Write) }
+
+func (p *L1Port) send(addr uint32, size int, kind trace.Kind) {
+	p.T.L1ToL2Transactions++
+	p.T.L1ToL2Bytes += uint64(size)
+	if p.L2 != nil {
+		p.L2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: kind})
+	}
+}
+
+// MemPort is the back side of a second-level cache. It counts every
+// transaction reaching memory into T's L2ToMem counters; memory is the
+// last level, so nothing is forwarded.
+type MemPort struct{ T *Traffic }
+
+// FetchLine implements cache.Backside.
+func (p *MemPort) FetchLine(addr uint32, size int) {
+	p.T.L2ToMemTransactions++
+	p.T.L2ToMemBytes += uint64(size)
+}
+
+// WritebackLine implements cache.Backside, recording the victim's
+// dirty bytes for sub-block write-back accounting.
+func (p *MemPort) WritebackLine(addr uint32, size, dirtyBytes int) {
+	p.T.L2ToMemTransactions++
+	p.T.L2ToMemBytes += uint64(size)
+	p.T.L2ToMemWritebacks++
+	p.T.L2ToMemWritebackBytes += uint64(size)
+	p.T.L2ToMemDirtyBytes += uint64(dirtyBytes)
+}
+
+// WriteWord implements cache.Backside.
+func (p *MemPort) WriteWord(addr uint32, size uint8) {
+	p.T.L2ToMemTransactions++
+	p.T.L2ToMemBytes += uint64(size)
+}
+
+// l1Sink adds the write cache to the L1 port: write-through words go
+// into the write cache (only its evictions reach the port), and in
+// victim mode clean L1 victims are captured there and line fetches
+// that hit one skip the L2.
+type l1Sink struct {
+	L1Port
+	h *Hierarchy
+}
 
 func (s *l1Sink) FetchLine(addr uint32, size int) {
 	h := s.h
@@ -202,35 +273,17 @@ func (s *l1Sink) FetchLine(addr uint32, size int) {
 		h.stats.VictimHits++
 		return
 	}
-	h.stats.L1ToL2Transactions++
-	h.stats.L1ToL2Bytes += uint64(size)
-	if h.l2 != nil {
-		h.l2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: trace.Read})
-	}
-}
-
-func (s *l1Sink) WritebackLine(addr uint32, size, dirtyBytes int) {
-	h := s.h
-	h.stats.L1ToL2Transactions++
-	h.stats.L1ToL2Bytes += uint64(size)
-	if h.l2 != nil {
-		h.l2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: trace.Write})
-	}
+	s.L1Port.FetchLine(addr, size)
 }
 
 func (s *l1Sink) WriteWord(addr uint32, size uint8) {
-	h := s.h
-	if h.wc != nil {
+	if s.h.wc != nil {
 		// Only write-cache evictions proceed to the next level; the
 		// SetOnEvict handler registered in New accounts them.
-		h.wc.Write(addr, size)
+		s.h.wc.Write(addr, size)
 		return
 	}
-	h.stats.L1ToL2Transactions++
-	h.stats.L1ToL2Bytes += uint64(size)
-	if h.l2 != nil {
-		h.l2.Access(trace.Event{Addr: addr, Size: size, Kind: trace.Write})
-	}
+	s.L1Port.WriteWord(addr, size)
 }
 
 // ObserveVictim captures clean L1 victims into the write cache when
@@ -245,13 +298,14 @@ func (s *l1Sink) ObserveVictim(addr uint32, size, dirtyBytes int) {
 	h.wc.AllocateVictim(addr)
 }
 
-// memSink counts traffic at the back of the L2 and, in inclusive mode,
-// back-invalidates the L1 on L2 evictions.
-type memSink struct{ h *Hierarchy }
+// memSink adds inclusion to the memory port: when it is enforced,
+// every L2 victim (clean or dirty) back-invalidates its L1 cover.
+type memSink struct {
+	MemPort
+	h *Hierarchy
+}
 
-// ObserveVictim implements cache.VictimObserver for the L2: every L2
-// victim (clean or dirty) back-invalidates its L1 cover when inclusion
-// is enforced.
+// ObserveVictim implements cache.VictimObserver for the L2.
 func (s *memSink) ObserveVictim(addr uint32, size, dirtyBytes int) {
 	h := s.h
 	if !h.cfg.Inclusive {
@@ -260,22 +314,4 @@ func (s *memSink) ObserveVictim(addr uint32, size, dirtyBytes int) {
 	lines, l1Dirty := h.l1.InvalidateRange(addr, size)
 	h.stats.BackInvalidations += uint64(lines)
 	h.stats.InclusionDirtyBytes += uint64(l1Dirty)
-}
-
-func (s *memSink) FetchLine(addr uint32, size int) {
-	s.h.stats.L2ToMemTransactions++
-	s.h.stats.L2ToMemBytes += uint64(size)
-}
-
-func (s *memSink) WritebackLine(addr uint32, size, dirtyBytes int) {
-	s.h.stats.L2ToMemTransactions++
-	s.h.stats.L2ToMemBytes += uint64(size)
-	s.h.stats.L2ToMemWritebacks++
-	s.h.stats.L2ToMemWritebackBytes += uint64(size)
-	s.h.stats.L2ToMemDirtyBytes += uint64(dirtyBytes)
-}
-
-func (s *memSink) WriteWord(addr uint32, size uint8) {
-	s.h.stats.L2ToMemTransactions++
-	s.h.stats.L2ToMemBytes += uint64(size)
 }

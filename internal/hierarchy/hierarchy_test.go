@@ -32,9 +32,14 @@ func mustNew(t *testing.T, cfg Config) *Hierarchy {
 }
 
 func TestValidate(t *testing.T) {
-	good := Config{L1: l1cfg(cache.WriteBack), L2: l2cfg()}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("good config rejected: %v", err)
+	for _, good := range []Config{
+		{L1: l1cfg(cache.WriteBack), L2: l2cfg()},
+		{L1: l1cfg(cache.WriteThrough), L2: l2cfg(),
+			WriteCache: &writecache.Config{Entries: 4, LineSize: cache.MaxLineSize}},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("good config rejected: %v", err)
+		}
 	}
 	cases := []struct {
 		name string
@@ -48,6 +53,14 @@ func TestValidate(t *testing.T) {
 		{"bad write cache", Config{
 			L1:         l1cfg(cache.WriteThrough),
 			WriteCache: &writecache.Config{Entries: -1, LineSize: 8},
+		}},
+		// An eviction reaches the L2 as one whole-line write event: a
+		// 256B line's event size wraps to zero and the L2 never sees
+		// the data the L1→L2 counters charged for.
+		{"write-cache lines wider than a cache line", Config{
+			L1:         l1cfg(cache.WriteThrough),
+			WriteCache: &writecache.Config{Entries: 4, LineSize: 256},
+			L2:         l2cfg(),
 		}},
 		{"bad L2", Config{L1: l1cfg(cache.WriteBack), L2: &cache.Config{}}},
 		{"L2 line smaller than L1", Config{
@@ -79,20 +92,23 @@ func TestNewPropagatesConfigError(t *testing.T) {
 
 func TestBacksideCountsMatchL1(t *testing.T) {
 	// Without a write cache, hierarchy transactions must equal the L1's
-	// own back-side accounting (program execution only).
-	h := mustNew(t, Config{L1: l1cfg(cache.WriteBack)})
+	// own back-side accounting (program execution only), for dirty
+	// write-backs and write-through words alike.
 	tr := &trace.Trace{}
 	for i := 0; i < 500; i++ {
 		tr.Append(rd(uint32(i*16) % 4096))
 		tr.Append(wr(uint32(i*32) % 8192))
 	}
-	h.AccessTrace(tr)
-	s1 := h.L1().Stats()
-	if got, want := h.Stats().L1ToL2Transactions, s1.BacksideTransactions(); got != want {
-		t.Errorf("hierarchy counted %d transactions, L1 says %d", got, want)
-	}
-	if got, want := h.Stats().L1ToL2Bytes, s1.BacksideBytes(false); got != want {
-		t.Errorf("hierarchy counted %d bytes, L1 says %d", got, want)
+	for _, hit := range []cache.WriteHitPolicy{cache.WriteBack, cache.WriteThrough} {
+		h := mustNew(t, Config{L1: l1cfg(hit)})
+		h.AccessTrace(tr)
+		s1 := h.L1().Stats()
+		if got, want := h.Stats().L1ToL2Transactions, s1.BacksideTransactions(); got != want {
+			t.Errorf("%s: hierarchy counted %d transactions, L1 says %d", hit, got, want)
+		}
+		if got, want := h.Stats().L1ToL2Bytes, s1.BacksideBytes(false); got != want {
+			t.Errorf("%s: hierarchy counted %d bytes, L1 says %d", hit, got, want)
+		}
 	}
 }
 

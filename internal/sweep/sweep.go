@@ -190,17 +190,6 @@ func (u Unit) Key() string {
 	return fmt.Sprintf("%s#%d/cfgs[%d:%d]", u.Trace.Name, u.TraceIndex, u.Base, u.Base+len(u.Cfgs))
 }
 
-// Run executes the units on a bounded worker pool and reports each
-// unit's gang results through collect (which may be nil). Workers pull
-// units from a shared atomic cursor, so there is no producer goroutine
-// to strand: on the first error — or when ctx is cancelled — the
-// remaining units are abandoned and Run returns promptly with that
-// error. collect is called serially (under an internal lock), in
-// completion order. workers < 1 means GOMAXPROCS.
-func Run(ctx context.Context, units []Unit, workers int, collect func(Unit, []cache.Stats)) error {
-	return RunUnits(ctx, units, Options{Workers: workers}, collect)
-}
-
 // EventKind classifies scheduler progress events.
 type EventKind uint8
 
@@ -345,10 +334,14 @@ func fingerprint(units []Unit) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// RunUnits is Run with the full option set: checkpoint/resume through
-// the resilience journal, stall detection, and bounded retry. The
-// collect callback (may be nil) is called serially; restored units are
-// delivered through it before any fresh simulation starts.
+// RunUnits executes the units on a bounded worker pool and reports each
+// unit's gang results through collect (which may be nil). On the first
+// error — or when ctx is cancelled — the remaining units are abandoned
+// and RunUnits returns promptly with that error. opt adds
+// checkpoint/resume through the resilience journal, stall detection,
+// and bounded retry. collect is called serially, in completion order;
+// restored units are delivered through it before any fresh simulation
+// starts.
 func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit, []cache.Stats)) error {
 	var mu sync.Mutex // serializes collect, state updates and OnEvent
 	emit := func(e Event) {

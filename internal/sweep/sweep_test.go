@@ -159,10 +159,10 @@ func TestSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunErrorNoDeadlock is the regression test for the Env.Precompute
-// deadlock: with a single worker hitting an error on the first unit and
-// many units still queued, Run must return the error promptly instead
-// of blocking on an abandoned work queue.
+// TestRunErrorNoDeadlock is the regression test for the figure-sweep
+// precompute deadlock: with a single worker hitting an error on the
+// first unit and many units still queued, RunUnits must return the
+// error promptly instead of blocking on an abandoned work queue.
 func TestRunErrorNoDeadlock(t *testing.T) {
 	tr := testTrace(100)
 	bad := Unit{Trace: tr, Cfgs: []cache.Config{{}}} // invalid: fails in cache.New
@@ -172,15 +172,15 @@ func TestRunErrorNoDeadlock(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- Run(context.Background(), units, 1, nil)
+		done <- RunUnits(context.Background(), units, Options{Workers: 1}, nil)
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("Run returned nil for a failing unit")
+			t.Fatal("RunUnits returned nil for a failing unit")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Run deadlocked after a unit error")
+		t.Fatal("RunUnits deadlocked after a unit error")
 	}
 }
 
@@ -190,9 +190,9 @@ func TestRunFirstErrorWins(t *testing.T) {
 		{Trace: tr, Cfgs: []cache.Config{{Size: 3}}},
 		{Trace: tr, Cfgs: []cache.Config{{Size: 5}}},
 	}
-	err := Run(context.Background(), units, 2, nil)
+	err := RunUnits(context.Background(), units, Options{Workers: 2}, nil)
 	if err == nil {
-		t.Fatal("Run returned nil for failing units")
+		t.Fatal("RunUnits returned nil for failing units")
 	}
 }
 
@@ -200,18 +200,18 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := testTrace(100)
-	err := Run(ctx, Shard(0, tr, policyConfigs(), 1), 2, nil)
+	err := RunUnits(ctx, Shard(0, tr, policyConfigs(), 1), Options{Workers: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run on cancelled context: err = %v, want context.Canceled", err)
+		t.Fatalf("RunUnits on cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRunEmptyAndNilCollect(t *testing.T) {
-	if err := Run(context.Background(), nil, 4, nil); err != nil {
-		t.Fatalf("Run with no units: %v", err)
+	if err := RunUnits(context.Background(), nil, Options{Workers: 4}, nil); err != nil {
+		t.Fatalf("RunUnits with no units: %v", err)
 	}
 	tr := testTrace(100)
-	if err := Run(context.Background(), Shard(0, tr, policyConfigs()[:3], 2), 0, nil); err != nil {
-		t.Fatalf("Run with default workers and nil collect: %v", err)
+	if err := RunUnits(context.Background(), Shard(0, tr, policyConfigs()[:3], 2), Options{}, nil); err != nil {
+		t.Fatalf("RunUnits with default workers and nil collect: %v", err)
 	}
 }
