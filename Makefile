@@ -56,10 +56,12 @@ fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzStreamBinary$$' -fuzztime 5s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 5s
 
-# bench-smoke compiles and runs every sweep benchmark for one
-# iteration — fast enough for the gate, enough to catch bit-rot.
+# bench-smoke compiles and runs every sweep benchmark and the
+# multi-core extension benchmarks for one iteration — fast enough for
+# the gate, enough to catch bit-rot.
 bench-smoke: require-go
 	$(GO) test ./internal/sweep -run '^$$' -bench 'BenchmarkSweep|BenchmarkGang' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench 'BenchmarkExtCoh' -benchtime 1x -benchmem
 
 # bench-compare is the performance regression gate: a fresh reduced
 # sweep measured at the full worker matrix, compared against the

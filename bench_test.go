@@ -320,3 +320,9 @@ func BenchmarkExtFaults(b *testing.B)   { benchExperiment(b, "ext-faults") }
 func BenchmarkExtSwitch(b *testing.B)   { benchExperiment(b, "ext-switch") }
 func BenchmarkExtWarm(b *testing.B)     { benchExperiment(b, "ext-warm") }
 func BenchmarkExtL2Policy(b *testing.B) { benchExperiment(b, "ext-l2policy") }
+
+// The multi-core extensions; each iteration's fresh Env computes every
+// coherent run the experiment reads, so all three pay for their runs.
+func BenchmarkExtCohMiss(b *testing.B)    { benchExperiment(b, "ext-coh-miss") }
+func BenchmarkExtCohTraffic(b *testing.B) { benchExperiment(b, "ext-coh-traffic") }
+func BenchmarkExtCohSchemes(b *testing.B) { benchExperiment(b, "ext-coh-schemes") }

@@ -2,6 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/coherence"
@@ -57,40 +62,101 @@ type cohRun struct {
 	sys coherence.Stats
 }
 
-// cohWorkload builds the N-core workload for a benchmark. The paper
-// traces have sparse footprints (yacc touches superblocks near 0x0,
-// 0x10000000 and 0x7f000000, spanning 2GB), so no window stride could
-// keep their raw images disjoint; compacting occupied 16MB superblocks
-// first (cache index/offset bits untouched) shrinks every footprint
-// below 64MB and the default 128MB stride fits all degrees.
-func cohWorkload(t *trace.Trace, cores int) (*coherence.Workload, error) {
-	dense, err := trace.CompactRegions(t, 24)
+// cohKey identifies one coherent simulation: a trace replicated across
+// a sharing degree, under one L1 write-miss policy and one coherence
+// scheme.
+type cohKey struct {
+	ti     int
+	cores  int
+	policy cache.WriteMissPolicy
+	scheme coherence.Scheme
+}
+
+// cohEntry is one memoized coherent run; like memoEntry, the once gate
+// computes it exactly once however many callers race on the key.
+type cohEntry struct {
+	once sync.Once
+	run  cohRun
+	err  error
+}
+
+// densePrefix is one trace's compacted prefix (see Env.cohDense).
+type densePrefix struct {
+	once  sync.Once
+	trace *trace.Trace
+	err   error
+}
+
+// cohMemo memoizes the ext-coh-* work on an Env: each trace is
+// compacted once, and each cohKey is simulated once, so ext-coh-traffic
+// reads the runs ext-coh-miss made and ext-coh-schemes adds only the
+// schemes the sweeps do not run. The lock guards only the maps, never
+// a computation.
+type cohMemo struct {
+	mu    sync.Mutex
+	dense map[int]*densePrefix
+	runs  map[cohKey]*cohEntry
+
+	compactions atomic.Uint64 // CompactRegions calls, for the compute-once tests
+	simulations atomic.Uint64 // coherent runs, for the compute-once tests
+}
+
+func (m *cohMemo) prefix(ti int) *densePrefix { return lazyEntry(&m.mu, &m.dense, ti) }
+func (m *cohMemo) entry(k cohKey) *cohEntry   { return lazyEntry(&m.mu, &m.runs, k) }
+
+// cohDense returns trace ti region-compacted and cut to its first
+// cohMaxEvents events, computed once per trace. The paper traces have
+// sparse footprints (yacc touches superblocks near 0x0, 0x10000000 and
+// 0x7f000000, spanning 2GB), so no window stride could keep their raw
+// images disjoint; compacting occupied 16MB superblocks first (cache
+// index/offset bits untouched) shrinks every footprint below 64MB and
+// the default 128MB stride fits all degrees. The prefix is copied so
+// the multi-megabyte compacted image can be collected.
+func (e *Env) cohDense(ti int) (*trace.Trace, error) {
+	ent := e.coh.prefix(ti)
+	ent.once.Do(func() {
+		e.coh.compactions.Add(1)
+		t := e.Traces[ti]
+		// Compact the full trace, never just the prefix: a superblock's
+		// slot is its rank among every superblock the trace touches, so
+		// one first touched after the prefix can still shift the slots
+		// (and with them the shared-granule choices) of the prefix.
+		dense, err := trace.CompactRegions(t, 24)
+		if err != nil {
+			ent.err = fmt.Errorf("experiments: %s: %w", t.Name, err)
+			return
+		}
+		n := min(dense.Len(), cohMaxEvents)
+		ent.trace = &trace.Trace{Name: t.Name, Events: slices.Clone(dense.Events[:n])}
+	})
+	return ent.trace, ent.err
+}
+
+// cohWorkload builds the N-core workload of trace ti from its dense
+// prefix.
+func (e *Env) cohWorkload(ti, cores int) (*coherence.Workload, error) {
+	dense, err := e.cohDense(ti)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", t.Name, err)
+		return nil, err
 	}
 	w, err := coherence.BuildWorkload(dense, coherence.WorkloadConfig{
-		Cores:            cores,
-		SharedFraction:   cohSharedFraction,
-		Stagger:          cohStagger,
-		MaxEventsPerCore: cohMaxEvents,
+		Cores:          cores,
+		SharedFraction: cohSharedFraction,
+		Stagger:        cohStagger,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s x%d: %w", t.Name, cores, err)
+		return nil, fmt.Errorf("experiments: %s x%d: %w", dense.Name, cores, err)
 	}
 	return w, nil
 }
 
-// cohSimulate replays t across the given sharing degree under one
-// coherence scheme and write-miss policy.
-func cohSimulate(t *trace.Trace, p cache.WriteMissPolicy, scheme coherence.Scheme, cores int) (cohRun, error) {
-	w, err := cohWorkload(t, cores)
-	if err != nil {
-		return cohRun{}, err
-	}
+// cohSimulate replays trace name's workload w under k's write-miss
+// policy and coherence scheme.
+func cohSimulate(name string, w *coherence.Workload, k cohKey) (cohRun, error) {
 	l2 := cohL2()
-	sys, err := coherence.New(coherence.Config{Cores: cores, L1: cohL1(p), L2: &l2, Scheme: scheme})
+	sys, err := coherence.New(coherence.Config{Cores: k.cores, L1: cohL1(k.policy), L2: &l2, Scheme: k.scheme})
 	if err != nil {
-		return cohRun{}, fmt.Errorf("experiments: %s x%d: %w", t.Name, cores, err)
+		return cohRun{}, fmt.Errorf("experiments: %s x%d: %w", name, k.cores, err)
 	}
 	if err := sys.Run(w); err != nil {
 		return cohRun{}, err
@@ -99,21 +165,113 @@ func cohSimulate(t *trace.Trace, p cache.WriteMissPolicy, scheme coherence.Schem
 	return cohRun{l1: sys.AggregateL1(), sys: sys.Stats()}, nil
 }
 
+// cohGroup is the keys sharing one (trace, cores) workload.
+type cohGroup struct {
+	ti, cores int
+	keys      []cohKey
+}
+
+// cohRuns returns the run of every key. Keys are grouped by (trace,
+// cores) and the groups fanned out over GOMAXPROCS workers, largest
+// sharing degree (the costliest replay) first; a group builds its
+// workload only if one of its keys is still missing, simulates every
+// missing key on it and drops it. Every key is computed once even when
+// callers race, and the error returned is that of the first failing
+// key in keys order, so it does not depend on scheduling.
+func (e *Env) cohRuns(keys []cohKey) (map[cohKey]cohRun, error) {
+	var groups []*cohGroup
+	index := make(map[[2]int]*cohGroup)
+	for _, k := range keys {
+		gk := [2]int{k.ti, k.cores}
+		g := index[gk]
+		if g == nil {
+			g = &cohGroup{ti: k.ti, cores: k.cores}
+			index[gk] = g
+			groups = append(groups, g)
+		}
+		g.keys = append(g.keys, k)
+	}
+	sort.SliceStable(groups, func(i, j int) bool { return groups[i].cores > groups[j].cores })
+
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for n := min(runtime.GOMAXPROCS(0), len(groups)); n > 0; n-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(groups); i = int(next.Add(1)) - 1 {
+				e.cohGroupRun(groups[i])
+			}
+		}()
+	}
+	wg.Wait()
+
+	runs := make(map[cohKey]cohRun, len(keys))
+	for _, k := range keys {
+		// Every entry's once has returned in a worker, which wg.Wait
+		// orders before these reads.
+		ent := e.coh.entry(k)
+		if ent.err != nil {
+			return nil, ent.err
+		}
+		runs[k] = ent.run
+	}
+	return runs, nil
+}
+
+// cohGroupRun computes g's missing keys on one shared workload. A
+// workload error is memoized for every key that needed it.
+func (e *Env) cohGroupRun(g *cohGroup) {
+	var (
+		w     *coherence.Workload
+		werr  error
+		built bool
+	)
+	for _, k := range g.keys {
+		ent := e.coh.entry(k)
+		ent.once.Do(func() {
+			if !built {
+				w, werr = e.cohWorkload(g.ti, g.cores)
+				built = true
+			}
+			if werr != nil {
+				ent.err = werr
+				return
+			}
+			e.coh.simulations.Add(1)
+			ent.run, ent.err = cohSimulate(e.Traces[g.ti].Name, w, k)
+		})
+	}
+}
+
 // cohSweepChart renders one metric of the sharing-degree sweep (MSI
 // snooping) as a chart in the paper's per-benchmark + average style.
 func cohSweepChart(e *Env, id, title, ylabel string, metric func(cohRun) float64) (Result, error) {
+	key := func(ti int, p cache.WriteMissPolicy, cores int) cohKey {
+		return cohKey{ti: ti, cores: cores, policy: p, scheme: coherence.Invalidate}
+	}
+	var keys []cohKey
+	for _, p := range cache.WriteMissPolicies() {
+		for ti := range e.Traces {
+			for _, cores := range cohDegrees {
+				keys = append(keys, key(ti, p, cores))
+			}
+		}
+	}
+	runs, err := e.cohRuns(keys)
+	if err != nil {
+		return Result{}, err
+	}
 	chart := &stats.Chart{ID: id, Title: title,
 		XLabel: "sharing degree (cores)", YLabel: ylabel, XScale: stats.Log2}
 	for _, p := range cache.WriteMissPolicies() {
 		var perBench []stats.Series
-		for _, t := range e.Traces {
+		for ti, t := range e.Traces {
 			s := stats.Series{Label: fmt.Sprintf("%s/%s", t.Name, p)}
 			for _, cores := range cohDegrees {
-				r, err := cohSimulate(t, p, coherence.Invalidate, cores)
-				if err != nil {
-					return Result{}, err
-				}
-				s.Point(float64(cores), metric(r))
+				s.Point(float64(cores), metric(runs[key(ti, p, cores)]))
 			}
 			perBench = append(perBench, s)
 			chart.Add(s)
@@ -165,12 +323,22 @@ func extCohSchemes(e *Env) (Result, error) {
 			"invalidations/1k", "updates/1k", "bus bytes/1k"},
 	}
 	const cores = 4
-	for _, t := range e.Traces {
+	key := func(ti int, scheme coherence.Scheme) cohKey {
+		return cohKey{ti: ti, cores: cores, policy: cache.FetchOnWrite, scheme: scheme}
+	}
+	var keys []cohKey
+	for ti := range e.Traces {
 		for _, scheme := range coherence.Schemes() {
-			r, err := cohSimulate(t, cache.FetchOnWrite, scheme, cores)
-			if err != nil {
-				return Result{}, err
-			}
+			keys = append(keys, key(ti, scheme))
+		}
+	}
+	runs, err := e.cohRuns(keys)
+	if err != nil {
+		return Result{}, err
+	}
+	for ti, t := range e.Traces {
+		for _, scheme := range coherence.Schemes() {
+			r := runs[key(ti, scheme)]
 			k := float64(r.l1.Refs()) / 1000
 			tbl.AddRow(t.Name, scheme.String(),
 				stats.FmtPct(r.l1.MissRate()),
@@ -181,7 +349,7 @@ func extCohSchemes(e *Env) (Result, error) {
 		}
 		// Baseline: the identical reference schedule through one
 		// shared cache — what coherence overhead is measured against.
-		w, err := cohWorkload(t, cores)
+		w, err := e.cohWorkload(ti, cores)
 		if err != nil {
 			return Result{}, err
 		}

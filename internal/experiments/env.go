@@ -83,12 +83,14 @@ type memoShard struct {
 // Env holds the benchmark traces and memoizes cache simulations so the
 // many figures sharing a configuration pay for it once. The memo is
 // sharded so parallel figure runners do not serialize on a single
-// lock, and each key is computed exactly once even when raced.
+// lock, and each key is computed exactly once even when raced. The
+// multi-core experiments keep their own memo beside it (see cohMemo).
 type Env struct {
 	Traces []*trace.Trace
 
 	shards   [memoShards]memoShard
 	computes atomic.Uint64
+	coh      cohMemo
 }
 
 // NewEnvCached generates the six paper benchmarks at the given scale,
@@ -112,17 +114,23 @@ func NewEnvFromTraces(ts []*trace.Trace) *Env {
 // lock is held only for the map access, never for a simulation.
 func (e *Env) entry(k memoKey) *memoEntry {
 	s := &e.shards[k.shard()]
-	s.mu.Lock()
-	ent := s.m[k]
-	if ent == nil {
-		if s.m == nil {
-			s.m = make(map[memoKey]*memoEntry)
-		}
-		ent = &memoEntry{}
-		s.m[k] = ent
+	return lazyEntry(&s.mu, &s.m, k)
+}
+
+// lazyEntry returns (*m)[k], creating the map and the entry if needed,
+// under mu.
+func lazyEntry[K comparable, V any](mu *sync.Mutex, m *map[K]*V, k K) *V {
+	mu.Lock()
+	defer mu.Unlock()
+	if *m == nil {
+		*m = make(map[K]*V)
 	}
-	s.mu.Unlock()
-	return ent
+	v := (*m)[k]
+	if v == nil {
+		v = new(V)
+		(*m)[k] = v
+	}
+	return v
 }
 
 // CacheStats runs trace index ti through the configuration (with a

@@ -53,6 +53,7 @@ var LockedPackages = []string{
 	"internal/sweep",
 	"internal/workload",
 	"internal/resilience",
+	"internal/experiments", // the Env memos and the coherence worker pool
 }
 
 // StatsPackages publish counter structs (serve statusz metrics,
