@@ -89,9 +89,9 @@ func TestWriteSARIFStable(t *testing.T) {
 	}
 }
 
-// TestListShowsNineAnalyzers pins the registry size at the CLI
+// TestListShowsTenAnalyzers pins the registry size at the CLI
 // surface.
-func TestListShowsNineAnalyzers(t *testing.T) {
+func TestListShowsTenAnalyzers(t *testing.T) {
 	stdout, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +110,10 @@ func TestListShowsNineAnalyzers(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) != 9 {
-		t.Fatalf("simlint -list printed %d analyzers, want 9:\n%s", len(lines), data)
+	if len(lines) != 10 {
+		t.Fatalf("simlint -list printed %d analyzers, want 10:\n%s", len(lines), data)
 	}
-	for _, name := range []string{"lockheld", "errflow", "statsound"} {
+	for _, name := range []string{"lockheld", "errflow", "statsound", "deadcode"} {
 		if !strings.Contains(string(data), name) {
 			t.Errorf("simlint -list missing %s", name)
 		}

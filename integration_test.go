@@ -50,6 +50,16 @@ func chartOf(t *testing.T, env *experiments.Env, id string) *stats.Chart {
 	return res.Chart
 }
 
+// findSeries returns the chart's series with the given label, or nil.
+func findSeries(c *stats.Chart, label string) *stats.Series {
+	for i := range c.Series {
+		if c.Series[i].Label == label {
+			return &c.Series[i]
+		}
+	}
+	return nil
+}
+
 // TestPaperFig1Fig2Shapes: write-back's traffic reduction rises with
 // both line size and cache size, removes the majority of writes at the
 // standard point, and linpack/liver are the worst programs at short
@@ -57,7 +67,7 @@ func chartOf(t *testing.T, env *experiments.Env, id string) *stats.Chart {
 func TestPaperFig1Fig2Shapes(t *testing.T) {
 	env := integrationEnv(t)
 	for _, id := range []string{"fig1", "fig2"} {
-		avg := chartOf(t, env, id).Find("average")
+		avg := findSeries(chartOf(t, env, id), "average")
 		if avg == nil {
 			t.Fatalf("%s: no average series", id)
 		}
@@ -69,12 +79,12 @@ func TestPaperFig1Fig2Shapes(t *testing.T) {
 	}
 	fig1 := chartOf(t, env, "fig1")
 	for _, name := range []string{"linpack", "liver"} {
-		s := fig1.Find(name)
+		s := findSeries(fig1, name)
 		if s.Y[0] > 15 {
 			t.Errorf("%s at 4B lines = %v%%, want <15%% (paper: numeric codes worst)", name, s.Y[0])
 		}
 	}
-	if avg := fig1.Find("average"); avg.YAt(16) < 60 || avg.YAt(16) > 85 {
+	if avg := findSeries(fig1, "average"); avg.YAt(16) < 60 || avg.YAt(16) > 85 {
 		t.Errorf("fig1 average at 16B = %v, want the paper's majority-removed band", avg.YAt(16))
 	}
 }
@@ -83,7 +93,7 @@ func TestPaperFig1Fig2Shapes(t *testing.T) {
 // small-to-standard sizes.
 func TestPaperFig10Band(t *testing.T) {
 	env := integrationEnv(t)
-	avg := chartOf(t, env, "fig10").Find("average")
+	avg := findSeries(chartOf(t, env, "fig10"), "average")
 	for _, size := range []float64{1024, 2048, 4096, 8192} {
 		if v := avg.YAt(size); v < 15 || v > 45 {
 			t.Errorf("fig10 average at %v = %v%%, want ~one third", size, v)
@@ -97,9 +107,9 @@ func TestPaperFig10Band(t *testing.T) {
 func TestPaperFig14Headline(t *testing.T) {
 	env := integrationEnv(t)
 	c := chartOf(t, env, "fig14")
-	wv := c.Find("average/write-validate").YAt(8192)
-	wa := c.Find("average/write-around").YAt(8192)
-	wi := c.Find("average/write-invalidate").YAt(8192)
+	wv := findSeries(c, "average/write-validate").YAt(8192)
+	wa := findSeries(c, "average/write-around").YAt(8192)
+	wi := findSeries(c, "average/write-invalidate").YAt(8192)
 	if wv < 20 || wv > 45 {
 		t.Errorf("write-validate @8KB = %v%%, paper reports ~31%%", wv)
 	}
@@ -128,8 +138,8 @@ func TestPaperFig17NoViolations(t *testing.T) {
 func TestPaperFig18Claims(t *testing.T) {
 	env := integrationEnv(t)
 	c := chartOf(t, env, "fig18")
-	wt := c.Find("write-through")
-	wb := c.Find("write-back")
+	wt := findSeries(c, "write-through")
+	wb := findSeries(c, "write-back")
 	maxWT, minWT := wt.Y[0], wt.Y[0]
 	for i := range wt.Y {
 		if wt.Y[i] > maxWT {
@@ -152,11 +162,11 @@ func TestPaperFig18Claims(t *testing.T) {
 // with line size.
 func TestPaperFig20Fig24Claims(t *testing.T) {
 	env := integrationEnv(t)
-	f20 := chartOf(t, env, "fig20").Find("average (flush stop)")
+	f20 := findSeries(chartOf(t, env, "fig20"), "average (flush stop)")
 	if v := f20.YAt(8192); v < 35 || v > 75 {
 		t.Errorf("victims dirty @8KB = %v%%, paper reports ~50%%", v)
 	}
-	f24 := chartOf(t, env, "fig24").Find("average")
+	f24 := findSeries(chartOf(t, env, "fig24"), "average")
 	if f24.YAt(4) != 100 {
 		t.Errorf("dirty bytes per dirty victim at 4B lines = %v%%, want exactly 100%% (word machine)", f24.YAt(4))
 	}
@@ -171,7 +181,7 @@ func TestPaperFig20Fig24Claims(t *testing.T) {
 func TestPaperWriteCacheClaims(t *testing.T) {
 	env := integrationEnv(t)
 	c := chartOf(t, env, "fig7")
-	avg := c.Find("average")
+	avg := findSeries(c, "average")
 	five, sixteen := avg.YAt(5), avg.YAt(16)
 	if five < 20 {
 		t.Errorf("5-entry write cache removes %v%%, want a substantial share", five)
@@ -179,7 +189,7 @@ func TestPaperWriteCacheClaims(t *testing.T) {
 	if five < 0.8*sixteen {
 		t.Errorf("5 entries (%v%%) should capture most of 16 entries' benefit (%v%%)", five, sixteen)
 	}
-	if lin := c.Find("linpack").YAt(5); lin > 5 {
+	if lin := findSeries(c, "linpack").YAt(5); lin > 5 {
 		t.Errorf("linpack write-cache benefit = %v%%, want ~0 (sequential writes)", lin)
 	}
 }

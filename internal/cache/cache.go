@@ -125,15 +125,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the counters accumulated so far.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset clears all lines and counters.
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.tick = 0
-	c.stats = Stats{}
-}
-
 // spanResult aggregates per-line outcomes of one (possibly
 // line-crossing) access event.
 type spanResult struct {

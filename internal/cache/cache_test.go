@@ -86,13 +86,6 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 func TestPolicyPredicates(t *testing.T) {
-	if !FetchOnWrite.FetchesOnWriteMiss() || WriteValidate.FetchesOnWriteMiss() {
-		t.Error("FetchesOnWriteMiss wrong")
-	}
-	if !FetchOnWrite.Allocates() || !WriteValidate.Allocates() ||
-		WriteAround.Allocates() || WriteInvalidate.Allocates() {
-		t.Error("Allocates wrong")
-	}
 	ps := WriteMissPolicies()
 	if len(ps) != 4 || ps[0] != WriteValidate || ps[3] != FetchOnWrite {
 		t.Errorf("WriteMissPolicies() = %v", ps)
@@ -468,18 +461,6 @@ func TestBacksideTraffic(t *testing.T) {
 	}
 	if s.BacksideBytes(true) != 54 {
 		t.Errorf("bytes subblock = %d, want 54", s.BacksideBytes(true))
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := MustNew(cfg8k16(WriteBack, FetchOnWrite))
-	c.Access(wr(0x100, 8))
-	c.Reset()
-	if c.ResidentLines() != 0 {
-		t.Error("lines survive Reset")
-	}
-	if c.Stats() != (Stats{}) {
-		t.Error("stats survive Reset")
 	}
 }
 

@@ -96,14 +96,6 @@ func WriteMissPolicies() []WriteMissPolicy {
 	return []WriteMissPolicy{WriteValidate, WriteAround, WriteInvalidate, FetchOnWrite}
 }
 
-// FetchesOnWriteMiss reports whether the policy fetches the missed line.
-func (p WriteMissPolicy) FetchesOnWriteMiss() bool { return p == FetchOnWrite }
-
-// Allocates reports whether the policy allocates a line on a write miss.
-func (p WriteMissPolicy) Allocates() bool {
-	return p == FetchOnWrite || p == WriteValidate
-}
-
 // Replacement selects the victim way within a set.
 type Replacement uint8
 

@@ -244,18 +244,6 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// Cores returns the number of cores.
-func (s *System) Cores() int { return len(s.cores) }
-
-// L1 returns core i's private cache (for its paper-class statistics).
-func (s *System) L1(i int) *cache.Cache { return s.cores[i].l1 }
-
-// L2 returns the shared second-level cache, or nil.
-func (s *System) L2() *cache.Cache { return s.l2 }
-
 // Stats returns the system-wide counters accumulated so far: the
 // shared level's own counters plus every core's share.
 func (s *System) Stats() Stats {
@@ -532,6 +520,8 @@ func (s *System) Flush() {
 // CheckSingleWriter verifies the byte-level single-writer invariant:
 // no byte of any line is dirty in more than one private cache. It
 // returns nil when the invariant holds.
+//
+//simlint:allow deadcode single-writer oracle for TestSingleWriterInvariant, TestInvalidateSemantics, TestUpdateSemantics and TestRunDeterminism
 func (s *System) CheckSingleWriter() error {
 	type claim struct {
 		core  int

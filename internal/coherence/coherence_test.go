@@ -114,11 +114,11 @@ func TestSingleCoreEquivalence(t *testing.T) {
 				sys.Flush()
 				h.Flush()
 				name := l1.String() + "/" + scheme.String()
-				if got, want := sys.L1(0).Stats(), h.L1().Stats(); got != want {
+				if got, want := sys.cores[0].l1.Stats(), h.L1().Stats(); got != want {
 					t.Fatalf("%s: L1 stats differ:\n got %+v\nwant %+v", name, got, want)
 				}
 				if withL2 {
-					if got, want := sys.L2().Stats(), h.L2().Stats(); got != want {
+					if got, want := sys.l2.Stats(), h.L2().Stats(); got != want {
 						t.Fatalf("%s: L2 stats differ:\n got %+v\nwant %+v", name, got, want)
 					}
 				}
@@ -186,13 +186,13 @@ func TestInvalidateSemantics(t *testing.T) {
 	if st := sys.Stats(); st.Interventions != 1 || st.InterventionDirtyBytes != 4 {
 		t.Fatalf("after remote read: %+v, want 1 intervention of 4 dirty bytes", st)
 	}
-	if st := sys.L1(0).Probe(0x100); !st.Present || st.Dirty != 0 {
+	if st := sys.cores[0].l1.Probe(0x100); !st.Present || st.Dirty != 0 {
 		t.Fatalf("owner after downgrade: %+v, want present and clean", st)
 	}
 
 	// Core 1 writes: core 0's copy is invalidated.
 	sys.Access(1, wr)
-	if st := sys.L1(0).Probe(0x100); st.Present {
+	if st := sys.cores[0].l1.Probe(0x100); st.Present {
 		t.Fatal("remote copy survived an invalidating write")
 	}
 	st := sys.Stats()
@@ -232,14 +232,14 @@ func TestUpdateSemantics(t *testing.T) {
 	if st.InvalidationsSent != 0 || st.SharingMisses != 0 {
 		t.Fatalf("update scheme produced invalidations or sharing misses: %+v", st)
 	}
-	p1 := sys.L1(1).Probe(0x200)
+	p1 := sys.cores[1].l1.Probe(0x200)
 	if !p1.Present {
 		t.Fatal("updated copy vanished")
 	}
 	if p1.Dirty&0xf != 0 {
 		t.Fatalf("remote dirty claim not released: %#x", p1.Dirty)
 	}
-	if p0 := sys.L1(0).Probe(0x200); p0.Dirty&0xf == 0 {
+	if p0 := sys.cores[0].l1.Probe(0x200); p0.Dirty&0xf == 0 {
 		t.Fatal("writer does not own the written bytes")
 	}
 	if err := sys.CheckSingleWriter(); err != nil {
@@ -258,16 +258,16 @@ func TestHybridSemantics(t *testing.T) {
 
 	sys.Access(1, rd) // core 1 caches the line
 	sys.Access(0, wr) // update 1: tolerated
-	if !sys.L1(1).Probe(0x300).Present {
+	if !sys.cores[1].l1.Probe(0x300).Present {
 		t.Fatal("copy dropped before the competitive threshold")
 	}
 	sys.Access(1, rd) // local touch resets the countdown
 	sys.Access(0, wr) // update 1 again
-	if !sys.L1(1).Probe(0x300).Present {
+	if !sys.cores[1].l1.Probe(0x300).Present {
 		t.Fatal("local touch did not reset the update countdown")
 	}
 	sys.Access(0, wr) // update 2: threshold reached, self-invalidate
-	if sys.L1(1).Probe(0x300).Present {
+	if sys.cores[1].l1.Probe(0x300).Present {
 		t.Fatal("copy survived past the competitive threshold")
 	}
 	st := sys.Stats()
@@ -306,10 +306,10 @@ func TestRunDeterminism(t *testing.T) {
 			Cores []CoreStats
 			L1s   []cache.Stats
 			L2    cache.Stats
-		}{Sys: sys.Stats(), L2: sys.L2().Stats()}
-		for i := 0; i < sys.Cores(); i++ {
+		}{Sys: sys.Stats(), L2: sys.l2.Stats()}
+		for i := 0; i < len(sys.cores); i++ {
 			blob.Cores = append(blob.Cores, sys.CoreStats(i))
-			blob.L1s = append(blob.L1s, sys.L1(i).Stats())
+			blob.L1s = append(blob.L1s, sys.cores[i].l1.Stats())
 		}
 		b, err := json.Marshal(blob)
 		if err != nil {
@@ -343,9 +343,9 @@ func TestCoreStatsSumToSystem(t *testing.T) {
 			}
 			sys.Flush()
 			var sum CoreStats
-			for i := 0; i < sys.Cores(); i++ {
+			for i := 0; i < len(sys.cores); i++ {
 				c := sys.CoreStats(i)
-				ls := sys.L1(i).Stats()
+				ls := sys.cores[i].l1.Stats()
 				if got := ls.BacksideTransactions() + ls.FlushWritebacks; c.L1ToL2Transactions != got {
 					t.Errorf("%s core %d: port counted %d transactions, L1 issued %d", name, i, c.L1ToL2Transactions, got)
 				}

@@ -24,7 +24,6 @@ import (
 	"cachewrite/internal/cache"
 	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/trace"
-	"cachewrite/internal/workload"
 )
 
 // Config is the simulated memory system configuration; it aliases
@@ -66,16 +65,6 @@ func Run(cfg Config, t *trace.Trace) (Result, error) {
 	return res, nil
 }
 
-// RunWorkload generates the named workload at the given scale and runs
-// it through the configuration.
-func RunWorkload(cfg Config, name string, scale int) (Result, error) {
-	t, err := workload.Generate(name, scale)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(cfg, t)
-}
-
 // PolicyComparison holds the four write-miss policies' results on one
 // trace and one base cache geometry — the paper's §4 experiment.
 type PolicyComparison struct {
@@ -101,20 +90,6 @@ func ComparePolicies(base cache.Config, t *trace.Trace) (PolicyComparison, error
 		cmp.ByPolicy[p] = c.Stats()
 	}
 	return cmp, nil
-}
-
-// WriteMissReduction returns the paper's Figs 13/15 metric for policy
-// p: the reduction in fetch-triggering misses relative to
-// fetch-on-write, expressed as a fraction of fetch-on-write's *write*
-// misses. Values above 1 are possible (the paper's liver/write-around
-// case) when a policy also avoids read misses.
-func (c PolicyComparison) WriteMissReduction(p cache.WriteMissPolicy) float64 {
-	fow := c.ByPolicy[cache.FetchOnWrite]
-	if fow.FetchedWriteMisses == 0 {
-		return 0
-	}
-	saved := float64(fow.Misses()) - float64(c.ByPolicy[p].Misses())
-	return saved / float64(fow.FetchedWriteMisses)
 }
 
 // TotalMissReduction returns the paper's Figs 14/16 metric: the

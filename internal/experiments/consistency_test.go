@@ -20,7 +20,7 @@ func TestFig2PointsMatchDirectComputation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ti, tr := range env.Traces {
-		series := res.Chart.Find(tr.Name)
+		series := findSeries(res.Chart, tr.Name)
 		for _, size := range CacheSizes {
 			cs, err := env.CacheStats(ti, stdConfig(size, StdLineSize))
 			if err != nil {
@@ -41,7 +41,7 @@ func TestFig10PointsMatchDirectComputation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ti, tr := range env.Traces {
-		series := res.Chart.Find(tr.Name)
+		series := findSeries(res.Chart, tr.Name)
 		for _, size := range CacheSizes {
 			cs, err := env.CacheStats(ti, stdConfig(size, StdLineSize))
 			if err != nil {
@@ -61,8 +61,8 @@ func TestFig18PointsMatchDirectComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := res.Chart.Find("write-back")
-	wt := res.Chart.Find("write-through")
+	wb := findSeries(res.Chart, "write-back")
+	wt := findSeries(res.Chart, "write-through")
 	for _, size := range CacheSizes {
 		var wbWant, wtWant float64
 		for ti := range env.Traces {
@@ -90,11 +90,11 @@ func TestFig14AverageIsMeanOfBenchmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg := res.Chart.Find("average/write-validate")
+	avg := findSeries(res.Chart, "average/write-validate")
 	for _, size := range CacheSizes {
 		var sum float64
 		for _, tr := range env.Traces {
-			sum += res.Chart.Find(tr.Name + "/write-validate").YAt(float64(size))
+			sum += findSeries(res.Chart, tr.Name+"/write-validate").YAt(float64(size))
 		}
 		if got := avg.YAt(float64(size)); !almost(got, sum/float64(len(env.Traces))) {
 			t.Errorf("fig14 average @%d: %v vs mean %v", size, got, sum/float64(len(env.Traces)))
@@ -115,7 +115,7 @@ func TestFig22IsFlushStopProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Chart.Find(env.Traces[0].Name).YAt(8 << 10)
+	got := findSeries(res.Chart, env.Traces[0].Name).YAt(8 << 10)
 	want := stats.Pct(cs.DirtyBytesPerVictim())
 	if !almost(got, want) {
 		t.Errorf("fig22 = %v, direct %v", got, want)

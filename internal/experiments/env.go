@@ -179,18 +179,6 @@ func stdConfig(size, lineSize int) cache.Config {
 	}
 }
 
-// kb formats a byte count as its KB value for chart X axes.
-func kb(bytes int) float64 { return float64(bytes) }
-
-// benchNames returns the trace names in order.
-func (e *Env) benchNames() []string {
-	names := make([]string, len(e.Traces))
-	for i, t := range e.Traces {
-		names[i] = t.Name
-	}
-	return names
-}
-
 // SweepConfigs enumerates every cache configuration the paper figures
 // consult: the capacity sweep at 16B lines and the line-size sweep at
 // 8KB, each under all four write-miss policies (no-allocate policies

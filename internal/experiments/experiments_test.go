@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/stats"
 	"cachewrite/internal/sweep"
 	"cachewrite/internal/trace"
 	"cachewrite/internal/workload"
@@ -119,7 +120,7 @@ func TestPerBenchmarkChartsHaveAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Chart.Find("average") == nil {
+		if findSeries(res.Chart, "average") == nil {
 			t.Errorf("%s missing average series", id)
 		}
 		// 6 benchmarks + average.
@@ -137,7 +138,7 @@ func TestFig5SeriesShape(t *testing.T) {
 	if len(res.Chart.Series) != 3 {
 		t.Fatalf("fig5 has %d series, want 3", len(res.Chart.Series))
 	}
-	merged := res.Chart.Find("% merged by 8-entry write-buffer")
+	merged := findSeries(res.Chart, "% merged by 8-entry write-buffer")
 	if merged == nil {
 		t.Fatal("missing merged series")
 	}
@@ -150,7 +151,7 @@ func TestFig5SeriesShape(t *testing.T) {
 			t.Errorf("merging not monotone at %v", merged.X[i])
 		}
 	}
-	cpi := res.Chart.Find("write buffer full stall CPI")
+	cpi := findSeries(res.Chart, "write buffer full stall CPI")
 	if cpi == nil || cpi.Y[0] != 0 {
 		t.Error("stall CPI series wrong")
 	}
@@ -166,7 +167,7 @@ func TestFig13SeriesCount(t *testing.T) {
 		t.Fatalf("fig13 has %d series, want 21", len(res.Chart.Series))
 	}
 	for _, p := range []string{"write-validate", "write-around", "write-invalidate"} {
-		if res.Chart.Find("average/"+p) == nil {
+		if findSeries(res.Chart, "average/"+p) == nil {
 			t.Errorf("missing average/%s", p)
 		}
 	}
@@ -188,10 +189,10 @@ func TestFig18SeriesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wt := res.Chart.Find("write-through")
-	wb := res.Chart.Find("write-back")
-	rm := res.Chart.Find("read misses")
-	wm := res.Chart.Find("write misses")
+	wt := findSeries(res.Chart, "write-through")
+	wb := findSeries(res.Chart, "write-back")
+	rm := findSeries(res.Chart, "read misses")
+	wm := findSeries(res.Chart, "write misses")
 	if wt == nil || wb == nil || rm == nil || wm == nil {
 		t.Fatal("missing series")
 	}
@@ -263,14 +264,6 @@ func TestCacheStatsBadConfig(t *testing.T) {
 	env := syntheticEnv()
 	if _, err := env.CacheStats(0, cache.Config{}); err == nil {
 		t.Fatal("bad config accepted")
-	}
-}
-
-func TestBenchNames(t *testing.T) {
-	env := syntheticEnv()
-	names := env.benchNames()
-	if len(names) != 6 || names[0] != "ccom" {
-		t.Errorf("benchNames = %v", names)
 	}
 }
 
@@ -358,4 +351,14 @@ func TestCacheStatsConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// findSeries returns the chart's series with the given label, or nil.
+func findSeries(c *stats.Chart, label string) *stats.Series {
+	for i := range c.Series {
+		if c.Series[i].Label == label {
+			return &c.Series[i]
+		}
+	}
+	return nil
 }

@@ -120,8 +120,8 @@ func fig20(e *Env) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			sc.Point(kb(size), stats.Pct(cs.DirtyVictimFraction()))
-			sf.Point(kb(size), stats.Pct(cs.DirtyVictimFractionFlushed()))
+			sc.Point(float64(size), stats.Pct(cs.DirtyVictimFraction()))
+			sf.Point(float64(size), stats.Pct(cs.DirtyVictimFractionFlushed()))
 		}
 		cold = append(cold, sc)
 		flush = append(flush, sf)

@@ -201,7 +201,7 @@ func fig9(e *Env) (Result, error) {
 					rel += f / wbFrac
 				}
 			}
-			s.Point(kb(size), stats.Pct(rel/float64(len(e.Traces))))
+			s.Point(float64(size), stats.Pct(rel/float64(len(e.Traces))))
 		}
 		chart.Add(s)
 	}

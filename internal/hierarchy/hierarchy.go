@@ -105,14 +105,6 @@ type Traffic struct {
 	L2ToMemDirtyBytes     uint64
 }
 
-// L2ToMemBytesSubblock returns the L2 back-side byte traffic with
-// write-backs charged only their dirty bytes — the traffic a memory
-// port with sub-block write capability would carry
-// (bus.Config.SubblockWriteback at the L2 backside).
-func (t Traffic) L2ToMemBytesSubblock() uint64 {
-	return t.L2ToMemBytes - t.L2ToMemWritebackBytes + t.L2ToMemDirtyBytes
-}
-
 // Stats aggregates the hierarchy's traffic counters.
 type Stats struct {
 	// Traffic comes first so the promoted counters keep their place

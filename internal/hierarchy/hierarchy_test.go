@@ -256,7 +256,4 @@ func TestL2SubblockWritebackAccounting(t *testing.T) {
 	if hs.L2ToMemDirtyBytes >= hs.L2ToMemWritebackBytes {
 		t.Error("partially dirty victim should show dirty < size")
 	}
-	if got, want := hs.L2ToMemBytesSubblock(), hs.L2ToMemBytes-64+16; got != want {
-		t.Errorf("subblock bytes = %d, want %d", got, want)
-	}
 }

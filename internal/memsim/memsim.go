@@ -46,9 +46,6 @@ type Mem struct {
 	trace *trace.Trace
 	// gap counts instructions executed since the last memory reference.
 	gap uint64
-	// instBudget optionally bounds total instructions; see SetLimit.
-	limit    uint64
-	executed uint64
 	// err is the first failure encountered (sticky); see Err. Once set,
 	// no further trace events are recorded, but the workload's real
 	// computation proceeds so algorithms still terminate normally.
@@ -64,9 +61,6 @@ type Mem struct {
 
 // Sentinel errors, matchable with errors.Is against Err's result.
 var (
-	// ErrLimit reports that an instruction limit set with SetLimit was
-	// exceeded; the trace holds the events recorded up to the limit.
-	ErrLimit = errors.New("memsim: instruction limit reached")
 	// ErrPageCross reports an access spanning a page boundary, which
 	// the aligned power-of-two accesses of well-formed workloads never
 	// produce.
@@ -90,13 +84,7 @@ func New(name string) *Mem {
 // workload is still running.
 func (m *Mem) Trace() *trace.Trace { return m.trace }
 
-// SetLimit bounds the total instruction count at n: once exceeded, the
-// trace stops growing and Err returns an error wrapping ErrLimit. Zero
-// means no limit.
-func (m *Mem) SetLimit(n uint64) { m.limit = n }
-
 // Err returns the first failure encountered while tracing: an error
-// wrapping ErrLimit after an instruction budget ran out, or one
 // wrapping ErrPageCross after a malformed access. It is nil for a
 // clean run. The trace recorded up to the failure remains valid.
 func (m *Mem) Err() error { return m.err }
@@ -107,9 +95,6 @@ func (m *Mem) fail(err error) {
 		m.err = err
 	}
 }
-
-// Executed returns the total instructions accounted for so far.
-func (m *Mem) Executed() uint64 { return m.executed }
 
 // Step records n non-memory instructions (ALU work, branches,
 // address arithmetic) between data references.
@@ -168,18 +153,11 @@ func (m *Mem) record(kind trace.Kind, addr uint32, size uint8) {
 		return
 	}
 	gap := m.gap
-	m.executed += gap + 1
 	m.gap = 0
-	if m.limit != 0 && m.executed > m.limit {
-		m.fail(fmt.Errorf("%w after %d instructions", ErrLimit, m.executed))
-		return
-	}
-	for gap > 0xffff {
-		// Extremely long gaps are split across zero-size... not allowed;
-		// instead saturate by emitting the reference with max gap. The
-		// instruction count kept in executed remains exact; only the
-		// trace's notion loses the excess, which no experiment depends on
-		// (gaps this long never occur in the shipped workloads).
+	if gap > 0xffff {
+		// Saturate extremely long gaps at the Gap field's capacity; the
+		// trace loses the excess, which no experiment depends on (gaps
+		// this long never occur in the shipped workloads).
 		gap = 0xffff
 	}
 	m.trace.Append(trace.Event{Addr: addr, Gap: uint16(gap), Size: size, Kind: kind})
@@ -250,11 +228,6 @@ func (m *Mem) PokeU32(addr uint32, v uint32) {
 	binary.LittleEndian.PutUint32(m.span(addr, 4), v)
 }
 
-// PokeF64 writes a float64 without recording a trace event.
-func (m *Mem) PokeF64(addr uint32, v float64) {
-	binary.LittleEndian.PutUint64(m.span(addr, 8), math.Float64bits(v))
-}
-
 // F64Array is a convenience view of a traced array of float64.
 type F64Array struct {
 	m    *Mem
@@ -271,9 +244,6 @@ func (m *Mem) NewF64Array(n int) F64Array {
 // Len returns the element count.
 func (a F64Array) Len() int { return a.n }
 
-// Base returns the base address.
-func (a F64Array) Base() uint32 { return a.base }
-
 // Addr returns the address of element i.
 func (a F64Array) Addr(i int) uint32 { return a.base + uint32(i)*8 }
 
@@ -285,9 +255,6 @@ func (a F64Array) Set(i int, v float64) { a.m.WriteF64(a.Addr(i), v) }
 
 // Peek loads element i without tracing.
 func (a F64Array) Peek(i int) float64 { return a.m.PeekF64(a.Addr(i)) }
-
-// Poke stores element i without tracing.
-func (a F64Array) Poke(i int, v float64) { a.m.PokeF64(a.Addr(i), v) }
 
 // U32Array is a convenience view of a traced array of uint32.
 type U32Array struct {
@@ -317,9 +284,6 @@ func (m *Mem) NewU32ArrayStack(n int) U32Array {
 
 // Len returns the element count.
 func (a U32Array) Len() int { return a.n }
-
-// Base returns the base address.
-func (a U32Array) Base() uint32 { return a.base }
 
 // Addr returns the address of element i.
 func (a U32Array) Addr(i int) uint32 { return a.base + uint32(i)*4 }

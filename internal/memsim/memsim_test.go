@@ -84,68 +84,19 @@ func TestTraceRecording(t *testing.T) {
 	}
 }
 
-func TestExecutedMatchesTraceInstructions(t *testing.T) {
-	m := New("t")
-	a := m.Alloc(64, 8)
-	for i := 0; i < 10; i++ {
-		m.Step(i)
-		m.WriteU32(a+uint32(i*4), uint32(i))
-	}
-	if got, want := m.Executed(), m.Trace().Stats().Instructions; got != want {
-		t.Errorf("Executed = %d, trace says %d", got, want)
-	}
-}
-
 func TestPeekPokeUntraced(t *testing.T) {
 	m := New("t")
 	a := m.Alloc(16, 8)
 	m.PokeU32(a, 42)
-	m.PokeF64(a+8, 1.5)
+	m.PokeU32(a+8, 7)
 	if m.Trace().Len() != 0 {
 		t.Fatalf("Poke recorded %d events", m.Trace().Len())
 	}
-	if m.PeekU32(a) != 42 || m.PeekF64(a+8) != 1.5 {
+	if m.PeekU32(a) != 42 || m.PeekU32(a+8) != 7 {
 		t.Error("Peek does not see Poked values")
 	}
 	if m.Trace().Len() != 0 {
 		t.Fatalf("Peek recorded %d events", m.Trace().Len())
-	}
-}
-
-func TestSetLimitStopsRecording(t *testing.T) {
-	m := New("t")
-	a := m.Alloc(1024, 8)
-	m.SetLimit(5)
-	for i := 0; i < 100; i++ {
-		m.WriteU32(a+uint32(4*i), uint32(i))
-	}
-	if err := m.Err(); !errors.Is(err, ErrLimit) {
-		t.Fatalf("Err() = %v, want ErrLimit", err)
-	}
-	if got := m.Trace().Len(); got != 5 {
-		t.Errorf("trace has %d events, want 5 (one per instruction up to the limit)", got)
-	}
-	if m.Executed() != 6 {
-		t.Errorf("executed = %d, want 6 (the access that tripped the limit counts)", m.Executed())
-	}
-	// Real computation continues past the limit: the last write landed.
-	if got := m.PeekU32(a + 4*99); got != 99 {
-		t.Errorf("memory after limit = %d, want 99 (workload must still run correctly)", got)
-	}
-}
-
-func TestLimitErrorIsWrapped(t *testing.T) {
-	m := New("t")
-	a := m.Alloc(64, 8)
-	m.SetLimit(1)
-	m.WriteU32(a, 0)
-	m.WriteU32(a, 0)
-	err := m.Err()
-	if err == nil || err.Error() == "" {
-		t.Fatal("no descriptive error after limit")
-	}
-	if !errors.Is(err, ErrLimit) {
-		t.Errorf("error %v does not wrap ErrLimit", err)
 	}
 }
 
@@ -181,16 +132,12 @@ func TestF64Array(t *testing.T) {
 	if a.Len() != 10 {
 		t.Fatalf("Len = %d", a.Len())
 	}
-	if a.Addr(3) != a.Base()+24 {
+	if a.Addr(3) != a.Addr(0)+24 {
 		t.Errorf("Addr(3) = %#x, want base+24", a.Addr(3))
 	}
 	a.Set(3, 2.5)
 	if a.Get(3) != 2.5 || a.Peek(3) != 2.5 {
 		t.Error("Set/Get/Peek mismatch")
-	}
-	a.Poke(4, 7.0)
-	if a.Get(4) != 7.0 {
-		t.Error("Poke not visible to Get")
 	}
 }
 
@@ -199,14 +146,14 @@ func TestU32ArrayVariants(t *testing.T) {
 	heap := m.NewU32Array(4)
 	static := m.NewU32ArrayStatic(4)
 	stack := m.NewU32ArrayStack(4)
-	if heap.Base() < HeapBase {
-		t.Errorf("heap array at %#x", heap.Base())
+	if heap.Addr(0) < HeapBase {
+		t.Errorf("heap array at %#x", heap.Addr(0))
 	}
-	if static.Base() < StaticBase || static.Base() >= HeapBase {
-		t.Errorf("static array at %#x", static.Base())
+	if static.Addr(0) < StaticBase || static.Addr(0) >= HeapBase {
+		t.Errorf("static array at %#x", static.Addr(0))
 	}
-	if stack.Base() >= StackBase || stack.Base() < HeapBase {
-		t.Errorf("stack array at %#x", stack.Base())
+	if stack.Addr(0) >= StackBase || stack.Addr(0) < HeapBase {
+		t.Errorf("stack array at %#x", stack.Addr(0))
 	}
 	for i, arr := range []U32Array{heap, static, stack} {
 		arr.Set(2, uint32(100+i))

@@ -60,7 +60,6 @@ type Watchdog struct {
 	cfg    WatchdogConfig
 	mu     sync.Mutex
 	active map[*Task]struct{}
-	stalls atomic.Uint64
 	stop   chan struct{}
 	done   chan struct{}
 }
@@ -102,9 +101,6 @@ func (w *Watchdog) End(t *Task) {
 	w.mu.Unlock()
 }
 
-// Stalls reports how many stall episodes the watchdog has observed.
-func (w *Watchdog) Stalls() uint64 { return w.stalls.Load() }
-
 // Stop shuts the monitor down and waits for it to exit. Safe to call
 // on an inert watchdog.
 func (w *Watchdog) Stop() {
@@ -145,7 +141,6 @@ func (w *Watchdog) monitor() {
 				idle := now.Sub(t.lastAdvance)
 				if idle >= w.cfg.SoftDeadline && !t.stalled {
 					t.stalled = true
-					w.stalls.Add(1)
 					if w.cfg.OnStall != nil {
 						w.cfg.OnStall(Stall{Task: t.name, Idle: idle})
 					}

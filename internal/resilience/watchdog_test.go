@@ -4,9 +4,16 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// stallCounter counts the stall episodes a watchdog reports; onStall
+// runs on the monitor goroutine.
+type stallCounter struct{ n atomic.Uint64 }
+
+func (c *stallCounter) onStall(Stall) { c.n.Add(1) }
 
 func TestWatchdogDetectsStall(t *testing.T) {
 	var mu sync.Mutex
@@ -24,8 +31,13 @@ func TestWatchdogDetectsStall(t *testing.T) {
 
 	task := w.Begin("stuck-unit")
 	defer w.End(task)
+	reported := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(stalls)
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for w.Stalls() == 0 {
+	for reported() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("watchdog never reported the silent task")
 		}
@@ -39,7 +51,8 @@ func TestWatchdogDetectsStall(t *testing.T) {
 }
 
 func TestWatchdogBeatingTaskNeverStalls(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{SoftDeadline: 40 * time.Millisecond, Poll: 10 * time.Millisecond})
+	var sc stallCounter
+	w := NewWatchdog(WatchdogConfig{SoftDeadline: 40 * time.Millisecond, Poll: 10 * time.Millisecond, OnStall: sc.onStall})
 	defer w.Stop()
 	task := w.Begin("busy-unit")
 	stop := time.After(200 * time.Millisecond)
@@ -47,7 +60,7 @@ func TestWatchdogBeatingTaskNeverStalls(t *testing.T) {
 		select {
 		case <-stop:
 			w.End(task)
-			if n := w.Stalls(); n != 0 {
+			if n := sc.n.Load(); n != 0 {
 				t.Fatalf("beating task reported %d stalls", n)
 			}
 			return
@@ -61,16 +74,17 @@ func TestWatchdogBeatingTaskNeverStalls(t *testing.T) {
 // TestWatchdogStallEpisodes: a task that stalls, resumes, and stalls
 // again is two episodes, not a report per poll.
 func TestWatchdogStallEpisodes(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{SoftDeadline: 30 * time.Millisecond, Poll: 10 * time.Millisecond})
+	var sc stallCounter
+	w := NewWatchdog(WatchdogConfig{SoftDeadline: 30 * time.Millisecond, Poll: 10 * time.Millisecond, OnStall: sc.onStall})
 	defer w.Stop()
 	task := w.Begin("bursty-unit")
 	defer w.End(task)
 
 	waitStalls := func(want uint64) {
 		deadline := time.Now().Add(5 * time.Second)
-		for w.Stalls() < want {
+		for sc.n.Load() < want {
 			if time.Now().After(deadline) {
-				t.Fatalf("stalls stuck at %d, want %d", w.Stalls(), want)
+				t.Fatalf("stalls stuck at %d, want %d", sc.n.Load(), want)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -83,18 +97,19 @@ func TestWatchdogStallEpisodes(t *testing.T) {
 		time.Sleep(15 * time.Millisecond)
 	}
 	waitStalls(2)
-	if n := w.Stalls(); n != 2 {
+	if n := sc.n.Load(); n != 2 {
 		t.Fatalf("stalls = %d, want 2", n)
 	}
 }
 
 func TestWatchdogInertWhenDisabled(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{})
+	var sc stallCounter
+	w := NewWatchdog(WatchdogConfig{OnStall: sc.onStall})
 	task := w.Begin("unit")
 	task.Beat()
 	w.End(task)
 	w.Stop() // must not hang: no monitor goroutine exists
-	if w.Stalls() != 0 {
+	if sc.n.Load() != 0 {
 		t.Fatal("inert watchdog reported stalls")
 	}
 }

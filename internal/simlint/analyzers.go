@@ -2,10 +2,10 @@ package simlint
 
 // EnginePackages are the simulation-engine packages that must stay
 // panic-free: every failure is reported through sentinel errors
-// (memsim.ErrLimit, memsim.ErrPageCross, trace.ErrBadMagic, ...) so a
-// bad configuration or trace can never take down a sweep worker. The
-// meta-test in scope_test.go pins each entry to an existing package so
-// a rename cannot silently shrink coverage.
+// (memsim.ErrPageCross, trace.ErrBadMagic, trace.ErrCorruptRecord,
+// ...) so a bad configuration or trace can never take down a sweep
+// worker. The meta-test in scope_test.go pins each entry to an existing
+// package so a rename cannot silently shrink coverage.
 var EnginePackages = []string{
 	"internal/cache",
 	"internal/memsim",
@@ -90,5 +90,6 @@ func All() []*Analyzer {
 		LockHeld,
 		ErrFlow,
 		StatSound,
+		DeadCode,
 	}
 }

@@ -47,3 +47,10 @@ func TestErrFlow(t *testing.T) {
 func TestStatSound(t *testing.T) {
 	simlinttest.Run(t, simlint.StatSound, "statsound")
 }
+
+func TestDeadCode(t *testing.T) {
+	// deadcodemain is a command importing deadcode; the nested module
+	// under deadcode/nested is found by walking the packages' common
+	// directory.
+	simlinttest.Run(t, simlint.DeadCode, "deadcode", "deadcodemain")
+}

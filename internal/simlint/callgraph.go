@@ -40,6 +40,7 @@ type CallGraph struct {
 	callers map[string]map[string]bool // reverse edges
 	decls   map[string]*FuncInfo       // FullName -> declaration info
 	binds   map[string]*bindSet        // func-typed slot key -> bound functions
+	pkgs    []*Package                 // every package the graph was built over
 
 	memo map[string]map[string]bool // analyzer-keyed closure cache
 }
@@ -85,6 +86,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		decls:   map[string]*FuncInfo{},
 		binds:   map[string]*bindSet{},
 		memo:    map[string]map[string]bool{},
+		pkgs:    pkgs,
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -347,9 +349,6 @@ func namedOf(t types.Type) *types.Named {
 // interface methods).
 func (g *CallGraph) Decl(key string) *FuncInfo { return g.decls[key] }
 
-// Callees returns the synchronous static callees of a function key.
-func (g *CallGraph) Callees(key string) map[string]bool { return g.callees[key] }
-
 // Callers returns the functions that synchronously call the given
 // function key.
 func (g *CallGraph) Callers(key string) map[string]bool { return g.callers[key] }
@@ -357,6 +356,10 @@ func (g *CallGraph) Callers(key string) map[string]bool { return g.callers[key] 
 // Decls exposes every declared function for whole-module scans (seed
 // computation for analyzer closures).
 func (g *CallGraph) Decls() map[string]*FuncInfo { return g.decls }
+
+// Packages returns every package the graph was built over, for
+// analyzers whose question spans declarations other than functions.
+func (g *CallGraph) Packages() []*Package { return g.pkgs }
 
 // Memo caches an analyzer-computed set under key for the lifetime of
 // the run, so per-package passes share one module-wide computation.

@@ -57,12 +57,12 @@ func TestScopedPackagesExist(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry asserts the suite stays complete: nine
+// TestAnalyzerRegistry asserts the suite stays complete: ten
 // analyzers, unique names, docs present.
 func TestAnalyzerRegistry(t *testing.T) {
 	all := simlint.All()
-	if len(all) != 9 {
-		t.Fatalf("expected 9 analyzers, got %d", len(all))
+	if len(all) != 10 {
+		t.Fatalf("expected 10 analyzers, got %d", len(all))
 	}
 	names := map[string]bool{}
 	for _, a := range all {

@@ -14,7 +14,7 @@ import (
 // must be matched with errors.Is, never ==/!= or a switch case, and an
 // error formatted into another error must be wrapped with %w so the
 // sentinel stays reachable through the chain. The engine wraps every
-// sentinel (`fmt.Errorf("%w after %d instructions", ErrLimit, n)`), so
+// sentinel (`fmt.Errorf("%w: access at 0x%x size %d", ErrPageCross, addr, size)`), so
 // a == comparison is not merely style — it is wrong today.
 var SentinelErr = &Analyzer{
 	Name: "sentinelerr",

@@ -1,8 +1,9 @@
 // Package simlint is a custom static-analysis suite that enforces the
 // simulator's engine invariants at compile time: panic-free engine
 // packages, a zero-allocation access hot path, errors.Is-only sentinel
-// comparisons, deterministic result emission, and cancellable worker
-// loops. cmd/simlint runs every analyzer over the module as part of
+// comparisons, deterministic result emission, cancellable worker loops,
+// and no declaration that nothing the repository ships reaches.
+// cmd/simlint runs every analyzer over the module as part of
 // `make check`; docs/simlint.md describes each rule and its escape
 // hatches.
 //

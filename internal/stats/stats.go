@@ -54,16 +54,6 @@ type Chart struct {
 // Add appends a series.
 func (c *Chart) Add(s Series) { c.Series = append(c.Series, s) }
 
-// Find returns the series with the given label, or nil.
-func (c *Chart) Find(label string) *Series {
-	for i := range c.Series {
-		if c.Series[i].Label == label {
-			return &c.Series[i]
-		}
-	}
-	return nil
-}
-
 // Table is a rows-and-columns result, matching one paper table.
 type Table struct {
 	ID      string // e.g. "table1"

@@ -21,11 +21,8 @@ func TestChartAddFind(t *testing.T) {
 	c := &Chart{ID: "x"}
 	c.Add(Series{Label: "a"})
 	c.Add(Series{Label: "b"})
-	if c.Find("b") == nil || c.Find("b").Label != "b" {
-		t.Error("Find failed")
-	}
-	if c.Find("zzz") != nil {
-		t.Error("Find invented a series")
+	if len(c.Series) != 2 || c.Series[0].Label != "a" || c.Series[1].Label != "b" {
+		t.Errorf("Add did not append in order: %+v", c.Series)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package synth generates parameterized synthetic reference streams:
 // the canonical access patterns cache papers reason with — sequential
 // streams, strided walks, block copies, pointer chases, hot/cold
-// mixtures and register-save bursts. They complement the six real
+// mixtures and round-robin interleavings. They complement the six real
 // workload stand-ins: where package workload answers "what do real
 // programs do", synth answers "what does this policy do to a pure
-// pattern" (the paper's own block-copy and register-window arguments
-// in §3/§4 are synthetic in exactly this sense).
+// pattern" (the paper's own block-copy argument in §4 is synthetic in
+// exactly this sense).
 //
 // All generators are deterministic for a given configuration.
 package synth
@@ -115,34 +115,6 @@ func PointerChase(seed uint64, nodes, hops, nodeSize int) (*trace.Trace, error) 
 		cur = perm[cur]
 	}
 	return t, nil
-}
-
-// RegisterSave emits the bursty store pattern of §3's register-window
-// discussion: bursts of burstLen back-to-back 4B stores to a descending
-// stack, separated by quiet computation periods.
-func RegisterSave(bursts, burstLen int, quiet uint16) *trace.Trace {
-	t := &trace.Trace{Name: "regsave"}
-	sp := uint32(0x7fff_f000)
-	for b := 0; b < bursts; b++ {
-		for i := 0; i < burstLen; i++ {
-			sp -= 4
-			gap := uint16(0)
-			if i == 0 {
-				gap = quiet
-			}
-			t.Append(trace.Event{Addr: sp, Size: 4, Gap: gap, Kind: trace.Write})
-		}
-		// Matching restores (loads) after the quiet period.
-		for i := 0; i < burstLen; i++ {
-			gap := uint16(0)
-			if i == 0 {
-				gap = quiet
-			}
-			t.Append(trace.Event{Addr: sp + uint32(4*i), Size: 4, Gap: gap, Kind: trace.Read})
-		}
-		sp += uint32(4 * burstLen)
-	}
-	return t
 }
 
 // RoundRobin interleaves traces with a fixed instruction quantum — the

@@ -93,30 +93,6 @@ func TestPointerChaseVisitsAllNodes(t *testing.T) {
 	}
 }
 
-func TestRegisterSaveBurstShape(t *testing.T) {
-	tr := RegisterSave(3, 8, 50)
-	if tr.Len() != 3*16 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	// First burst: 8 back-to-back stores to descending addresses.
-	for i := 1; i < 8; i++ {
-		e := tr.Events[i]
-		if e.Kind != trace.Write || e.Gap != 0 {
-			t.Fatalf("burst event %d = %+v", i, e)
-		}
-		if e.Addr >= tr.Events[i-1].Addr {
-			t.Fatal("stack not descending")
-		}
-	}
-	// Restores follow.
-	if tr.Events[8].Kind != trace.Read || tr.Events[8].Gap != 50 {
-		t.Errorf("restore phase = %+v", tr.Events[8])
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRoundRobinQuantum(t *testing.T) {
 	a := Sequential(trace.Read, 0x1000, 6, 4, 4, 0)  // 1 instr/event
 	b := Sequential(trace.Write, 0x2000, 6, 4, 4, 0) // 1 instr/event

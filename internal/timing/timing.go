@@ -15,9 +15,10 @@
 //     dirty and the buffer is full.
 //   - Eliminated write misses (write-validate / write-around /
 //     write-invalidate) do not stall: the paper's central latency win.
-//   - Write-through words enter a coalescing write buffer retired one
-//     entry per WriteRetire cycles; a full buffer stalls the CPU (the
-//     Fig 5 mechanism, here integrated with the rest of the machine).
+//   - Each write-through word takes its own entry in a FIFO write
+//     buffer (entries never merge) retired one entry per WriteRetire
+//     cycles; a full buffer stalls the CPU (the Fig 5 mechanism, here
+//     integrated with the rest of the machine).
 //   - Dirty victims enter a victim buffer drained one entry per
 //     WritebackCycles; a refill that produces a dirty victim while the
 //     buffer is full waits for a slot (§3's "dirty victim buffer"
@@ -37,9 +38,9 @@ type Config struct {
 	L1 cache.Config
 	// FetchLatency is the CPU stall per line fetch from the next level.
 	FetchLatency int
-	// WriteBufferEntries is the coalescing write buffer depth for
-	// write-through traffic (ignored if the configuration produces no
-	// write-through words). Zero disables buffering: every
+	// WriteBufferEntries is the FIFO write buffer depth for
+	// write-through traffic, one entry per word (ignored if the
+	// configuration produces no write-through words). Zero disables buffering: every
 	// write-through word stalls WriteRetire cycles.
 	WriteBufferEntries int
 	// WriteRetire is the cycles the next level needs to retire one
@@ -96,17 +97,8 @@ func (s Stats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instructions)
 }
 
-// MemStallCPI returns the memory-system stall component of CPI.
-func (s Stats) MemStallCPI() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	stalls := s.ReadMissStalls + s.WriteMissStalls + s.WriteBufferStalls + s.VictimStalls
-	return float64(stalls) / float64(s.Instructions)
-}
-
 // drainQueue models a FIFO drained at a fixed rate: entries become free
-// FixedRate cycles apart once the drain engine reaches them.
+// rate cycles apart once the drain engine reaches them.
 type drainQueue struct {
 	freeAt []uint64 // completion time per occupied slot, FIFO order
 	rate   uint64

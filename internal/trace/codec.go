@@ -216,3 +216,54 @@ func ReadText(r io.Reader) (*Trace, error) {
 	}
 	return t, nil
 }
+
+// decodeEvent reads one event given the previous address (for delta
+// decoding); it is shared by ReadBinary and ReadBinaryLenient.
+// Value-range violations (a corrupt but structurally intact record) are
+// reported wrapping ErrCorruptRecord so lenient decoding can skip the
+// record and resynchronize on the next tag byte; I/O and
+// varint-framing failures are returned as-is and end the stream. The
+// returned address is the delta base for the next event, advanced as
+// far as decoding got even when the record is rejected.
+func decodeEvent(br *bufio.Reader, prev uint32, i uint64) (Event, uint32, error) {
+	tag, err := br.ReadByte()
+	if err != nil {
+		return Event{}, prev, fmt.Errorf("trace: event %d tag: %w", i, err)
+	}
+	var e Event
+	if tag&tagKindWrite != 0 {
+		e.Kind = Write
+	}
+	e.Size = 1 << ((tag & tagSizeMask) >> tagSizeShift)
+	if tag&tagDelta != 0 {
+		d, err := binary.ReadVarint(br)
+		if err != nil {
+			return Event{}, prev, fmt.Errorf("trace: event %d delta: %w", i, err)
+		}
+		a := int64(prev) + d
+		if a < 0 || a > int64(^uint32(0)) {
+			return Event{}, prev, fmt.Errorf("trace: event %d: %w: delta %d from 0x%x leaves the address space", i, ErrCorruptRecord, d, prev)
+		}
+		e.Addr = uint32(a)
+	} else {
+		a, err := binary.ReadUvarint(br)
+		if err != nil {
+			return Event{}, prev, fmt.Errorf("trace: event %d addr: %w", i, err)
+		}
+		if a > uint64(^uint32(0)) {
+			return Event{}, prev, fmt.Errorf("trace: event %d: %w: address 0x%x exceeds 32 bits", i, ErrCorruptRecord, a)
+		}
+		e.Addr = uint32(a)
+	}
+	if tag&tagHasGap != 0 {
+		g, err := binary.ReadUvarint(br)
+		if err != nil {
+			return Event{}, e.Addr, fmt.Errorf("trace: event %d gap: %w", i, err)
+		}
+		if g > 0xffff {
+			return Event{}, e.Addr, fmt.Errorf("trace: event %d: %w: gap %d exceeds 16 bits", i, ErrCorruptRecord, g)
+		}
+		e.Gap = uint16(g)
+	}
+	return e, e.Addr, nil
+}

@@ -9,10 +9,10 @@ import (
 )
 
 // Lenient decoding: a damaged trace file degrades into a
-// partial-but-reported run instead of aborting it. The strict readers
-// (ReadBinary, StreamBinary) treat any malformed record as fatal; the
-// lenient variants skip records whose values are out of range (bit
-// flips in stored fields) and stop early — keeping everything decoded
+// partial-but-reported run instead of aborting it. The strict reader
+// (ReadBinary) treats any malformed record as fatal; the lenient one
+// skips records whose values are out of range (bit flips in stored
+// fields) and stops early — keeping everything decoded
 // so far — when the stream becomes structurally undecodable
 // (truncation, broken varint framing). Either way the caller learns
 // exactly what was lost via DecodeStats.
@@ -91,39 +91,6 @@ func ReadBinaryLenient(r io.Reader) (*Trace, DecodeStats, error) {
 		ds.Decoded++
 	}
 	return t, ds, nil
-}
-
-// StreamBinaryLenient is the streaming counterpart of
-// ReadBinaryLenient: fn is invoked for every intact event; corrupt
-// records are skipped and structural damage truncates the stream. An
-// error from fn still stops the scan and is returned. The header must
-// be intact.
-func StreamBinaryLenient(r io.Reader, fn func(Event) error) (name string, ds DecodeStats, err error) {
-	br := bufio.NewReader(r)
-	var t Trace
-	count, err := decodeHeader(br, &t)
-	if err != nil {
-		return "", ds, err
-	}
-	prev := uint32(0)
-	for i := uint64(0); i < count; i++ {
-		e, newPrev, derr := decodeEvent(br, prev, i)
-		prev = newPrev
-		if derr != nil {
-			ds.note(derr)
-			if errors.Is(derr, ErrCorruptRecord) {
-				ds.Skipped++
-				continue
-			}
-			ds.Truncated = true
-			break
-		}
-		if err := fn(e); err != nil {
-			return t.Name, ds, err
-		}
-		ds.Decoded++
-	}
-	return t.Name, ds, nil
 }
 
 // decodeHeader reads the magic, name and event count into t, returning

@@ -147,29 +147,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Writes returns a new trace containing only the store events, with
-// gaps adjusted so instruction positions of the retained events are
-// preserved (gaps of dropped reads are folded into the next write,
-// saturating at the Gap field's capacity).
-func (t *Trace) Writes() *Trace {
-	out := &Trace{Name: t.Name}
-	var pending uint64
-	for _, e := range t.Events {
-		if e.Kind != Write {
-			pending += e.Instructions()
-			continue
-		}
-		g := pending + uint64(e.Gap)
-		if g > 0xffff {
-			g = 0xffff
-		}
-		e.Gap = uint16(g)
-		out.Events = append(out.Events, e)
-		pending = 0
-	}
-	return out
-}
-
 // Slice returns a shallow sub-trace covering events [lo, hi).
 func (t *Trace) Slice(lo, hi int) *Trace {
 	return &Trace{Name: t.Name, Events: t.Events[lo:hi]}

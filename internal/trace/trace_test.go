@@ -121,45 +121,6 @@ func TestValidateWraparound(t *testing.T) {
 	}
 }
 
-func TestWritesFilter(t *testing.T) {
-	w := testTrace().Writes()
-	if w.Len() != 2 {
-		t.Fatalf("Writes() kept %d events, want 2", w.Len())
-	}
-	for _, e := range w.Events {
-		if e.Kind != Write {
-			t.Fatalf("Writes() kept a %v", e.Kind)
-		}
-	}
-	// First write absorbs the read before it: gap 0 + read's 2+1.
-	if w.Events[0].Gap != 3 {
-		t.Errorf("first write gap = %d, want 3", w.Events[0].Gap)
-	}
-	// Second write absorbs the second read (gap 5 + 1) plus its own 1.
-	if w.Events[1].Gap != 7 {
-		t.Errorf("second write gap = %d, want 7", w.Events[1].Gap)
-	}
-	// Instruction positions are preserved.
-	if got, want := w.Stats().Instructions, testTrace().Stats().Instructions; got != want {
-		t.Errorf("Writes() instructions = %d, want %d", got, want)
-	}
-}
-
-func TestWritesGapSaturation(t *testing.T) {
-	tr := &Trace{}
-	for i := 0; i < 20; i++ {
-		tr.Append(Event{Addr: uint32(i * 4), Size: 4, Kind: Read, Gap: 0xffff})
-	}
-	tr.Append(Event{Addr: 0, Size: 4, Kind: Write})
-	w := tr.Writes()
-	if w.Len() != 1 {
-		t.Fatalf("kept %d events, want 1", w.Len())
-	}
-	if w.Events[0].Gap != 0xffff {
-		t.Errorf("gap = %d, want saturated 0xffff", w.Events[0].Gap)
-	}
-}
-
 func TestSliceAliasesAndAppend(t *testing.T) {
 	tr := testTrace()
 	s := tr.Slice(1, 3)

@@ -5,22 +5,6 @@ import (
 	"sort"
 )
 
-// Concat joins traces end to end under a new name. Gaps are preserved;
-// the instruction streams simply follow one another, as when one
-// program phase follows another.
-func Concat(name string, ts ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	total := 0
-	for _, t := range ts {
-		total += t.Len()
-	}
-	out.Events = make([]Event, 0, total)
-	for _, t := range ts {
-		out.Events = append(out.Events, t.Events...)
-	}
-	return out
-}
-
 // InterleaveStats reports the timing fidelity of an interleave merge.
 // The Gap field of an Event holds at most 65535 instructions, so a
 // merged stream whose schedule contains a longer quiet period cannot
@@ -41,24 +25,17 @@ type InterleaveStats struct {
 	LostInstructions uint64
 }
 
-// Interleave merges traces by instruction time: events are replayed in
-// global instruction order, modelling independent phases sharing one
-// cache (coarse-grained multiprogramming without address translation).
-// Gaps are recomputed so the merged trace's instruction positions match
-// the union schedule. Gaps longer than the Gap field's capacity are
-// split across subsequent events, preserving total instruction time
-// (see InterleaveStats); use InterleaveOffset to also observe the
-// fidelity counters.
-func Interleave(name string, ts ...*Trace) *Trace {
-	out, _ := InterleaveOffset(name, nil, ts...)
-	return out
-}
-
-// InterleaveOffset is Interleave with a per-input start offset: input i
-// begins at instruction time offsets[i] (missing entries mean zero), so
-// staggered phase arrivals can be modelled. Ties at an instruction slot
-// resolve by input order for determinism. The returned stats describe
-// how faithfully the schedule fit the Gap field's capacity.
+// InterleaveOffset merges traces by instruction time: events are
+// replayed in global instruction order, modelling independent phases
+// sharing one cache (coarse-grained multiprogramming without address
+// translation). Input i begins at instruction time offsets[i] (missing
+// entries mean zero), so staggered phase arrivals can be modelled. Gaps
+// are recomputed so the merged trace's instruction positions match the
+// union schedule; gaps longer than the Gap field's capacity are split
+// across subsequent events, preserving total instruction time. Ties at
+// an instruction slot resolve by input order for determinism. The
+// returned stats describe how faithfully the schedule fit the Gap
+// field's capacity.
 func InterleaveOffset(name string, offsets []uint64, ts ...*Trace) (*Trace, InterleaveStats) {
 	type cursor struct {
 		t    *Trace
@@ -176,60 +153,4 @@ func CompactRegions(t *Trace, blockBits uint) (*Trace, error) {
 		out.Events[i] = e
 	}
 	return out, nil
-}
-
-// Region is a contiguous address range [Base, Base+Size) with access
-// counts, produced by Regions.
-type Region struct {
-	Base   uint32
-	Size   uint64
-	Reads  uint64
-	Writes uint64
-}
-
-// Regions clusters the trace's footprint into regions separated by at
-// least gap unused bytes and reports per-region access counts — a
-// data-structure-level view of a workload (stack vs heap vs static, or
-// individual arrays).
-func Regions(t *Trace, gap uint32) []Region {
-	if t.Len() == 0 {
-		return nil
-	}
-	type span struct {
-		lo, hi uint32
-		r, w   uint64
-	}
-	spans := make([]span, 0, t.Len())
-	for _, e := range t.Events {
-		s := span{lo: e.Addr, hi: e.Addr + uint32(e.Size)}
-		if e.Kind == Write {
-			s.w = 1
-		} else {
-			s.r = 1
-		}
-		spans = append(spans, s)
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-
-	var out []Region
-	cur := Region{Base: spans[0].lo}
-	curHi := spans[0].lo
-	flush := func() {
-		cur.Size = uint64(curHi - cur.Base)
-		out = append(out, cur)
-	}
-	for _, s := range spans {
-		if s.lo > curHi && uint64(s.lo-curHi) >= uint64(gap) {
-			flush()
-			cur = Region{Base: s.lo}
-			curHi = s.lo
-		}
-		cur.Reads += s.r
-		cur.Writes += s.w
-		if s.hi > curHi {
-			curHi = s.hi
-		}
-	}
-	flush()
-	return out
 }

@@ -2,19 +2,10 @@ package trace
 
 import "testing"
 
-func TestConcat(t *testing.T) {
-	a := &Trace{Name: "a", Events: []Event{{Addr: 0, Size: 4, Kind: Read}}}
-	b := &Trace{Name: "b", Events: []Event{{Addr: 8, Size: 4, Kind: Write}}}
-	out := Concat("ab", a, b)
-	if out.Name != "ab" || out.Len() != 2 {
-		t.Fatalf("concat = %q len %d", out.Name, out.Len())
-	}
-	if out.Events[0].Addr != 0 || out.Events[1].Addr != 8 {
-		t.Error("order wrong")
-	}
-	if Concat("empty").Len() != 0 {
-		t.Error("empty concat")
-	}
+// interleave merges with no start offsets, discarding the stats.
+func interleave(name string, ts ...*Trace) *Trace {
+	out, _ := InterleaveOffset(name, nil, ts...)
+	return out
 }
 
 func TestInterleaveByTime(t *testing.T) {
@@ -28,7 +19,7 @@ func TestInterleaveByTime(t *testing.T) {
 	b := &Trace{Events: []Event{
 		{Addr: 0x100, Size: 4, Kind: Write, Gap: 2}, // t=3
 	}}
-	out := Interleave("mix", a, b)
+	out := interleave("mix", a, b)
 	if out.Len() != 3 {
 		t.Fatalf("len = %d", out.Len())
 	}
@@ -44,7 +35,7 @@ func TestInterleaveByTime(t *testing.T) {
 func TestInterleaveDeterministicTies(t *testing.T) {
 	a := &Trace{Events: []Event{{Addr: 0x0, Size: 4, Kind: Read}}}
 	b := &Trace{Events: []Event{{Addr: 0x100, Size: 4, Kind: Read}}}
-	out := Interleave("mix", a, b)
+	out := interleave("mix", a, b)
 	// Tie at t=1: input order wins.
 	if out.Events[0].Addr != 0x0 {
 		t.Error("tie broken against input order")
@@ -55,11 +46,11 @@ func TestInterleaveDeterministicTies(t *testing.T) {
 }
 
 func TestInterleaveEmptyInputs(t *testing.T) {
-	if Interleave("x").Len() != 0 {
+	if interleave("x").Len() != 0 {
 		t.Error("no inputs should give empty trace")
 	}
 	a := &Trace{Events: []Event{{Addr: 0, Size: 4, Kind: Read}}}
-	if Interleave("x", a, &Trace{}).Len() != 1 {
+	if interleave("x", a, &Trace{}).Len() != 1 {
 		t.Error("empty input mishandled")
 	}
 }
@@ -131,7 +122,7 @@ func TestInterleaveTieAfterCursorRemoval(t *testing.T) {
 	a := &Trace{Events: []Event{{Addr: 0xa0, Size: 4, Kind: Read}}}         // t=1
 	b := &Trace{Events: []Event{{Addr: 0xb0, Size: 4, Kind: Read, Gap: 2}}} // t=3
 	c := &Trace{Events: []Event{{Addr: 0xc0, Size: 4, Kind: Read, Gap: 2}}} // t=3
-	out := Interleave("mix", a, b, c)
+	out := interleave("mix", a, b, c)
 	if out.Len() != 3 {
 		t.Fatalf("len = %d", out.Len())
 	}
@@ -195,41 +186,6 @@ func TestRebase(t *testing.T) {
 	}
 	if _, err := Rebase(a, 1<<32-8); err == nil {
 		t.Error("overflow accepted")
-	}
-}
-
-func TestRegions(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Addr: 0x1000, Size: 4, Kind: Read},
-		{Addr: 0x1004, Size: 4, Kind: Write},
-		{Addr: 0x1008, Size: 8, Kind: Write},
-		{Addr: 0x9000, Size: 4, Kind: Read},
-	}}
-	regions := Regions(tr, 0x100)
-	if len(regions) != 2 {
-		t.Fatalf("%d regions: %+v", len(regions), regions)
-	}
-	r0 := regions[0]
-	if r0.Base != 0x1000 || r0.Size != 16 || r0.Reads != 1 || r0.Writes != 2 {
-		t.Errorf("region 0 = %+v", r0)
-	}
-	r1 := regions[1]
-	if r1.Base != 0x9000 || r1.Reads != 1 || r1.Writes != 0 {
-		t.Errorf("region 1 = %+v", r1)
-	}
-	if Regions(&Trace{}, 16) != nil {
-		t.Error("empty trace should give nil regions")
-	}
-}
-
-func TestRegionsMergesOverlaps(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Addr: 0x100, Size: 8, Kind: Write},
-		{Addr: 0x104, Size: 4, Kind: Read}, // inside previous span
-	}}
-	regions := Regions(tr, 64)
-	if len(regions) != 1 || regions[0].Size != 8 {
-		t.Fatalf("regions = %+v", regions)
 	}
 }
 

@@ -177,11 +177,6 @@ type Counts struct {
 	Crashed    int // operations refused after the crash boundary
 }
 
-// Total is the number of injected faults (crash refusals excluded).
-func (c Counts) Total() int {
-	return c.Torn + c.ENOSPC + c.ReadEIO + c.RenameFail + c.FsyncLies
-}
-
 func (c Counts) String() string {
 	return fmt.Sprintf("ops=%d torn=%d enospc=%d eio=%d rename=%d fsynclie=%d crashed=%d",
 		c.Ops, c.Torn, c.ENOSPC, c.ReadEIO, c.RenameFail, c.FsyncLies, c.Crashed)
@@ -229,6 +224,8 @@ func NewFaulty(inner FS, plan Plan) *Faulty {
 
 // Reset replaces the plan and zeroes the operation counter and tallies
 // (the crash harness reuses one Faulty across boundary iterations).
+//
+//simlint:allow deadcode fault-plan swap for TestCrashAtEveryWriteBoundary and TestBreakerShedsAfterStorageFaultJobs
 func (f *Faulty) Reset(plan Plan) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

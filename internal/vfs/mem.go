@@ -46,6 +46,8 @@ func NewMem() *Mem {
 // Crash simulates power loss: every file's visible content reverts to
 // its last-synced state. Names, directories and renames survive (the
 // metadata-journal model); unsynced data does not.
+//
+//simlint:allow deadcode power cut for TestCrashAtEveryWriteBoundary and the other crash-consistency proofs
 func (m *Mem) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -315,7 +315,7 @@ func TestFaultyDeterministicBySeed(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed, different injections:\n  %v\n  %v", a, b)
 	}
-	if a.Total() == 0 {
+	if a.Torn+a.ENOSPC+a.RenameFail == 0 {
 		t.Fatal("rate 0.5 over 120+ ops injected nothing")
 	}
 }

@@ -19,7 +19,7 @@ func TestLiverKernel11PrefixSum(t *testing.T) {
 	r := newRNG(7)
 	for _, a := range []memsim.F64Array{u, v, w, z} {
 		for i := 0; i < a.Len(); i++ {
-			a.Poke(i, 0.5+r.f64())
+			a.Set(i, 0.5+r.f64())
 		}
 	}
 	res := make([]memsim.F64Array, 15)
@@ -51,7 +51,7 @@ func TestLiverKernel12FirstDifference(t *testing.T) {
 	r := newRNG(11)
 	for _, a := range []memsim.F64Array{u, v, w, z} {
 		for i := 0; i < a.Len(); i++ {
-			a.Poke(i, r.f64())
+			a.Set(i, r.f64())
 		}
 	}
 	res := make([]memsim.F64Array, 15)
@@ -80,7 +80,7 @@ func TestLiverKernel5Recurrence(t *testing.T) {
 	r := newRNG(13)
 	for _, a := range []memsim.F64Array{u, v, w, z} {
 		for i := 0; i < a.Len(); i++ {
-			a.Poke(i, 0.25+r.f64()/2)
+			a.Set(i, 0.25+r.f64()/2)
 		}
 	}
 	res := make([]memsim.F64Array, 15)

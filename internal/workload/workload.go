@@ -22,7 +22,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -90,27 +89,6 @@ func Generate(name string, scale int) (*trace.Trace, error) {
 	return m.Trace(), nil
 }
 
-// GenerateBudget runs the named workload at the given scale under an
-// instruction budget and returns the (possibly truncated) trace.
-// truncated reports whether the budget was exhausted; any other
-// tracing failure is returned as an error alongside the partial trace.
-func GenerateBudget(name string, scale int, limit uint64) (t *trace.Trace, truncated bool, err error) {
-	w, err := Get(name)
-	if err != nil {
-		return nil, false, err
-	}
-	m := memsim.New(name)
-	m.SetLimit(limit)
-	w.Run(m, scale)
-	if err := m.Err(); err != nil {
-		if errors.Is(err, memsim.ErrLimit) {
-			return m.Trace(), true, nil
-		}
-		return m.Trace(), false, fmt.Errorf("workload %q: %w", name, err)
-	}
-	return m.Trace(), false, nil
-}
-
 // GenerateAll produces traces for the six paper benchmarks in paper
 // order.
 func GenerateAll(scale int) ([]*trace.Trace, error) {
@@ -162,38 +140,4 @@ func clampScale(scale int) int {
 		return 1
 	}
 	return scale
-}
-
-// Characteristics summarises a workload the way the paper's Table 1
-// does, plus a one-line description.
-type Characteristics struct {
-	Name         string
-	Description  string
-	Instructions uint64
-	Reads        uint64
-	Writes       uint64
-}
-
-// Refs returns total data references.
-func (c Characteristics) Refs() uint64 { return c.Reads + c.Writes }
-
-// Characterize generates the named workload at the given scale and
-// returns its Table 1 row.
-func Characterize(name string, scale int) (Characteristics, error) {
-	w, err := Get(name)
-	if err != nil {
-		return Characteristics{}, err
-	}
-	t, err := Generate(name, scale)
-	if err != nil {
-		return Characteristics{}, err
-	}
-	s := t.Stats()
-	return Characteristics{
-		Name:         name,
-		Description:  w.Description(),
-		Instructions: s.Instructions,
-		Reads:        s.Reads,
-		Writes:       s.Writes,
-	}, nil
 }

@@ -49,13 +49,21 @@ func TestDescriptions(t *testing.T) {
 	}
 }
 
-// smallTrace generates the named workload with a tight instruction
-// budget so per-workload tests stay fast.
+// smallTrace generates the named workload at scale 1 and keeps the
+// events within its first limit instructions, so per-workload tests
+// check a bounded prefix.
 func smallTrace(t *testing.T, name string, limit uint64) *trace.Trace {
 	t.Helper()
-	tr, _, err := GenerateBudget(name, 1, limit)
+	tr, err := Generate(name, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var executed uint64
+	for i, e := range tr.Events {
+		executed += e.Instructions()
+		if executed > limit {
+			return tr.Slice(0, i)
+		}
 	}
 	return tr
 }
@@ -180,7 +188,7 @@ func TestLinpackSolvesSystem(t *testing.T) {
 			if i == j {
 				v += float64(n)
 			}
-			a.Poke(at(i, j), v)
+			a.Set(at(i, j), v)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -188,7 +196,7 @@ func TestLinpackSolvesSystem(t *testing.T) {
 		for j := 0; j < n; j++ {
 			sum += a.Peek(at(i, j)) * xTrue[j]
 		}
-		b.Poke(i, sum)
+		b.Set(i, sum)
 	}
 
 	dgefa(m, a, ipvt, n, at)
@@ -423,24 +431,5 @@ func TestWorkloadCharacteristics(t *testing.T) {
 	}
 	if maxName != "grr" {
 		t.Errorf("largest trace is %s, want grr (as in Table 1)", maxName)
-	}
-}
-
-func TestCharacterize(t *testing.T) {
-	c, err := Characterize("liver", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name != "liver" || c.Description == "" {
-		t.Errorf("characteristics = %+v", c)
-	}
-	if c.Refs() != c.Reads+c.Writes || c.Refs() == 0 {
-		t.Error("refs inconsistent")
-	}
-	if c.Instructions < c.Refs() {
-		t.Error("fewer instructions than references")
-	}
-	if _, err := Characterize("nosuch", 1); err == nil {
-		t.Error("unknown workload characterized")
 	}
 }

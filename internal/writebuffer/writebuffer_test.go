@@ -50,8 +50,8 @@ func TestZeroRetireInterval(t *testing.T) {
 	if s.Retired != 3 || s.StallCycles != 0 {
 		t.Errorf("retired=%d stalls=%d", s.Retired, s.StallCycles)
 	}
-	if b.Pending() != 0 {
-		t.Errorf("pending = %d", b.Pending())
+	if len(b.fifo) != 0 {
+		t.Errorf("pending = %d", len(b.fifo))
 	}
 }
 
@@ -63,8 +63,8 @@ func TestMergeWithinInterval(t *testing.T) {
 	if s.Merged != 1 {
 		t.Errorf("merged = %d, want 1", s.Merged)
 	}
-	if b.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", b.Pending())
+	if len(b.fifo) != 1 {
+		t.Errorf("pending = %d, want 1", len(b.fifo))
 	}
 }
 
@@ -162,44 +162,5 @@ func TestMonotoneMerging(t *testing.T) {
 			t.Fatalf("merging decreased from %v to %v at interval %d", prev, f, n)
 		}
 		prev = f
-	}
-}
-
-func TestProbeReadForwarding(t *testing.T) {
-	b, _ := New(Config{Entries: 8, LineSize: 16, RetireInterval: 100})
-	b.Run(wtrace([]uint16{0}, []uint32{0x100}))
-	if !b.ProbeRead(0x108, 4) {
-		t.Error("pending entry not forwarded")
-	}
-	if b.ProbeRead(0x200, 4) {
-		t.Error("phantom forward")
-	}
-	s := b.Stats()
-	if s.ReadProbes != 2 || s.ReadForwards != 1 {
-		t.Errorf("probes=%d forwards=%d", s.ReadProbes, s.ReadForwards)
-	}
-}
-
-func TestProbeReadAfterRetirement(t *testing.T) {
-	b, _ := New(Config{Entries: 8, LineSize: 16, RetireInterval: 3})
-	tr := wtrace([]uint16{0}, []uint32{0x100})
-	// Advance time well past retirement with a read event.
-	tr.Append(trace.Event{Addr: 0x900, Size: 4, Gap: 50, Kind: trace.Read})
-	b.Run(tr)
-	if b.ProbeRead(0x100, 4) {
-		t.Error("retired entry still forwarded")
-	}
-}
-
-func TestProbeReadSpanning(t *testing.T) {
-	b, _ := New(Config{Entries: 8, LineSize: 4, RetireInterval: 1000})
-	b.Run(wtrace([]uint16{0}, []uint32{0x100}))
-	// An 8B read spans lines 0x100 and 0x104; only 0x100 is pending.
-	if b.ProbeRead(0x100, 8) {
-		t.Error("partially-pending span forwarded")
-	}
-	b.Run(wtrace([]uint16{0}, []uint32{0x104}))
-	if !b.ProbeRead(0x100, 8) {
-		t.Error("fully-pending span not forwarded")
 	}
 }

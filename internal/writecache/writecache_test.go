@@ -53,8 +53,8 @@ func TestMergeSameLine(t *testing.T) {
 	if s.RemovedFraction() != 0.5 {
 		t.Errorf("RemovedFraction = %v", s.RemovedFraction())
 	}
-	if c.Resident() != 1 {
-		t.Errorf("resident = %d, want 1", c.Resident())
+	if c.used != 1 {
+		t.Errorf("resident = %d, want 1", c.used)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestOnEvictAddresses(t *testing.T) {
 	if len(got) != 2 || got[0] != 0x100 || got[1] != 0x200 {
 		t.Fatalf("evicted addresses %#x, want [0x100 0x200]", got)
 	}
-	if c.Resident() != 0 {
-		t.Errorf("resident after drain = %d", c.Resident())
+	if c.used != 0 {
+		t.Errorf("resident after drain = %d", c.used)
 	}
 }
 
@@ -107,10 +107,10 @@ func TestDrainCountsOnlyDirty(t *testing.T) {
 func TestVictimCacheMode(t *testing.T) {
 	c, _ := New(Config{Entries: 2, LineSize: 8})
 	c.AllocateVictim(0x100)
-	if !c.ProbeRead(0x100, 4) {
+	if !c.ProbeVictim(0x100, 4) {
 		t.Error("victim line not readable")
 	}
-	if c.ProbeRead(0x300, 4) {
+	if c.ProbeVictim(0x300, 4) {
 		t.Error("phantom read hit")
 	}
 	s := c.Stats()
@@ -133,7 +133,7 @@ func TestVictimModeZeroEntries(t *testing.T) {
 	if c.AllocateVictim(0x100) != 0 {
 		t.Error("zero-entry victim allocation evicted")
 	}
-	if c.ProbeRead(0x100, 4) {
+	if c.ProbeVictim(0x100, 4) {
 		t.Error("zero-entry cache hit a read")
 	}
 }
@@ -142,8 +142,8 @@ func TestSpanningWrite(t *testing.T) {
 	// 8B write over 4B lines occupies two entries but counts one write.
 	c, _ := New(Config{Entries: 4, LineSize: 4})
 	c.Write(0x100, 8)
-	if c.Resident() != 2 {
-		t.Errorf("resident = %d, want 2", c.Resident())
+	if c.used != 2 {
+		t.Errorf("resident = %d, want 2", c.used)
 	}
 	s := c.Stats()
 	if s.Writes != 1 {
@@ -167,15 +167,6 @@ func TestRunFiltersReads(t *testing.T) {
 	s := c.Stats()
 	if s.Writes != 2 || s.Merged != 1 {
 		t.Errorf("writes=%d merged=%d, want 2/1", s.Writes, s.Merged)
-	}
-}
-
-func TestReset(t *testing.T) {
-	c, _ := New(Config{Entries: 4, LineSize: 8})
-	c.Write(0x100, 8)
-	c.Reset()
-	if c.Resident() != 0 || c.Stats() != (Stats{}) {
-		t.Error("Reset incomplete")
 	}
 }
 
