@@ -54,13 +54,16 @@ fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinaryLenient$$' -fuzztime 5s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 5s
+	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzWriteCacheCurve$$' -fuzztime 5s
 
-# bench-smoke compiles and runs every sweep benchmark and the
-# multi-core extension benchmarks for one iteration — fast enough for
-# the gate, enough to catch bit-rot.
+# bench-smoke compiles and runs every sweep benchmark, the multi-core
+# extension benchmarks and the figures that fan their runs out over
+# cores for one iteration — fast enough for the gate, enough to catch
+# bit-rot.
 bench-smoke: require-go
 	$(GO) test ./internal/sweep -run '^$$' -bench 'BenchmarkSweep|BenchmarkGang' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkExtCoh' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench '^Benchmark(Fig5|Fig7|Fig8|Fig9|ExtSwitch|ExtL2Policy)$$' -benchtime 1x -benchmem
 
 # bench-compare is the performance regression gate: a fresh reduced
 # sweep measured at the full worker matrix, compared against the

@@ -10,8 +10,8 @@ import (
 	"log"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/reuse"
 	"cachewrite/internal/workload"
-	"cachewrite/internal/writecache"
 )
 
 func main() {
@@ -32,18 +32,21 @@ func main() {
 	wbRemoved /= float64(len(traces))
 	fmt.Printf("4KB write-back cache removes %.1f%% of write traffic on average\n\n", 100*wbRemoved)
 
+	// One pass per trace gives its whole 0..16-entry write-cache curve.
+	curves := make([]*reuse.Curve, len(traces))
+	for i, t := range traces {
+		if curves[i], err = reuse.WriteCacheCurve(t, 8, 16); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	fmt.Printf("%-8s %16s %20s\n", "entries", "writes removed", "relative to 4KB WB")
 	best, bestGain := 0, 0.0
 	prev := 0.0
 	for n := 0; n <= 16; n++ {
 		var removed float64
-		for _, t := range traces {
-			wc, err := writecache.New(writecache.Config{Entries: n, LineSize: 8})
-			if err != nil {
-				log.Fatal(err)
-			}
-			wc.Run(t)
-			removed += wc.Stats().RemovedFraction()
+		for _, c := range curves {
+			removed += c.RemovedFraction(n)
 		}
 		removed /= float64(len(traces))
 		fmt.Printf("%-8d %15.1f%% %19.1f%%\n", n, 100*removed, 100*removed/wbRemoved)

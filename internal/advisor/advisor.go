@@ -21,9 +21,9 @@ import (
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/core"
+	"cachewrite/internal/reuse"
 	"cachewrite/internal/timing"
 	"cachewrite/internal/trace"
-	"cachewrite/internal/writecache"
 )
 
 // Request frames an advisory run.
@@ -157,16 +157,16 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 // sizeWriteCache finds the knee of the write-cache curve: the smallest
 // entry count whose marginal gain drops below one percentage point.
 func sizeWriteCache(req Request, t *trace.Trace) (entries int, removed float64, err error) {
+	// The curve reaches at least 1 entry, the floor below.
+	curve, err := reuse.WriteCacheCurve(t, 8, max(req.WriteCacheMax, 1))
+	if err != nil {
+		return 0, 0, err
+	}
 	prev := 0.0
 	best := 0
 	bestRemoved := 0.0
 	for n := 1; n <= req.WriteCacheMax; n++ {
-		wc, err := writecache.New(writecache.Config{Entries: n, LineSize: 8})
-		if err != nil {
-			return 0, 0, err
-		}
-		wc.Run(t)
-		f := wc.Stats().RemovedFraction()
+		f := curve.RemovedFraction(n)
 		if f-prev >= 0.01 {
 			best = n
 			bestRemoved = f
@@ -177,12 +177,7 @@ func sizeWriteCache(req Request, t *trace.Trace) (entries int, removed float64, 
 		// Nothing coalesces (streaming writes): a single entry is the
 		// honest minimum.
 		best = 1
-		wc, err := writecache.New(writecache.Config{Entries: 1, LineSize: 8})
-		if err != nil {
-			return 0, 0, err
-		}
-		wc.Run(t)
-		bestRemoved = wc.Stats().RemovedFraction()
+		bestRemoved = curve.RemovedFraction(1)
 	}
 	return best, bestRemoved, nil
 }

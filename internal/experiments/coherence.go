@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -193,24 +192,16 @@ func (e *Env) cohRuns(keys []cohKey) (map[cohKey]cohRun, error) {
 	}
 	sort.SliceStable(groups, func(i, j int) bool { return groups[i].cores > groups[j].cores })
 
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for n := min(runtime.GOMAXPROCS(0), len(groups)); n > 0; n-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(groups); i = int(next.Add(1)) - 1 {
-				e.cohGroupRun(groups[i])
-			}
-		}()
-	}
-	wg.Wait()
+	// Errors are memoized per key, not returned by the jobs, so that
+	// the one reported follows keys order.
+	_, _ = fanOut(len(groups), func(i int) (struct{}, error) {
+		e.cohGroupRun(groups[i])
+		return struct{}{}, nil
+	})
 
 	runs := make(map[cohKey]cohRun, len(keys))
 	for _, k := range keys {
-		// Every entry's once has returned in a worker, which wg.Wait
+		// Every entry's once has returned in a job, which fanOut
 		// orders before these reads.
 		ent := e.coh.entry(k)
 		if ent.err != nil {

@@ -84,13 +84,15 @@ type memoShard struct {
 // many figures sharing a configuration pay for it once. The memo is
 // sharded so parallel figure runners do not serialize on a single
 // lock, and each key is computed exactly once even when raced. The
-// multi-core experiments keep their own memo beside it (see cohMemo).
+// multi-core experiments and the write-cache curves keep their own
+// memos beside it (see cohMemo and curveMemo).
 type Env struct {
 	Traces []*trace.Trace
 
 	shards   [memoShards]memoShard
 	computes atomic.Uint64
 	coh      cohMemo
+	curves   curveMemo
 }
 
 // NewEnvCached generates the six paper benchmarks at the given scale,

@@ -39,26 +39,38 @@ func extCPI(e *Env) (Result, error) {
 		Columns: []string{"benchmark", "organization", "store cost (cyc/store)", "interlock CPI", "wbuf CPI", "miss CPI", "total CPI"},
 	}
 	wbuf := &writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: 8}
-	for _, t := range e.Traces {
-		for _, org := range pipeline.Organizations() {
-			cc := stdConfig(StdCacheSize, StdLineSize)
-			if org == pipeline.DirectMappedWriteThrough {
-				cc.WriteHit = cache.WriteThrough
-			}
-			s, err := pipeline.Evaluate(pipeline.Config{
-				Org: org, Cache: cc, MissPenalty: 10, WriteBuffer: wbuf,
-			}, t)
-			if err != nil {
-				return Result{}, err
-			}
-			inst := float64(s.Instructions)
-			tbl.AddRow(t.Name, org.String(),
-				fmt.Sprintf("%.3f", s.StoreCost()),
-				fmt.Sprintf("%.4f", float64(s.InterlockStalls+s.DrainStalls)/inst),
-				fmt.Sprintf("%.4f", float64(s.WriteBufferStalls)/inst),
-				fmt.Sprintf("%.4f", float64(s.MissStalls)/inst),
-				fmt.Sprintf("%.3f", s.CPI()))
+	orgs := pipeline.Organizations()
+	return fillTable(tbl, len(e.Traces)*len(orgs), func(i int) ([]string, error) {
+		t, org := e.Traces[i/len(orgs)], orgs[i%len(orgs)]
+		cc := stdConfig(StdCacheSize, StdLineSize)
+		if org == pipeline.DirectMappedWriteThrough {
+			cc.WriteHit = cache.WriteThrough
 		}
+		s, err := pipeline.Evaluate(pipeline.Config{
+			Org: org, Cache: cc, MissPenalty: 10, WriteBuffer: wbuf,
+		}, t)
+		if err != nil {
+			return nil, err
+		}
+		inst := float64(s.Instructions)
+		return []string{t.Name, org.String(),
+			fmt.Sprintf("%.3f", s.StoreCost()),
+			fmt.Sprintf("%.4f", float64(s.InterlockStalls+s.DrainStalls)/inst),
+			fmt.Sprintf("%.4f", float64(s.WriteBufferStalls)/inst),
+			fmt.Sprintf("%.4f", float64(s.MissStalls)/inst),
+			fmt.Sprintf("%.3f", s.CPI())}, nil
+	})
+}
+
+// fillTable fans row(0), …, row(n-1) out with fanOut and returns tbl
+// with the rows added in index order.
+func fillTable(tbl *stats.Table, n int, row func(i int) ([]string, error)) (Result, error) {
+	rows, err := fanOut(n, row)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, r := range rows {
+		tbl.AddRow(r...)
 	}
 	return Result{Table: tbl}, nil
 }
@@ -71,25 +83,25 @@ func extBurst(e *Env) (Result, error) {
 		Title:   "Burstiness of writes and dirty victims (8KB/16B WB cache; gap 2, window 64 instructions)",
 		Columns: []string{"benchmark", "writes", "max write burst", "write peak/avg", "dirty victims", "max victim burst", "victim peak/avg", "victim buffer depth"},
 	}
-	for _, t := range e.Traces {
+	return fillTable(tbl, len(e.Traces), func(ti int) ([]string, error) {
+		t := e.Traces[ti]
 		wr, err := burst.AnalyzeWrites(t, 2, 64)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		vr, err := burst.AnalyzeVictims(t, stdConfig(StdCacheSize, StdLineSize), 2, 64)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
-		tbl.AddRow(t.Name,
+		return []string{t.Name,
 			fmt.Sprint(wr.Writes),
 			fmt.Sprint(wr.MaxBurst),
 			fmt.Sprintf("%.1f", wr.PeakToAvg()),
 			fmt.Sprint(vr.DirtyVictims),
 			fmt.Sprint(vr.MaxBurst),
 			fmt.Sprintf("%.1f", vr.PeakToAvg()),
-			fmt.Sprint(vr.MaxPending))
-	}
-	return Result{Table: tbl}, nil
+			fmt.Sprint(vr.MaxPending)}, nil
+	})
 }
 
 // extVictim measures the merged write/victim cache (§3.2's closing
@@ -101,20 +113,21 @@ func extVictim(e *Env) (Result, error) {
 		Title:   "Write cache with victim-cache functionality (8KB/16B WT L1, 8-entry write cache with 16B lines)",
 		Columns: []string{"benchmark", "L1 fetches", "victim hits", "hit rate", "L1->L2 tx (plain)", "L1->L2 tx (victim)", "traffic saved"},
 	}
-	for _, t := range e.Traces {
+	return fillTable(tbl, len(e.Traces), func(ti int) ([]string, error) {
+		t := e.Traces[ti]
 		l1 := stdConfig(StdCacheSize, StdLineSize)
 		l1.WriteHit = cache.WriteThrough
 		wc := &writecache.Config{Entries: 8, LineSize: StdLineSize}
 
 		plain, err := hierarchy.New(hierarchy.Config{L1: l1, WriteCache: wc})
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		plain.AccessTrace(t)
 
 		victim, err := hierarchy.New(hierarchy.Config{L1: l1, WriteCache: wc, VictimMode: true})
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		victim.AccessTrace(t)
 
@@ -130,15 +143,14 @@ func extVictim(e *Env) (Result, error) {
 		if fetches > 0 {
 			hitRate = float64(hits) / float64(fetches)
 		}
-		tbl.AddRow(t.Name,
+		return []string{t.Name,
 			fmt.Sprint(fetches),
 			fmt.Sprint(hits),
 			stats.FmtPct(hitRate),
 			fmt.Sprint(pTx),
 			fmt.Sprint(vTx),
-			stats.FmtPct(saved))
-	}
-	return Result{Table: tbl}, nil
+			stats.FmtPct(saved)}, nil
+	})
 }
 
 // extPerf runs the timing model: estimated CPI per write-miss policy on
@@ -152,8 +164,8 @@ func extPerf(e *Env) (Result, error) {
 		Columns: []string{"benchmark", "fetch-on-write", "write-validate", "write-around", "write-invalidate", "WV speedup"},
 	}
 	order := []cache.WriteMissPolicy{cache.FetchOnWrite, cache.WriteValidate, cache.WriteAround, cache.WriteInvalidate}
-	for _, t := range e.Traces {
-		row := []string{t.Name}
+	return fillTable(tbl, len(e.Traces), func(ti int) ([]string, error) {
+		row := []string{e.Traces[ti].Name}
 		var fow, wv float64
 		for _, p := range order {
 			hit := cache.WriteBack
@@ -169,9 +181,9 @@ func extPerf(e *Env) (Result, error) {
 				VictimBufferEntries: 1,
 				WritebackCycles:     6,
 			}
-			s, err := timing.Evaluate(cfg, t)
+			s, err := timing.Evaluate(cfg, e.Traces[ti])
 			if err != nil {
-				return Result{}, err
+				return nil, err
 			}
 			row = append(row, fmt.Sprintf("%.3f", s.CPI()))
 			switch p {
@@ -181,10 +193,8 @@ func extPerf(e *Env) (Result, error) {
 				wv = s.CPI()
 			}
 		}
-		row = append(row, fmt.Sprintf("%.2fx", fow/wv))
-		tbl.AddRow(row...)
-	}
-	return Result{Table: tbl}, nil
+		return append(row, fmt.Sprintf("%.2fx", fow/wv)), nil
+	})
 }
 
 // extReuse profiles write reuse distances (the analytical counterpart
@@ -197,10 +207,11 @@ func extReuse(e *Env) (Result, error) {
 		Title:   "Write reuse-distance profile (16B lines): predicted fully-associative vs measured direct-mapped writes-to-dirty",
 		Columns: []string{"benchmark", "cold writes", "mean depth", "pred 1KB", "meas 1KB", "pred 8KB", "meas 8KB", "pred 64KB", "meas 64KB"},
 	}
-	for ti, t := range e.Traces {
+	return fillTable(tbl, len(e.Traces), func(ti int) ([]string, error) {
+		t := e.Traces[ti]
 		p, err := reuse.Analyze(t, StdLineSize)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		row := []string{t.Name,
 			stats.FmtPct(float64(p.Cold) / float64(p.Writes)),
@@ -210,15 +221,14 @@ func extReuse(e *Env) (Result, error) {
 			lines := size / StdLineSize
 			cs, err := e.CacheStats(ti, stdConfig(size, StdLineSize))
 			if err != nil {
-				return Result{}, err
+				return nil, err
 			}
 			row = append(row,
 				stats.FmtPct(p.PredictDirtyFraction(lines)),
 				stats.FmtPct(cs.WritesToDirtyFraction()))
 		}
-		tbl.AddRow(row...)
-	}
-	return Result{Table: tbl}, nil
+		return row, nil
+	})
 }
 
 // extBus answers §5.2's port-sizing questions with the bus model: the
@@ -269,7 +279,8 @@ func extFaults(e *Env) (Result, error) {
 		Title:   "Fault injection (one upset per 200 accesses, 8KB/16B): recovery by organization",
 		Columns: []string{"benchmark", "WT+parity losses", "WB+parity losses", "WB+ECC losses", "WB+ECC corrected", "injected (WB)"},
 	}
-	for _, t := range e.Traces {
+	return fillTable(tbl, len(e.Traces), func(ti int) ([]string, error) {
+		t := e.Traces[ti]
 		// Only the L1 is struck, with no other level behind it.
 		inject := func(c cache.Config, s faults.Scheme) (faults.LayerReport, error) {
 			rep, err := faults.InjectHierarchy(faults.HierarchyConfig{
@@ -286,24 +297,23 @@ func extFaults(e *Env) (Result, error) {
 
 		wtRep, err := inject(wt, faults.ByteParity)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		wbPar, err := inject(wb, faults.ByteParity)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		wbECC, err := inject(wb, faults.WordSECECC)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
-		tbl.AddRow(t.Name,
-			fmt.Sprint(wtRep.DUE+wtRep.SDC),
-			fmt.Sprint(wbPar.DUE+wbPar.SDC),
-			fmt.Sprint(wbECC.DUE+wbECC.SDC),
+		return []string{t.Name,
+			fmt.Sprint(wtRep.DUE + wtRep.SDC),
+			fmt.Sprint(wbPar.DUE + wbPar.SDC),
+			fmt.Sprint(wbECC.DUE + wbECC.SDC),
 			fmt.Sprint(wbECC.CorrectedInPlace),
-			fmt.Sprint(wbECC.Injected))
-	}
-	return Result{Table: tbl}, nil
+			fmt.Sprint(wbECC.Injected)}, nil
+	})
 }
 
 // extSwitch measures the effect of multiprogramming context switches
@@ -327,21 +337,21 @@ func extSwitch(e *Env) (Result, error) {
 	}
 	tbl.AddRow("isolated (no switching)", stats.FmtPct(agg.WritesToDirtyFraction()), stats.FmtPct(agg.MissRate()))
 
-	for _, quantum := range []uint64{100_000, 10_000, 1_000} {
-		mixed, err := synth.RoundRobin("mix", quantum, e.Traces...)
+	quanta := []uint64{100_000, 10_000, 1_000}
+	return fillTable(tbl, len(quanta), func(i int) ([]string, error) {
+		mixed, err := synth.RoundRobin("mix", quanta[i], e.Traces...)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		c, err := cache.New(stdConfig(StdCacheSize, StdLineSize))
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		c.AccessTrace(mixed)
 		s := c.Stats()
-		tbl.AddRow(fmt.Sprintf("quantum %d instructions", quantum),
-			stats.FmtPct(s.WritesToDirtyFraction()), stats.FmtPct(s.MissRate()))
-	}
-	return Result{Table: tbl}, nil
+		return []string{fmt.Sprintf("quantum %d instructions", quanta[i]),
+			stats.FmtPct(s.WritesToDirtyFraction()), stats.FmtPct(s.MissRate())}, nil
+	})
 }
 
 // extWarm compares the three §5 methodologies for end-of-simulation
@@ -359,11 +369,12 @@ func extWarm(e *Env) (Result, error) {
 	// writes still resident (the paper's liver/yacc anomaly).
 	cfg := stdConfig(64<<10, StdLineSize)
 	lines := cfg.Size / cfg.LineSize
-	for _, t := range e.Traces {
+	return fillTable(tbl, len(e.Traces), func(ti int) ([]string, error) {
+		t := e.Traces[ti]
 		// First run: measure the residual state.
 		first, err := cache.New(cfg)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		first.AccessTrace(t)
 		fracValid := float64(first.ResidentLines()) / float64(lines)
@@ -378,21 +389,20 @@ func extWarm(e *Env) (Result, error) {
 		// Second run: seeded with the first run's residual fractions.
 		second, err := cache.New(cfg)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		if err := second.SeedDirty(fracValid, fracDirty, 0x3a11); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		second.AccessTrace(t)
 		warm := second.Stats()
 
-		tbl.AddRow(t.Name,
+		return []string{t.Name,
 			stats.FmtPct(s1.DirtyVictimFraction()),
 			stats.FmtPct(flushed.DirtyVictimFractionFlushed()),
 			stats.FmtPct(warm.DirtyVictimFraction()),
-			stats.FmtPct(fracValid*fracDirty))
-	}
-	return Result{Table: tbl}, nil
+			stats.FmtPct(fracValid * fracDirty)}, nil
+	})
 }
 
 // extL2Policy addresses the gap §1 notes in Przybylski's work ("only
@@ -417,25 +427,36 @@ func extL2Policy(e *Env) (Result, error) {
 		{"write-back + fetch-on-write", cache.WriteBack, cache.FetchOnWrite},
 		{"write-back + write-validate", cache.WriteBack, cache.WriteValidate},
 	}
-	for _, cb := range combos {
+	type run struct {
+		traffic hierarchy.Traffic
+		instr   uint64
+	}
+	nt := len(e.Traces)
+	runs, err := fanOut(len(combos)*nt, func(i int) (run, error) {
+		cb := combos[i/nt]
+		l2 := cache.Config{Size: 64 << 10, LineSize: 64, Assoc: 4,
+			WriteHit: cb.hit, WriteMiss: cb.miss}
+		h, err := hierarchy.New(hierarchy.Config{
+			L1: stdConfig(StdCacheSize, StdLineSize),
+			L2: &l2,
+		})
+		if err != nil {
+			return run{}, err
+		}
+		h.AccessTrace(e.Traces[i%nt])
+		h.Flush()
+		return run{h.Stats().Traffic, h.L1().Stats().Instructions}, nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	for ci, cb := range combos {
 		var l12, l2m, l2b, instr float64
-		for _, t := range e.Traces {
-			l2 := cache.Config{Size: 64 << 10, LineSize: 64, Assoc: 4,
-				WriteHit: cb.hit, WriteMiss: cb.miss}
-			h, err := hierarchy.New(hierarchy.Config{
-				L1: stdConfig(StdCacheSize, StdLineSize),
-				L2: &l2,
-			})
-			if err != nil {
-				return Result{}, err
-			}
-			h.AccessTrace(t)
-			h.Flush()
-			hs := h.Stats()
-			l12 += float64(hs.L1ToL2Transactions)
-			l2m += float64(hs.L2ToMemTransactions)
-			l2b += float64(hs.L2ToMemBytes)
-			instr += float64(h.L1().Stats().Instructions)
+		for _, r := range runs[ci*nt : (ci+1)*nt] {
+			l12 += float64(r.traffic.L1ToL2Transactions)
+			l2m += float64(r.traffic.L2ToMemTransactions)
+			l2b += float64(r.traffic.L2ToMemBytes)
+			instr += float64(r.instr)
 		}
 		k := instr / 1000
 		tbl.AddRow(cb.name,

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
+	"cachewrite/internal/reuse"
 	"cachewrite/internal/stats"
 	"cachewrite/internal/writebuffer"
-	"cachewrite/internal/writecache"
 )
 
 func init() {
@@ -60,6 +62,43 @@ func writesToDirtySweep(e *Env, id, title, xlabel string, xs []int, cfgOf func(x
 	return Result{Chart: chart}, nil
 }
 
+// wcMaxEntries is the largest write cache the figures consult: the
+// right end of Figs 7-8.
+const wcMaxEntries = 16
+
+// curveKey identifies one write-cache curve: a trace at a line size.
+type curveKey struct{ ti, lineSize int }
+
+// curveEntry is one memoized curve, computed once under its gate.
+type curveEntry struct {
+	once  sync.Once
+	curve *reuse.Curve
+	err   error
+}
+
+// curveMemo memoizes the write-cache curves on an Env, so Figs 7-9
+// share the 8B curves and Fig 5 computes only the 16B ones. The lock
+// guards only the map, never a computation.
+type curveMemo struct {
+	mu sync.Mutex
+	m  map[curveKey]*curveEntry
+
+	computed atomic.Uint64 // curves computed, for the compute-once tests
+}
+
+// writeCacheCurves returns every trace's 0..wcMaxEntries write-cache
+// curve at lineSize, in trace order, each computed once per Env.
+func (e *Env) writeCacheCurves(lineSize int) ([]*reuse.Curve, error) {
+	return fanOut(len(e.Traces), func(ti int) (*reuse.Curve, error) {
+		ent := lazyEntry(&e.curves.mu, &e.curves.m, curveKey{ti, lineSize})
+		ent.once.Do(func() {
+			e.curves.computed.Add(1)
+			ent.curve, ent.err = reuse.WriteCacheCurve(e.Traces[ti], lineSize, wcMaxEntries)
+		})
+		return ent.curve, ent.err
+	})
+}
+
 // fig5 reproduces the coalescing-write-buffer study: an 8-entry buffer
 // of 16B entries retiring one entry every n cycles, n swept from 0 to
 // 48. Results are averaged over the six benchmarks, as in the paper.
@@ -70,34 +109,44 @@ func fig5(e *Env) (Result, error) {
 		XLabel: "cycles per write retire", YLabel: "% merged / stall CPI", XScale: stats.Linear}
 	merged := stats.Series{Label: "% merged by 8-entry write-buffer"}
 	cpi := stats.Series{Label: "write buffer full stall CPI"}
+	var intervals []int
 	for n := 0; n <= 48; n += 4 {
-		var mfrac, stall float64
-		for _, t := range e.Traces {
-			b, err := writebuffer.New(writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: n})
-			if err != nil {
-				return Result{}, err
-			}
-			b.Run(t)
-			mfrac += b.Stats().MergedFraction()
-			stall += b.Stats().StallCPI()
+		intervals = append(intervals, n)
+	}
+	nt := len(e.Traces)
+	runs, err := fanOut(len(intervals)*nt, func(i int) (writebuffer.Stats, error) {
+		b, err := writebuffer.New(writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: intervals[i/nt]})
+		if err != nil {
+			return writebuffer.Stats{}, err
 		}
-		merged.Point(float64(n), stats.Pct(mfrac/float64(len(e.Traces))))
-		cpi.Point(float64(n), stall/float64(len(e.Traces)))
+		b.Run(e.Traces[i%nt])
+		return b.Stats(), nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	for ni, n := range intervals {
+		var mfrac, stall float64
+		for _, s := range runs[ni*nt : (ni+1)*nt] {
+			mfrac += s.MergedFraction()
+			stall += s.StallCPI()
+		}
+		merged.Point(float64(n), stats.Pct(mfrac/float64(nt)))
+		cpi.Point(float64(n), stall/float64(nt))
 	}
 	// Reference: a 6-entry write cache with 16B lines never stalls and
 	// merges this fraction regardless of retire interval.
 	ref := stats.Series{Label: "% merged by 6-entry write cache"}
-	var wcFrac float64
-	for _, t := range e.Traces {
-		wc, err := writecache.New(writecache.Config{Entries: 6, LineSize: 16})
-		if err != nil {
-			return Result{}, err
-		}
-		wc.Run(t)
-		wcFrac += wc.Stats().RemovedFraction()
+	curves, err := e.writeCacheCurves(16)
+	if err != nil {
+		return Result{}, err
 	}
-	wcFrac /= float64(len(e.Traces))
-	for n := 0; n <= 48; n += 4 {
+	var wcFrac float64
+	for _, c := range curves {
+		wcFrac += c.RemovedFraction(6)
+	}
+	wcFrac /= float64(nt)
+	for _, n := range intervals {
 		ref.Point(float64(n), stats.Pct(wcFrac))
 	}
 	chart.Add(merged)
@@ -106,31 +155,20 @@ func fig5(e *Env) (Result, error) {
 	return Result{Chart: chart}, nil
 }
 
-// writeCacheRemoved returns the fraction of writes removed by an
-// n-entry write cache with 8B lines on trace ti.
-func writeCacheRemoved(e *Env, ti, entries int) (float64, error) {
-	wc, err := writecache.New(writecache.Config{Entries: entries, LineSize: 8})
-	if err != nil {
-		return 0, err
-	}
-	wc.Run(e.Traces[ti])
-	return wc.Stats().RemovedFraction(), nil
-}
-
 // fig7 plots the absolute write-traffic reduction of a write cache with
 // 0..16 8B entries, per benchmark and averaged.
 func fig7(e *Env) (Result, error) {
 	chart := &stats.Chart{ID: "fig7", Title: "Write cache absolute traffic reduction",
 		XLabel: "write-cache entries", YLabel: "% of all writes removed", XScale: stats.Linear}
+	curves, err := e.writeCacheCurves(8)
+	if err != nil {
+		return Result{}, err
+	}
 	var perBench []stats.Series
 	for ti, t := range e.Traces {
 		s := stats.Series{Label: t.Name}
-		for n := 0; n <= 16; n++ {
-			f, err := writeCacheRemoved(e, ti, n)
-			if err != nil {
-				return Result{}, err
-			}
-			s.Point(float64(n), stats.Pct(f))
+		for n := 0; n <= wcMaxEntries; n++ {
+			s.Point(float64(n), stats.Pct(curves[ti].RemovedFraction(n)))
 		}
 		perBench = append(perBench, s)
 		chart.Add(s)
@@ -148,6 +186,10 @@ func fig7(e *Env) (Result, error) {
 func fig8(e *Env) (Result, error) {
 	chart := &stats.Chart{ID: "fig8", Title: "Write cache traffic reduction relative to a 4KB write-back cache",
 		XLabel: "write-cache entries", YLabel: "% of writes removed relative to write-back cache", XScale: stats.Linear}
+	curves, err := e.writeCacheCurves(8)
+	if err != nil {
+		return Result{}, err
+	}
 	var perBench []stats.Series
 	for ti, t := range e.Traces {
 		wb, err := e.CacheStats(ti, stdConfig(4<<10, StdLineSize))
@@ -156,14 +198,10 @@ func fig8(e *Env) (Result, error) {
 		}
 		wbFrac := wb.WritesToDirtyFraction()
 		s := stats.Series{Label: t.Name}
-		for n := 0; n <= 16; n++ {
-			f, err := writeCacheRemoved(e, ti, n)
-			if err != nil {
-				return Result{}, err
-			}
+		for n := 0; n <= wcMaxEntries; n++ {
 			rel := 0.0
 			if wbFrac > 0 {
-				rel = f / wbFrac
+				rel = curves[ti].RemovedFraction(n) / wbFrac
 			}
 			s.Point(float64(n), stats.Pct(rel))
 		}
@@ -183,6 +221,10 @@ func fig8(e *Env) (Result, error) {
 func fig9(e *Env) (Result, error) {
 	chart := &stats.Chart{ID: "fig9", Title: "Relative traffic reduction of a write cache vs write-back cache size",
 		XLabel: "write-back cache size (B)", YLabel: "relative % of all writes removed", XScale: stats.Log2}
+	curves, err := e.writeCacheCurves(8)
+	if err != nil {
+		return Result{}, err
+	}
 	sizes := CacheSizes[:7] // 1KB..64KB
 	for _, entries := range []int{15, 5, 1} {
 		s := stats.Series{Label: fmt.Sprintf("%d entry write cache", entries)}
@@ -193,12 +235,8 @@ func fig9(e *Env) (Result, error) {
 				if err != nil {
 					return Result{}, err
 				}
-				f, err := writeCacheRemoved(e, ti, entries)
-				if err != nil {
-					return Result{}, err
-				}
 				if wbFrac := wb.WritesToDirtyFraction(); wbFrac > 0 {
-					rel += f / wbFrac
+					rel += curves[ti].RemovedFraction(entries) / wbFrac
 				}
 			}
 			s.Point(float64(size), stats.Pct(rel/float64(len(e.Traces))))

@@ -16,6 +16,11 @@
 // LRU but spare non-conflicting lines under direct mapping (raising
 // it, visible for linpack at 64KB). The gap between predicted and
 // measured is therefore a per-benchmark conflict signature.
+//
+// The same LRU stack also serves the write cache of Figs 5 and 7-9
+// (WriteCacheCurve): that cache is fully-associative LRU over writes
+// only, so one pass over a trace's writes yields its merge rate at every
+// entry count.
 package reuse
 
 import (
@@ -58,76 +63,110 @@ func (p *Profile) PredictDirtyFraction(capacityLines int) float64 {
 	return float64(hits) / float64(p.Writes)
 }
 
-// exactCounter tracks exact per-write max interim depths for
-// PredictDirtyFraction when capacities are not powers of two; the
-// histogram alone would round. We keep exact samples in a compact
-// bucket-of-depth form: the common case only needs the histogram, so
-// the exact path stores the depth values.
-type analyzer struct {
-	lineShift uint
-	// fenwick over access positions: 1 at the most recent position of
-	// each resident line.
-	tree []int
-	n    int
-	// lastPos maps line -> its most recent access position (1-based).
-	lastPos map[uint32]int
-	// maxGap maps line -> maximum reuse distance observed since the last
-	// write to the line (-1 encodes "no write yet").
-	maxGap map[uint32]int
-	pos    int
+// stack is a Mattson LRU stack over line numbers. access reports a
+// line's reuse depth: the number of distinct other lines accessed since
+// its previous access, or -1 on its first. A fully-associative LRU
+// cache of n lines holds the line at that access exactly when
+// depth < n (stack inclusion), so one pass answers every capacity.
+type stack struct {
+	// tree is a Fenwick tree over access positions (1-based): 1 at the
+	// most recent position of each line seen so far.
+	tree []int32
+	// last maps line -> its most recent access position.
+	last map[uint32]int32
+	pos  int32
 }
 
-func (a *analyzer) add(i, v int) {
-	for ; i <= a.n; i += i & -i {
-		a.tree[i] += v
+// newStack sizes a stack for exactly accesses calls to access. Positions
+// are int32, halving the tree, so a pass holds under 2^31 accesses.
+func newStack(accesses int) *stack {
+	return &stack{tree: make([]int32, accesses+1), last: make(map[uint32]int32)}
+}
+
+func (s *stack) access(ln uint32) int {
+	s.pos++
+	depth := -1
+	if lp, ok := s.last[ln]; ok {
+		// Every line seen has exactly one 1, at or before pos-1, so
+		// the lines accessed strictly after lp number len(last)
+		// minus the prefix sum up to lp.
+		depth = len(s.last) - s.sum(lp)
+		s.add(lp, -1)
+	}
+	s.add(s.pos, 1)
+	s.last[ln] = s.pos
+	return depth
+}
+
+func (s *stack) add(i, v int32) {
+	for ; int(i) < len(s.tree); i += i & -i {
+		s.tree[i] += v
 	}
 }
 
-func (a *analyzer) sum(i int) int {
-	s := 0
+func (s *stack) sum(i int32) int {
+	n := 0
 	for ; i > 0; i -= i & -i {
-		s += a.tree[i]
+		n += int(s.tree[i])
 	}
-	return s
+	return n
+}
+
+// lineSpan returns the first and last lineShift-granularity line an
+// access touches.
+func lineSpan(e trace.Event, lineShift uint) (first, last uint32) {
+	return e.Addr >> lineShift, (e.Addr + uint32(e.Size) - 1) >> lineShift
+}
+
+// lineAccesses counts the line accesses a pass over t's events makes
+// (writes only when writesOnly): one per line each event touches, so
+// accesses spanning lines count more than once.
+func lineAccesses(t *trace.Trace, lineShift uint, writesOnly bool) int {
+	n := 0
+	for _, e := range t.Events {
+		if writesOnly && e.Kind != trace.Write {
+			continue
+		}
+		if first, last := lineSpan(e, lineShift); last >= first {
+			n += int(last-first) + 1
+		}
+	}
+	return n
+}
+
+// lineShiftOf validates a line size and returns its log2.
+func lineShiftOf(lineSize int) (uint, error) {
+	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
+		return 0, fmt.Errorf("reuse: line size %d must be a positive power of two", lineSize)
+	}
+	return uint(bits.TrailingZeros(uint(lineSize))), nil
 }
 
 // Analyze folds the trace to lineSize-granularity lines and returns the
 // write reuse profile.
 func Analyze(t *trace.Trace, lineSize int) (*Profile, error) {
-	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
-		return nil, fmt.Errorf("reuse: line size %d must be a positive power of two", lineSize)
+	shift, err := lineShiftOf(lineSize)
+	if err != nil {
+		return nil, err
 	}
-	a := &analyzer{
-		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
-		n:         t.Len() + 1,
-		lastPos:   make(map[uint32]int),
-		maxGap:    make(map[uint32]int),
-	}
-	a.tree = make([]int, a.n+1)
+	s := newStack(lineAccesses(t, shift, false))
+	// maxGap maps line -> maximum reuse depth observed since the last
+	// write to the line (-1 encodes "no write yet").
+	maxGap := make(map[uint32]int)
 
 	p := &Profile{LineSize: lineSize, Samples: make([]uint64, 33)}
 	for _, e := range t.Events {
-		first := e.Addr >> a.lineShift
-		last := (e.Addr + uint32(e.Size) - 1) >> a.lineShift
+		first, last := lineSpan(e, shift)
 		for ln := first; ln <= last; ln++ {
-			a.pos++
-			depth := -1 // cold
-			if lp, ok := a.lastPos[ln]; ok {
-				// Distinct lines accessed strictly after lp: each has
-				// exactly one 1 in (lp, pos).
-				depth = a.sum(a.pos-1) - a.sum(lp)
-				a.add(lp, -1)
-			}
-			a.add(a.pos, 1)
-			a.lastPos[ln] = a.pos
+			depth := s.access(ln)
 
-			switch g, ok := a.maxGap[ln]; {
+			switch g, ok := maxGap[ln]; {
 			case !ok || depth < 0:
-				a.maxGap[ln] = -1 // unwritten or cold: infinite gap
+				maxGap[ln] = -1 // unwritten or cold: infinite gap
 			case g < 0:
 				// No write epoch in progress; stays infinite.
 			case depth > g:
-				a.maxGap[ln] = depth
+				maxGap[ln] = depth
 			}
 
 			if e.Kind == trace.Write {
@@ -135,7 +174,7 @@ func Analyze(t *trace.Trace, lineSize int) (*Profile, error) {
 				if ln == first {
 					p.Writes++
 				}
-				g := a.maxGap[ln]
+				g := maxGap[ln]
 				if g < 0 {
 					if ln == first {
 						p.Cold++
@@ -144,7 +183,7 @@ func Analyze(t *trace.Trace, lineSize int) (*Profile, error) {
 					p.Samples[bucketFor(g)]++
 				}
 				// New write epoch for this line.
-				a.maxGap[ln] = 0
+				maxGap[ln] = 0
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package reuse
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,5 +186,70 @@ func TestZeroCapacity(t *testing.T) {
 	p := &Profile{Writes: 5, Samples: make([]uint64, 33)}
 	if p.PredictDirtyFraction(0) != 0 {
 		t.Error("zero capacity should predict zero")
+	}
+}
+
+// naiveProfile is Analyze over an explicit MRU-first list of lines: a
+// line's depth is its index in the list.
+func naiveProfile(tr *trace.Trace, lineSize int) *Profile {
+	var lru []uint32
+	maxGap := map[uint32]int{}
+	p := &Profile{LineSize: lineSize, Samples: make([]uint64, 33)}
+	for _, e := range tr.Events {
+		first := e.Addr / uint32(lineSize)
+		last := (e.Addr + uint32(e.Size) - 1) / uint32(lineSize)
+		for ln := first; ln <= last; ln++ {
+			depth := slices.Index(lru, ln)
+			if depth >= 0 {
+				lru = slices.Delete(lru, depth, depth+1)
+			}
+			lru = slices.Insert(lru, 0, ln)
+			if g, ok := maxGap[ln]; !ok || depth < 0 {
+				maxGap[ln] = -1
+			} else if g >= 0 && depth > g {
+				maxGap[ln] = depth
+			}
+			if e.Kind == trace.Write {
+				if ln == first {
+					p.Writes++
+					if g := maxGap[ln]; g < 0 {
+						p.Cold++
+					} else {
+						p.Samples[bucketFor(g)]++
+					}
+				}
+				maxGap[ln] = 0
+			}
+		}
+	}
+	return p
+}
+
+// TestAnalyzeLineSpanningAccesses: accesses wider than a line touch
+// several lines each, so the stack must be sized by line accesses, not
+// events (8B writes at the paper's 4B lines once indexed past the end
+// of the Fenwick tree), and the profile must match a naive LRU list.
+func TestAnalyzeLineSpanningAccesses(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := &trace.Trace{}
+	for i := 0; i < 3000; i++ {
+		k := trace.Write
+		if rng.Intn(3) == 0 {
+			k = trace.Read
+		}
+		size := uint8(8)
+		if rng.Intn(4) == 0 {
+			size = uint8(1 + rng.Intn(16))
+		}
+		tr.Append(trace.Event{Addr: uint32(rng.Intn(1 << 10)), Size: size, Kind: k})
+	}
+	for _, line := range []int{4, 8, 16} {
+		got, err := Analyze(tr, line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveProfile(tr, line); !reflect.DeepEqual(got, want) {
+			t.Errorf("%dB lines: profile %+v, naive LRU list %+v", line, got, want)
+		}
 	}
 }

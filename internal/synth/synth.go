@@ -131,12 +131,17 @@ func RoundRobin(name string, quantum uint64, ts ...*trace.Trace) (*trace.Trace, 
 		i int
 	}
 	live := make([]*cur, 0, len(ts))
+	total := 0
 	for _, t := range ts {
 		if t.Len() > 0 {
 			live = append(live, &cur{t: t})
+			total += t.Len()
 		}
 	}
-	out := &trace.Trace{Name: name}
+	// Every event is emitted exactly once, so one allocation at the
+	// exact length replaces repeated append growth (the mixes of the
+	// paper traces run to millions of events).
+	out := &trace.Trace{Name: name, Events: make([]trace.Event, 0, total)}
 	for len(live) > 0 {
 		for li := 0; li < len(live); {
 			c := live[li]

@@ -141,6 +141,22 @@ func TestRoundRobinPreservesAllEvents(t *testing.T) {
 	}
 }
 
+// TestRoundRobinExactAllocation: the output is allocated once at its
+// exact length, the sum of the inputs', and never regrown.
+func TestRoundRobinExactAllocation(t *testing.T) {
+	a := Sequential(trace.Read, 0x1000, 1000, 4, 4, 1)
+	b := Sequential(trace.Write, 0x2000, 333, 4, 4, 3)
+	c := Sequential(trace.Read, 0x3000, 517, 8, 8, 0)
+	out, err := RoundRobin("rr", 7, a, b, &trace.Trace{}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sum = 1000 + 333 + 517
+	if out.Len() != sum || cap(out.Events) != sum {
+		t.Errorf("len %d cap %d, want both %d", out.Len(), cap(out.Events), sum)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	a1, _ := HotCold(9, 1000, 8, 16, 1<<16, 80, 30)
 	a2, _ := HotCold(9, 1000, 8, 16, 1<<16, 80, 30)
