@@ -14,12 +14,14 @@
 //	GET  /healthz                    ok / draining
 //	GET  /statusz                    counters
 //
-// Crash safety: admitted jobs are journaled under -state before the
-// 202 is sent, and running sweeps checkpoint completed units there. A
-// SIGKILLed server re-invoked on the same -state resumes every
-// unfinished job and reports byte-identical results. SIGTERM/SIGINT
-// drain gracefully: admissions close, running jobs get -drain-grace
-// to finish, stragglers are checkpointed, and the journal is flushed.
+// Crash safety: each admitted job's record is saved under
+// -state/jobs/<id>.journal before the 202 is sent, and running sweeps
+// checkpoint completed units under -state/sweeps. A SIGKILLed server
+// re-invoked on the same -state resumes every unfinished job and
+// reports byte-identical results. SIGTERM/SIGINT drain gracefully:
+// admissions close, running jobs get -drain-grace to finish,
+// stragglers are checkpointed, and any job record whose last save
+// failed is saved again.
 package main
 
 import (
@@ -42,7 +44,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8347", "listen address")
-		state       = flag.String("state", "simserved-state", "state directory (job journal + sweep checkpoints)")
+		state       = flag.String("state", "simserved-state", "state directory (job records + sweep checkpoints)")
 		queue       = flag.Int("queue", 64, "max admitted-but-unfinished jobs across all tenants")
 		perTenant   = flag.Int("per-tenant", 8, "max admitted-but-unfinished jobs per tenant")
 		jobs        = flag.Int("jobs", 2, "concurrent job workers")

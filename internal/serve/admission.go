@@ -79,8 +79,8 @@ func (s *Server) observeJobLocked(d time.Duration) {
 // existing job), a rejection (load shed / draining — the 503 path), or
 // an error (invalid spec — the 400 path).
 //
-// Admission is durable before it is visible: the job journal is
-// flushed before Submit returns, so a client that got its 202 can
+// Admission is durable before it is visible: the new job's record is
+// saved before Submit returns, so a client that got its 202 can
 // SIGKILL the server and still find the job after restart.
 func (s *Server) Submit(spec JobSpec) (JobStatus, *Rejection, error) {
 	spec.normalize()
@@ -140,7 +140,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, *Rejection, error) {
 
 	s.seq++
 	j := &job{
-		ID:         fmt.Sprintf("j%06d", s.seq),
+		ID:         jobID(s.seq),
 		Tenant:     spec.Tenant,
 		RequestID:  spec.RequestID,
 		Spec:       spec,
@@ -152,8 +152,8 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, *Rejection, error) {
 	if j.RequestID != "" {
 		s.byRequest[requestKey(j.Tenant, j.RequestID)] = j
 	}
-	//simlint:allow lockheld durable-before-visible: the admission record must reach the journal under mu, before any contender can observe the job
-	if err := s.persistLocked(); err != nil { //simlint:allow errflow the rollback below sheds the request; persistLocked already logged the cause and the client only needs the rejection
+	//simlint:allow lockheld durable-before-visible: this job's record must be saved under mu, before any contender can observe the job
+	if err := s.persistLocked(j); err != nil { //simlint:allow errflow the rollback below sheds the request; persistLocked already logged the cause and the client only needs the rejection
 		// Admission must be durable before it is visible: roll the job
 		// back and shed the request rather than acknowledge state a
 		// crash would forget.
@@ -164,7 +164,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, *Rejection, error) {
 		}
 		s.seq--
 		return JobStatus{}, &Rejection{
-			Reason:       "job journal unavailable; admission refused",
+			Reason:       "job record save failed; admission refused",
 			RetryAfterMs: s.retryAfterLocked(total),
 		}, nil
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -183,35 +184,72 @@ func TestBreakerHalfOpenProbeRace(t *testing.T) {
 
 // TestAckedJobSurvivesPowerCut is the serve half of the ack contract: a
 // job the client saw admitted (Submit returned, i.e. the 202 was
-// writable) survives a power cut — admission is flushed and fsynced
-// before it is visible.
+// writable) survives a power cut — its record is saved and fsynced
+// before it is visible. A power cut at every write boundary of one
+// Submit leaves that job either absent with the submit shed, or present
+// and queued: never torn, and never at the cost of an earlier job.
 func TestAckedJobSurvivesPowerCut(t *testing.T) {
-	mem := vfs.NewMem()
-	cfg := testConfig(t)
-	cfg.StateDir = "/state"
-	cfg.FS = mem
-	s1, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	spec := testSpec("tenant-a", "req-2")
+	// submitCut admits one job cleanly, then submits spec under plan and
+	// cuts the power.
+	submitCut := func(plan vfs.Plan) (cfg Config, rej *Rejection, ops int) {
+		mem := vfs.NewMem()
+		faulty := vfs.NewFaulty(mem, vfs.Plan{})
+		cfg = testConfig(t)
+		cfg.StateDir = "/state"
+		cfg.FS = faulty
+		s1, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		mustSubmit(t, s1, testSpec("tenant-a", "req-1"))
+		faulty.Reset(plan)
+		_, rej, err = s1.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		mem.Crash()
+		cfg.FS = mem
+		return cfg, rej, faulty.Ops()
 	}
-	admitted := mustSubmit(t, s1, testSpec("tenant-a", "req-1"))
-
-	// Power cut: everything not fsynced is gone.
-	mem.Crash()
-
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New after crash: %v", err)
+	_, rej, n := submitCut(vfs.Plan{})
+	if rej != nil {
+		t.Fatalf("probe Submit shed: %s", rej.Reason)
 	}
-	if m := s2.MetricsSnapshot(); m.JobsResumed != 1 {
-		t.Fatalf("JobsResumed = %d, want the acked job back", m.JobsResumed)
-	}
-	st, ok := s2.Job(admitted.ID)
-	if !ok {
-		t.Fatalf("acked job %s lost across power cut", admitted.ID)
-	}
-	if st.State != StateQueued {
-		t.Errorf("resumed job state = %s, want queued", st.State)
+	// op n+1 is past the Submit: the plain acked-then-power-cut case.
+	for op := 1; op <= n+1; op++ {
+		t.Run(fmt.Sprintf("crash-at-op-%d", op), func(t *testing.T) {
+			cfg, rej, _ := submitCut(vfs.Plan{CrashAtOp: op})
+			s2, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New after crash: %v", err)
+			}
+			if _, ok := s2.Job("j000001"); !ok {
+				t.Fatalf("earlier acked job j000001 lost")
+			}
+			st, present := s2.Job("j000002")
+			switch {
+			case rej == nil && !present:
+				t.Fatalf("acked job j000002 lost across power cut")
+			case rej == nil && st.State != StateQueued:
+				t.Fatalf("resumed job state = %s, want queued", st.State)
+			case rej != nil && present:
+				t.Fatalf("shed submit (%s) left job j000002 behind", rej.Reason)
+			}
+			want := int64(1)
+			if present {
+				want = 2
+			}
+			if m := s2.MetricsSnapshot(); m.JobsResumed != want {
+				t.Errorf("JobsResumed = %d, want %d", m.JobsResumed, want)
+			}
+			// A client retry lands on j000002 either way: deduplicated
+			// onto the acked job, or admitted afresh under the id the
+			// shed submit gave back.
+			if again := mustSubmit(t, s2, spec); again.ID != "j000002" {
+				t.Errorf("retry got %s, want j000002", again.ID)
+			}
+		})
 	}
 }
 

@@ -274,9 +274,10 @@ type JobStatus struct {
 	Error      string           `json:"error,omitempty"`
 }
 
-// job is the server-side record. Mutable fields are guarded by the
-// server mutex; unitsDone is read by status snapshots while the runner
-// advances it, hence the dedicated counter on the server side.
+// job is the server-side record, journaled field for field as the
+// job's record file. Mutable fields are guarded by the server mutex;
+// unitsDone is read by status snapshots while the runner advances it,
+// hence the dedicated counter on the server side.
 type job struct {
 	ID         string
 	Tenant     string
@@ -288,6 +289,10 @@ type job struct {
 	Results    []WorkloadResult
 	Failures   []Failure
 	Error      string
+
+	// unsaved marks a job whose last record save failed, so the drain
+	// flush re-saves it (unexported: never journaled).
+	unsaved bool
 }
 
 // poisoned reports whether any of the job's failures carry quarantined

@@ -16,9 +16,10 @@ import (
 // Run processes jobs until ctx is cancelled, then drains: admissions
 // close immediately (Submit starts shedding with a draining hint),
 // running jobs get up to DrainGrace to finish, stragglers are
-// cancelled into their sweep checkpoints, and the job journal is
-// flushed one final time. Run returns nil on a clean drain; a killed
-// process skips all of this and relies on the journals instead.
+// cancelled into their sweep checkpoints, and every job whose last
+// record save failed is saved once more. Run returns nil on a clean
+// drain; a killed process skips all of this and relies on the journals
+// instead.
 func (s *Server) Run(ctx context.Context) error {
 	runCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -61,16 +62,18 @@ wait:
 	wg.Wait()
 
 	s.mu.Lock()
-	//simlint:allow lockheld final drain flush: every worker has exited wg.Wait above, so no contender can stall on mu
-	_ = s.persistLocked() //simlint:allow errflow shutdown flush is best-effort; persistLocked logs the failure and unfinished jobs resume from the journal on restart
 	queued := 0
 	for _, j := range s.jobs {
+		if j.unsaved {
+			//simlint:allow lockheld final drain flush: every worker has exited wg.Wait above, so no contender can stall on mu
+			_ = s.persistLocked(j) //simlint:allow errflow shutdown flush is best-effort; persistLocked logs the failure and the job resumes from its last good record on restart
+		}
 		if !j.State.Terminal() {
 			queued++
 		}
 	}
 	s.mu.Unlock()
-	s.logf("drained: journal flushed, %d unfinished job(s) will resume on restart", queued)
+	s.logf("drained: job records flushed, %d unfinished job(s) will resume on restart", queued)
 	return nil
 }
 
@@ -148,8 +151,8 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		s.mu.Lock()
 		j.Results = append(j.Results, *res)
 		j.UnitsDone = len(j.Results) * perWL
-		//simlint:allow lockheld results must persist atomically with the in-memory progress they record; a resumed job may not see results its journal lacks
-		_ = s.persistLocked() //simlint:allow errflow a failed progress checkpoint only costs recomputation on resume; persistLocked logs the cause
+		//simlint:allow lockheld this job's record must persist atomically with the in-memory progress it records; a resumed job may not see results its record lacks
+		_ = s.persistLocked(j) //simlint:allow errflow a failed progress checkpoint only costs recomputation on resume; persistLocked logs the cause and marks the job for the drain flush
 		s.mu.Unlock()
 	}
 
@@ -187,8 +190,8 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	}
 	s.recordJobStorageOutcomeLocked(j.Tenant, storageFault)
 	s.observeJobLocked(s.now().Sub(start))
-	//simlint:allow lockheld the terminal state must persist atomically with the transition other goroutines will observe
-	_ = s.persistLocked() //simlint:allow errflow a failed terminal flush re-runs the job's tail on restart; persistLocked logs the cause
+	//simlint:allow lockheld this job's record must persist its terminal state atomically with the transition other goroutines will observe
+	_ = s.persistLocked(j) //simlint:allow errflow a failed terminal flush re-runs the job's tail on restart; persistLocked logs the cause and marks the job for the drain flush
 	//simlint:allow lockheld checkpoint reaping under mu keeps it atomic with the terminal transition; the files are tiny and local
 	s.removeCkpts(j)
 }

@@ -14,8 +14,9 @@
 //     queueing unboundedly.
 //   - Fair-share scheduling: job workers pick the next job round-robin
 //     across tenants, so one tenant's burst cannot starve the rest.
-//   - Crash safety: admitted jobs are journaled through
-//     internal/resilience before the client sees 202; each running
+//   - Crash safety: each job's record (<state>/jobs/<id>.journal) is
+//     saved through internal/resilience before the client sees 202,
+//     and each later commit re-saves only that job; each running
 //     sweep checkpoints its completed (trace, config-shard) units. A
 //     SIGKILLed server resumes every in-flight job on restart and
 //     re-derives byte-identical results; client re-submits are
@@ -27,7 +28,8 @@
 //     returns every computable result plus a failures manifest.
 //   - Graceful drain: Run(ctx) stops admitting when ctx is cancelled
 //     (SIGTERM), waits a bounded grace for running jobs, checkpoints
-//     whatever is still in flight, and flushes the job journal.
+//     whatever is still in flight, and re-saves every job record whose
+//     last save failed.
 //
 // The package is in simlint's nopanic, determinism and ctxloop scopes:
 // it never panics or exits, its result-producing paths are
@@ -37,11 +39,16 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -54,9 +61,9 @@ import (
 // Config tunes a Server. The zero value of every field has a usable
 // default (documented per field).
 type Config struct {
-	// StateDir holds the job journal and per-job sweep checkpoints
-	// (default "simserved-state"). It must persist across restarts for
-	// crash-safe resume.
+	// StateDir holds the per-job records (jobs/) and per-job sweep
+	// checkpoints (sweeps/) (default "simserved-state"). It must
+	// persist across restarts for crash-safe resume.
 	StateDir string
 	// Queue bounds admitted-but-unfinished jobs across all tenants
 	// (default 64). Submits beyond it are shed with 503.
@@ -120,17 +127,12 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// journalVersion is the job-journal schema version; bump when
-// persistedState or JobSpec changes shape.
-const journalVersion = 1
+// journalVersion is the job-record schema version; bump when job or
+// JobSpec changes shape. Version 1 was one whole-table jobs.journal.
+const journalVersion = 2
 
-// persistedState is the journaled server state: the job sequence
-// counter and every job in admission order. Jobs are a slice, not a
-// map, so encoding is deterministic by construction.
-type persistedState struct {
-	Seq  int   `json:"seq"`
-	Jobs []job `json:"jobs"`
-}
+// recordSuffix names a job's record file, <state>/jobs/<id>.journal.
+const recordSuffix = ".journal"
 
 // Metrics is the statusz counter snapshot.
 type Metrics struct {
@@ -167,12 +169,11 @@ type Metrics struct {
 // Handler, and call Run to process jobs until the context is
 // cancelled.
 type Server struct {
-	cfg     Config
-	now     func() time.Time
-	logf    func(string, ...any)
-	fs      vfs.FS
-	traces  *workload.SharedTraces
-	journal *resilience.Journal[persistedState]
+	cfg    Config
+	now    func() time.Time
+	logf   func(string, ...any)
+	fs     vfs.FS
+	traces *workload.SharedTraces
 
 	mu         sync.Mutex
 	jobs       []*job          // admission order; persisted in this order
@@ -190,7 +191,7 @@ type Server struct {
 	wake chan struct{}
 }
 
-// New builds a server over cfg.StateDir, loading the job journal and
+// New builds a server over cfg.StateDir, loading every job record and
 // re-queueing every job a previous process left unfinished. It does
 // not start any goroutine; call Run.
 func New(cfg Config) (*Server, error) {
@@ -263,7 +264,6 @@ func New(cfg Config) (*Server, error) {
 		logf:      cfg.Logf,
 		fs:        cfg.FS,
 		traces:    workload.NewSharedTraces(cfg.TraceDir, cfg.TraceMem),
-		journal:   resilience.NewJournalFS[persistedState](cfg.FS, filepath.Join(cfg.StateDir, "jobs.journal"), "simserved", journalVersion),
 		byID:      map[string]*job{},
 		byRequest: map[string]*job{},
 		breakers:  map[string]*tenantBreaker{},
@@ -276,22 +276,53 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// restore loads the job journal and re-queues unfinished jobs.
+// restore loads every job record under jobs/ and re-queues unfinished
+// jobs. There is no index file: the directory listing is the job set,
+// and the numeric part of each id is its admission order.
 func (s *Server) restore() error {
-	state, info, err := s.journal.Load()
-	if err != nil {
-		return fmt.Errorf("serve: job journal: %w", err)
+	old := filepath.Join(s.cfg.StateDir, "jobs.journal")
+	if _, err := s.fs.Stat(old); err == nil {
+		return fmt.Errorf("serve: %s is a version 1 whole-table job journal; drain the old server to completion or move the file aside, then restart", old)
 	}
-	for _, w := range info.Warnings {
-		s.logf("job journal: %s", w)
-	}
-	if !info.Found {
+	entries, err := s.fs.ReadDir(s.jobsDir())
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
-	s.seq = state.Seq
+	if err != nil {
+		return fmt.Errorf("serve: job records: %w", err)
+	}
+	var seqs []int
+	for _, e := range entries {
+		// <id>.journal, or only <id>.journal.prev after a crash between
+		// a save's rotate and commit renames (Load falls back to it).
+		// Save's .journal-* temp files match neither.
+		id, ok := strings.CutSuffix(strings.TrimSuffix(e.Name(), ".prev"), recordSuffix)
+		digits, isJob := strings.CutPrefix(id, "j")
+		if n, err := strconv.Atoi(digits); ok && isJob && err == nil && n > 0 {
+			seqs = append(seqs, n)
+		}
+	}
+	sort.Ints(seqs)
+	seqs = slices.Compact(seqs)
+	if len(seqs) > 0 {
+		// Counting unloadable records too keeps a new job off the id
+		// (and the sweep checkpoints) of one whose record was lost.
+		s.seq = seqs[len(seqs)-1]
+	}
+
 	resumed := 0
-	for i := range state.Jobs {
-		j := state.Jobs[i] // copy out of the slice
+	for _, n := range seqs {
+		id := jobID(n)
+		j, info, err := s.record(id).Load()
+		if err != nil {
+			return fmt.Errorf("serve: job %s record: %w", id, err)
+		}
+		for _, w := range info.Warnings {
+			s.logf("job %s record: %s", id, w)
+		}
+		if !info.Found {
+			continue
+		}
 		if !j.State.Terminal() {
 			// Anything unfinished — queued, or running when the previous
 			// process died — goes back to the queue; its sweep
@@ -308,30 +339,40 @@ func (s *Server) restore() error {
 	}
 	if resumed > 0 {
 		s.metrics.JobsResumed += int64(resumed)
-		s.logf("restored %d job(s) from journal, %d unfinished re-queued", len(s.jobs), resumed)
+		s.logf("restored %d job(s) from their records, %d unfinished re-queued", len(s.jobs), resumed)
 	}
 	return nil
 }
+
+// jobID is the id of the n'th admitted job; past j999999 ids just grow
+// wider, so admission order is the numeric order, not the string order.
+func jobID(n int) string { return fmt.Sprintf("j%06d", n) }
 
 func requestKey(tenant, requestID string) string {
 	return tenant + "\x00" + requestID
 }
 
-// persistLocked snapshots the full job table through the resilience
-// journal (atomic rename + CRC + previous-good fallback) and returns
-// the save error. Callers on the completion path log and continue
-// (the server keeps serving from memory and retries on the next state
-// change); the admission path instead refuses to admit what it cannot
-// make durable. Caller holds mu.
-func (s *Server) persistLocked() error {
-	state := persistedState{Seq: s.seq, Jobs: make([]job, 0, len(s.jobs))}
-	for _, j := range s.jobs {
-		state.Jobs = append(state.Jobs, *j)
-	}
-	if err := s.journal.Save(state); err != nil {
-		s.logf("job journal save failed: %v", err)
+func (s *Server) jobsDir() string { return filepath.Join(s.cfg.StateDir, "jobs") }
+
+// record is one job's journal: atomic rename + CRC + previous-good
+// fallback, scoped to that job alone.
+func (s *Server) record(id string) *resilience.Journal[job] {
+	return resilience.NewJournalFS[job](s.fs, filepath.Join(s.jobsDir(), id+recordSuffix), "simserved-job", journalVersion)
+}
+
+// persistLocked saves j's record — only j, so a commit costs the same
+// however many jobs the server has seen — and returns the save error,
+// marking j unsaved for the drain flush. Callers on the completion path
+// log and continue (the server keeps serving from memory and re-saves
+// j on its next state change); the admission path instead refuses to
+// admit what it cannot make durable. Caller holds mu.
+func (s *Server) persistLocked(j *job) error {
+	if err := s.record(j.ID).Save(*j); err != nil {
+		j.unsaved = true
+		s.logf("job %s record save failed: %v", j.ID, err)
 		return err
 	}
+	j.unsaved = false
 	return nil
 }
 

@@ -21,7 +21,7 @@ import (
 // spanning several scheduler units.
 const testEvents = 20_000
 
-func testConfig(t *testing.T) Config {
+func testConfig(t testing.TB) Config {
 	t.Helper()
 	return Config{
 		StateDir:        t.TempDir(),

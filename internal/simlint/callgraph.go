@@ -16,7 +16,7 @@ import (
 //
 // Nodes are keyed by the callee's canonical FullName (generic methods
 // are canonicalized through types.Func.Origin, so a call to
-// (*Journal[persistedState]).Save and the declaration of
+// (*Journal[job]).Save and the declaration of
 // (*Journal[T]).Save meet at the same node — string keys, not object
 // identity, because each package resolves its imports from compiled
 // export data and never shares *types.Func pointers with the source-

@@ -3,7 +3,7 @@
 # serve_smoke chaos plan (concurrent tenants + SIGKILLs + graceful
 # drain) with the state directory mounted on a fault-injecting
 # filesystem (-faultfs): torn writes, ENOSPC and failed renames hit
-# the job journal and the sweep checkpoints while the server runs.
+# the job records and the sweep checkpoints while the server runs.
 #
 # The pass criteria are the strongest the repo has: simload exits 0
 # only if every admitted job survived, every result came back
