@@ -158,7 +158,7 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	ts, err := workload.GenerateAllShared(ctx, workload.ResolveCacheDir(*tcache), *scale)
+	ts, err := workload.GenerateAllCached(workload.ResolveCacheDir(*tcache), *scale)
 	if err != nil {
 		fail(err)
 	}

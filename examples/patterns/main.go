@@ -38,12 +38,8 @@ func main() {
 	for _, pat := range patterns {
 		fmt.Printf("%-18s", pat.name)
 		for _, p := range []cache.WriteMissPolicy{cache.FetchOnWrite, cache.WriteValidate, cache.WriteAround, cache.WriteInvalidate} {
-			hit := cache.WriteBack
-			if p == cache.WriteAround || p == cache.WriteInvalidate {
-				hit = cache.WriteThrough
-			}
 			c, err := cache.New(cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1,
-				WriteHit: hit, WriteMiss: p})
+				WriteHit: p.PairedWriteHit(), WriteMiss: p})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -89,13 +89,9 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 	best := cache.FetchOnWrite
 	bestCPI := 0.0
 	for _, p := range cache.WriteMissPolicies() {
-		hit := cache.WriteBack
-		if p == cache.WriteAround || p == cache.WriteInvalidate {
-			hit = cache.WriteThrough
-		}
 		s, err := timing.Evaluate(timing.Config{
 			L1: cache.Config{Size: req.Size, LineSize: req.LineSize, Assoc: req.Assoc,
-				WriteHit: hit, WriteMiss: p},
+				WriteHit: p.PairedWriteHit(), WriteMiss: p},
 			FetchLatency:        req.FetchLatency,
 			WriteBufferEntries:  4,
 			WriteRetire:         req.FetchLatency / 2,
@@ -144,8 +140,7 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 	}
 
 	// Compatibility: no-allocate policies require write-through.
-	if adv.WriteHit == cache.WriteBack &&
-		(adv.WriteMiss == cache.WriteAround || adv.WriteMiss == cache.WriteInvalidate) {
+	if adv.WriteHit == cache.WriteBack && adv.WriteMiss.PairedWriteHit() == cache.WriteThrough {
 		adv.WriteHit = cache.WriteThrough
 		adv.WriteCacheEntries = entries
 		fmt.Fprintf(&why, "(%s requires write-through; keeping the write cache.)\n", adv.WriteMiss)

@@ -96,6 +96,16 @@ func WriteMissPolicies() []WriteMissPolicy {
 	return []WriteMissPolicy{WriteValidate, WriteAround, WriteInvalidate, FetchOnWrite}
 }
 
+// PairedWriteHit returns the write-hit policy the paper pairs with p
+// (§4): the no-allocate policies, write-around and write-invalidate,
+// run write-through; the allocating ones run write-back.
+func (p WriteMissPolicy) PairedWriteHit() WriteHitPolicy {
+	if p == WriteAround || p == WriteInvalidate {
+		return WriteThrough
+	}
+	return WriteBack
+}
+
 // Replacement selects the victim way within a set.
 type Replacement uint8
 

@@ -42,18 +42,6 @@ func cohL2() cache.Config {
 		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
 }
 
-// cohL1 is the per-core private cache at the paper's standard geometry
-// under the given write-miss policy (no-allocate policies paired with
-// write-through, as in §4).
-func cohL1(p cache.WriteMissPolicy) cache.Config {
-	cfg := stdConfig(StdCacheSize, StdLineSize)
-	cfg.WriteMiss = p
-	if p == cache.WriteAround || p == cache.WriteInvalidate {
-		cfg.WriteHit = cache.WriteThrough
-	}
-	return cfg
-}
-
 // cohRun is one coherent simulation's output: the summed per-core L1
 // counters plus the system-level coherence/traffic counters.
 type cohRun struct {
@@ -153,7 +141,7 @@ func (e *Env) cohWorkload(ti, cores int) (*coherence.Workload, error) {
 // policy and coherence scheme.
 func cohSimulate(name string, w *coherence.Workload, k cohKey) (cohRun, error) {
 	l2 := cohL2()
-	sys, err := coherence.New(coherence.Config{Cores: k.cores, L1: cohL1(k.policy), L2: &l2, Scheme: k.scheme})
+	sys, err := coherence.New(coherence.Config{Cores: k.cores, L1: policyConfig(StdCacheSize, StdLineSize, k.policy), L2: &l2, Scheme: k.scheme})
 	if err != nil {
 		return cohRun{}, fmt.Errorf("experiments: %s x%d: %w", name, k.cores, err)
 	}
@@ -346,7 +334,7 @@ func extCohSchemes(e *Env) (Result, error) {
 		}
 		merged, _ := w.Interleaved()
 		l2 := cohL2()
-		h, err := hierarchy.New(hierarchy.Config{L1: cohL1(cache.FetchOnWrite), L2: &l2})
+		h, err := hierarchy.New(hierarchy.Config{L1: stdConfig(StdCacheSize, StdLineSize), L2: &l2})
 		if err != nil {
 			return Result{}, err
 		}

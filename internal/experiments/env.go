@@ -40,56 +40,26 @@ type memoKey struct {
 	cfg cache.Config
 }
 
-// shard spreads keys across the memo's lock shards.
-func (k memoKey) shard() int {
-	h := uint64(k.ti)
-	h = h<<7 ^ uint64(k.cfg.Size)
-	h = h<<7 ^ uint64(k.cfg.LineSize)
-	h = h<<7 ^ uint64(k.cfg.Assoc)
-	h = h<<3 ^ uint64(k.cfg.WriteHit)
-	h = h<<3 ^ uint64(k.cfg.WriteMiss)
-	h = h<<3 ^ uint64(k.cfg.Replacement)
-	h = h<<7 ^ uint64(k.cfg.ValidGranularity)
-	if k.cfg.SectorFetch {
-		h ^= 1 << 40
-	}
-	if k.cfg.WVMissWriteThrough {
-		h ^= 1 << 41
-	}
-	h *= 0x9e3779b97f4a7c15 // Fibonacci hash: mix all bits into the top
-	return int(h >> (64 - memoShardBits))
-}
-
-const (
-	memoShardBits = 6
-	memoShards    = 1 << memoShardBits
-)
-
 // memoEntry is one simulation result. The once gate gives exact
 // compute-once semantics under concurrent CacheStats calls for the
-// same key without holding any shard lock during the simulation.
+// same key without holding the memo lock during the simulation.
 type memoEntry struct {
 	once  sync.Once
 	stats cache.Stats
 	err   error
 }
 
-// memoShard is one lock stripe of the memo.
-type memoShard struct {
-	mu sync.Mutex
-	m  map[memoKey]*memoEntry
-}
-
 // Env holds the benchmark traces and memoizes cache simulations so the
-// many figures sharing a configuration pay for it once. The memo is
-// sharded so parallel figure runners do not serialize on a single
-// lock, and each key is computed exactly once even when raced. The
+// many figures sharing a configuration pay for it once. One mutex
+// guards the memo map, held only for the lookup, never for a
+// simulation; each key is computed exactly once even when raced. The
 // multi-core experiments and the write-cache curves keep their own
-// memos beside it (see cohMemo and curveMemo).
+// memos beside it (see cohMemo and curveMemo), built the same way.
 type Env struct {
 	Traces []*trace.Trace
 
-	shards   [memoShards]memoShard
+	mu       sync.Mutex
+	memo     map[memoKey]*memoEntry
 	computes atomic.Uint64
 	coh      cohMemo
 	curves   curveMemo
@@ -112,11 +82,9 @@ func NewEnvFromTraces(ts []*trace.Trace) *Env {
 	return &Env{Traces: ts}
 }
 
-// entry returns the memo entry for k, creating it if needed. The shard
-// lock is held only for the map access, never for a simulation.
+// entry returns the memo entry for k, creating it if needed.
 func (e *Env) entry(k memoKey) *memoEntry {
-	s := &e.shards[k.shard()]
-	return lazyEntry(&s.mu, &s.m, k)
+	return lazyEntry(&e.mu, &e.memo, k)
 }
 
 // lazyEntry returns (*m)[k], creating the map and the entry if needed,
@@ -181,28 +149,41 @@ func stdConfig(size, lineSize int) cache.Config {
 	}
 }
 
-// SweepConfigs enumerates every cache configuration the paper figures
-// consult: the capacity sweep at 16B lines and the line-size sweep at
-// 8KB, each under all four write-miss policies (no-allocate policies
-// paired with write-through, as in §4).
-func SweepConfigs() []cache.Config {
-	var cfgs []cache.Config
-	add := func(size, line int) {
-		for _, p := range cache.WriteMissPolicies() {
-			cfg := stdConfig(size, line)
-			cfg.WriteMiss = p
-			if p == cache.WriteAround || p == cache.WriteInvalidate {
-				cfg.WriteHit = cache.WriteThrough
-			}
-			cfgs = append(cfgs, cfg)
-		}
-	}
+// policyConfig is stdConfig under write-miss policy p, run with the
+// write-hit policy §4 pairs with it.
+func policyConfig(size, lineSize int, p cache.WriteMissPolicy) cache.Config {
+	cfg := stdConfig(size, lineSize)
+	cfg.WriteMiss = p
+	cfg.WriteHit = p.PairedWriteHit()
+	return cfg
+}
+
+// geom is one (capacity, line size) point of the paper's sweeps.
+type geom struct{ size, line int }
+
+// sweepGeoms enumerates the geometries the paper figures sweep: the
+// capacity sweep at 16B lines, then the line-size sweep at 8KB.
+func sweepGeoms() []geom {
+	var geoms []geom
 	for _, size := range CacheSizes {
-		add(size, StdLineSize)
+		geoms = append(geoms, geom{size, StdLineSize})
 	}
 	for _, line := range LineSizes {
 		if line != StdLineSize {
-			add(StdCacheSize, line)
+			geoms = append(geoms, geom{StdCacheSize, line})
+		}
+	}
+	return geoms
+}
+
+// SweepConfigs enumerates every cache configuration the paper figures
+// consult: every sweep geometry under all four write-miss policies
+// (see policyConfig).
+func SweepConfigs() []cache.Config {
+	var cfgs []cache.Config
+	for _, g := range sweepGeoms() {
+		for _, p := range cache.WriteMissPolicies() {
+			cfgs = append(cfgs, policyConfig(g.size, g.line, p))
 		}
 	}
 	return cfgs

@@ -76,20 +76,13 @@ var strategies = []cache.WriteMissPolicy{cache.WriteValidate, cache.WriteAround,
 // reduction when leaving old lines resident also avoids read misses
 // (the paper's liver case).
 func missReductions(e *Env, ti, size, line int) (map[cache.WriteMissPolicy][2]float64, error) {
-	base := stdConfig(size, line)
-	fow, err := e.CacheStats(ti, base)
+	fow, err := e.CacheStats(ti, stdConfig(size, line))
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[cache.WriteMissPolicy][2]float64, len(strategies))
 	for _, p := range strategies {
-		cfg := base
-		cfg.WriteMiss = p
-		if p == cache.WriteAround || p == cache.WriteInvalidate {
-			// No-allocate policies are write-through policies (§4).
-			cfg.WriteHit = cache.WriteThrough
-		}
-		cs, err := e.CacheStats(ti, cfg)
+		cs, err := e.CacheStats(ti, policyConfig(size, line, p))
 		if err != nil {
 			return nil, err
 		}
@@ -178,27 +171,12 @@ func fig17(e *Env) (Result, error) {
 		Title:   "Relative order of fetch traffic for write miss alternatives (empirical check)",
 		Columns: []string{"benchmark", "config", "WV misses", "WA misses", "WI misses", "FOW misses", "order holds"},
 	}
-	type geom struct{ size, line int }
-	var geoms []geom
-	for _, s := range CacheSizes {
-		geoms = append(geoms, geom{s, StdLineSize})
-	}
-	for _, l := range LineSizes {
-		if l != StdLineSize {
-			geoms = append(geoms, geom{StdCacheSize, l})
-		}
-	}
 	violations := 0
 	for ti, t := range e.Traces {
-		for _, g := range geoms {
+		for _, g := range sweepGeoms() {
 			m := map[cache.WriteMissPolicy]uint64{}
 			for _, p := range cache.WriteMissPolicies() {
-				cfg := stdConfig(g.size, g.line)
-				cfg.WriteMiss = p
-				if p == cache.WriteAround || p == cache.WriteInvalidate {
-					cfg.WriteHit = cache.WriteThrough
-				}
-				cs, err := e.CacheStats(ti, cfg)
+				cs, err := e.CacheStats(ti, policyConfig(g.size, g.line, p))
 				if err != nil {
 					return Result{}, err
 				}

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/vfs"
@@ -83,7 +82,7 @@ func TestPoisonUnitQuarantine(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "poison.ckpt")
 	var poisoned, retried, collected atomic.Int64
 	err := RunUnits(context.Background(), units, Options{
-		Workers: 1, Retries: 1, RetryBackoff: time.Millisecond,
+		Workers: 1, Retries: 1,
 		Checkpoint: ckpt,
 		Quarantine: true,
 		OnEvent: func(e Event) {
@@ -125,7 +124,7 @@ func TestPoisonSkippedOnResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "poison.ckpt")
 	opts := func(onEvent func(Event)) Options {
 		return Options{
-			Workers: 1, Retries: 1, RetryBackoff: time.Millisecond,
+			Workers: 1, Retries: 1,
 			Checkpoint: ckpt, Quarantine: true, OnEvent: onEvent,
 		}
 	}

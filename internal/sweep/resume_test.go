@@ -206,7 +206,7 @@ func TestRunUnitsRetriesFailedUnit(t *testing.T) {
 	}
 	var retried atomic.Int64
 	err := RunUnits(context.Background(), units, Options{
-		Workers: 1, Retries: 2, RetryBackoff: time.Millisecond,
+		Workers: 1, Retries: 2,
 		OnEvent: func(e Event) {
 			if e.Kind == UnitRetried {
 				retried.Add(1)

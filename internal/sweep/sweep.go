@@ -34,6 +34,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cachewrite/internal/cache"
@@ -234,8 +235,8 @@ type Event struct {
 	Err error
 	// Worker is the scheduler pool index that produced a UnitDone or
 	// UnitRetried event (-1 for events with no owning worker, e.g.
-	// UnitRestored and journal events). Exposed so tests and progress
-	// UIs can observe the trace-affinity/work-stealing behaviour.
+	// UnitRestored and journal events), so progress reports can show
+	// what each worker ran and when.
 	Worker int
 }
 
@@ -261,12 +262,10 @@ type Options struct {
 	// OnEvent (UnitStalled). Zero disables the watchdog.
 	SoftDeadline time.Duration
 	// Retries is how many times a failed unit is re-attempted (with
-	// exponential backoff) before the sweep fails with a structured
-	// *resilience.UnitError. Zero means fail on the first error.
+	// exponential backoff from 10ms) before the sweep fails with a
+	// structured *resilience.UnitError. Zero means fail on the first
+	// error.
 	Retries int
-	// RetryBackoff is the wait before a unit's first retry, doubling on
-	// each subsequent one (default 10ms).
-	RetryBackoff time.Duration
 	// OnEvent, when non-nil, receives structured progress events. It is
 	// called under the scheduler's collect lock — keep it fast.
 	OnEvent func(Event)
@@ -434,14 +433,9 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 			cancel()
 		})
 	}
-	// Trace-affinity scheduling: units are partitioned into per-worker
-	// queues grouped by trace (see steal.go), so each streamed trace
-	// stays hot in one worker's cache; workers that drain their own
-	// queue steal from the others instead of idling.
-	var queues *stealQueues
-	if workers > 0 {
-		queues = newStealQueues(pending, workers)
-	}
+	// Workers claim pending units in input order through one shared
+	// cursor; an idle worker always takes the next unclaimed unit.
+	var cursor atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -450,15 +444,16 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 				if gctx.Err() != nil {
 					return
 				}
-				u, ok := queues.next(w)
-				if !ok {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(pending) {
 					return
 				}
+				u := pending[i]
 				key := u.Key()
 				task := watchdog.Begin(key)
 				var stats []cache.Stats
 				err := resilience.Retry(gctx, key,
-					resilience.RetryConfig{Attempts: opt.Retries + 1, Backoff: opt.RetryBackoff},
+					resilience.RetryConfig{Attempts: opt.Retries + 1},
 					func() error {
 						var gerr error
 						stats, gerr = gang(gctx, u.Trace, u.Cfgs, task)

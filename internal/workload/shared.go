@@ -144,45 +144,3 @@ func (s *SharedTraces) evictLocked() {
 		s.dropLocked(key)
 	}
 }
-
-// sharedByDir holds one process-wide SharedTraces provider per cache
-// directory, so every subsystem asking for the same (workload, scale)
-// — CLI sweeps, the bench harness, concurrent service sessions —
-// shares a single decode instead of each holding a duplicate.
-var (
-	sharedMu    sync.Mutex
-	sharedByDir = map[string]*SharedTraces{}
-)
-
-// SharedFor returns the process-wide shared trace provider for the
-// on-disk cache at dir (empty dir: generation only, still shared
-// in-memory). Providers are created on first use and live for the
-// process; repeated calls with the same dir return the same provider.
-func SharedFor(dir string) *SharedTraces {
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	s, ok := sharedByDir[dir]
-	if !ok {
-		s = NewSharedTraces(dir, 16)
-		sharedByDir[dir] = s
-	}
-	return s
-}
-
-// GenerateAllShared produces the six paper benchmarks in paper order
-// through the process-wide shared provider for dir: concurrent callers
-// (sweep workers, racing sessions) never hold duplicate decodes of the
-// same trace. Returned traces are shared and must be treated as
-// read-only; use Trace.Slice for capped views.
-func GenerateAllShared(ctx context.Context, dir string, scale int) ([]*trace.Trace, error) {
-	s := SharedFor(dir)
-	ts := make([]*trace.Trace, 0, len(PaperOrder()))
-	for _, name := range PaperOrder() {
-		t, err := s.Get(ctx, name, scale)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-	return ts, nil
-}

@@ -119,34 +119,3 @@ func TestSharedTracesErrorNotCached(t *testing.T) {
 		t.Fatalf("failed flight was cached; Len = %d, want 0", s.Len())
 	}
 }
-
-// TestSharedForProcessWide: the per-dir provider registry returns the
-// same provider for the same dir and distinct providers for distinct
-// dirs, and GenerateAllShared serves the paper set through it with
-// one decode per trace.
-func TestSharedForProcessWide(t *testing.T) {
-	dir := t.TempDir()
-	if SharedFor(dir) != SharedFor(dir) {
-		t.Fatal("SharedFor returned distinct providers for the same dir")
-	}
-	if SharedFor(dir) == SharedFor(t.TempDir()) {
-		t.Fatal("SharedFor shares a provider across distinct dirs")
-	}
-	ts, err := GenerateAllShared(context.Background(), dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != len(PaperOrder()) {
-		t.Fatalf("got %d traces, want %d", len(ts), len(PaperOrder()))
-	}
-	// A second call returns the very same shared decodes, not copies.
-	ts2, err := GenerateAllShared(context.Background(), dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ts {
-		if ts[i] != ts2[i] {
-			t.Errorf("trace %d (%s) was decoded twice", i, ts[i].Name)
-		}
-	}
-}
