@@ -17,10 +17,18 @@ build: require-go
 test: require-go
 	$(GO) test ./...
 
-# lint runs the repository's own analyzer suite (see docs/simlint.md).
-# Always ./... — hotpath facts are collected module-wide and deadcode
-# needs every command as a root, so subset runs report false positives.
+# lint fails on any file gofmt would change (the nested perfbench
+# module included), then runs the repository's own analyzer suite (see
+# docs/simlint.md). Always ./... — hotpath facts are collected
+# module-wide and deadcode needs every command as a root, so subset
+# runs report false positives.
 lint: require-go
+	@unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l .) || exit 1; \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt would reformat these files (run gofmt -w):" >&2; \
+		echo "$$unformatted" >&2; \
+		exit 1; \
+	fi
 	$(GO) run ./cmd/simlint ./...
 
 # check is the pre-merge gate: simlint, go vet, the full suite under

@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"cachewrite/internal/advisor"
+	"cachewrite/internal/cache"
 	"cachewrite/internal/trace"
 	"cachewrite/internal/workload"
 )
@@ -67,12 +68,8 @@ func main() {
 		fmt.Printf("RECOMMENDED write cache:        %d entries (8B lines)\n", adv.WriteCacheEntries)
 	}
 	fmt.Printf("\nestimated CPI by write-miss policy:\n")
-	for _, p := range []string{"fetch-on-write", "write-validate", "write-around", "write-invalidate"} {
-		for pol, cpi := range adv.CPI {
-			if pol.String() == p {
-				fmt.Printf("  %-18s %.3f\n", p, cpi)
-			}
-		}
+	for _, p := range []cache.WriteMissPolicy{cache.FetchOnWrite, cache.WriteValidate, cache.WriteAround, cache.WriteInvalidate} {
+		fmt.Printf("  %-18s %.3f\n", p, adv.CPI[p])
 	}
 	fmt.Printf("\nrationale:\n%s", adv.Rationale)
 }

@@ -63,7 +63,7 @@ func main() {
 	}
 	if *confFile == "" {
 		// Flag-based variants (a -config file carries its own).
-		r, err := core.ParseReplacement(*repl)
+		r, err := cache.ParseReplacement(*repl)
 		if err != nil {
 			fail(err)
 		}
@@ -119,27 +119,13 @@ func main() {
 }
 
 func buildConfig(size, line, assoc int, hit, miss string, l2Size, l2Line, wcEntries int) (core.Config, error) {
-	var hitP cache.WriteHitPolicy
-	switch hit {
-	case "write-through", "wt":
-		hitP = cache.WriteThrough
-	case "write-back", "wb":
-		hitP = cache.WriteBack
-	default:
-		return core.Config{}, fmt.Errorf("unknown write-hit policy %q", hit)
+	hitP, err := cache.ParseWriteHit(hit)
+	if err != nil {
+		return core.Config{}, err
 	}
-	var missP cache.WriteMissPolicy
-	switch miss {
-	case "fetch-on-write", "fow":
-		missP = cache.FetchOnWrite
-	case "write-validate", "wv":
-		missP = cache.WriteValidate
-	case "write-around", "wa":
-		missP = cache.WriteAround
-	case "write-invalidate", "wi":
-		missP = cache.WriteInvalidate
-	default:
-		return core.Config{}, fmt.Errorf("unknown write-miss policy %q", miss)
+	missP, err := cache.ParseWriteMiss(miss)
+	if err != nil {
+		return core.Config{}, err
 	}
 	cfg := core.Config{L1: cache.Config{
 		Size: size, LineSize: line, Assoc: assoc, WriteHit: hitP, WriteMiss: missP,

@@ -33,8 +33,8 @@ import (
 	"time"
 
 	"cachewrite/internal/cache"
-	"cachewrite/internal/core"
 	"cachewrite/internal/resilience"
+	"cachewrite/internal/serve"
 	"cachewrite/internal/sweep"
 	"cachewrite/internal/trace"
 	"cachewrite/internal/workload"
@@ -120,53 +120,25 @@ func main() {
 	}
 }
 
-// buildSweep parses the comma-separated axis lists into the cartesian
-// set of valid configurations (invalid combinations are skipped).
+// buildSweep fills a serve.JobSpec from the comma-separated axis lists
+// and expands its cartesian grid, skipping invalid combinations.
 func buildSweep(sizes, lines, assocs, hits, misses string) ([]cache.Config, error) {
-	sizeVals, err := parseInts(sizes)
-	if err != nil {
+	var spec serve.JobSpec
+	var err error
+	if spec.Sizes, err = parseInts(sizes); err != nil {
 		return nil, fmt.Errorf("sizes: %w", err)
 	}
-	lineVals, err := parseInts(lines)
-	if err != nil {
+	if spec.Lines, err = parseInts(lines); err != nil {
 		return nil, fmt.Errorf("lines: %w", err)
 	}
-	assocVals, err := parseInts(assocs)
-	if err != nil {
+	if spec.Assocs, err = parseInts(assocs); err != nil {
 		return nil, fmt.Errorf("assocs: %w", err)
 	}
-	var hitVals []cache.WriteHitPolicy
-	for _, s := range strings.Split(hits, ",") {
-		p, err := core.ParseWriteHit(strings.TrimSpace(s))
-		if err != nil {
-			return nil, err
-		}
-		hitVals = append(hitVals, p)
-	}
-	var missVals []cache.WriteMissPolicy
-	for _, s := range strings.Split(misses, ",") {
-		p, err := core.ParseWriteMiss(strings.TrimSpace(s))
-		if err != nil {
-			return nil, err
-		}
-		missVals = append(missVals, p)
-	}
-
-	var cfgs []cache.Config
-	for _, size := range sizeVals {
-		for _, line := range lineVals {
-			for _, assoc := range assocVals {
-				for _, hit := range hitVals {
-					for _, miss := range missVals {
-						cfg := cache.Config{Size: size, LineSize: line, Assoc: assoc,
-							WriteHit: hit, WriteMiss: miss}
-						if cfg.Validate() == nil {
-							cfgs = append(cfgs, cfg)
-						}
-					}
-				}
-			}
-		}
+	spec.WriteHits = splitList(hits)
+	spec.WriteMisses = splitList(misses)
+	cfgs, err := spec.Configs()
+	if err != nil {
+		return nil, err
 	}
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cachesweep: no valid configurations in the sweep")
@@ -191,17 +163,15 @@ func runSweep(ctx context.Context, w io.Writer, tr *trace.Trace, cfgs []cache.Co
 	if err != nil {
 		return err
 	}
-	for i, cfg := range cfgs {
-		s := all[0][i]
-		inst := float64(s.Instructions)
+	for _, r := range serve.RowsFor(cfgs, all[0]) {
 		row := []string{
-			strconv.Itoa(cfg.Size), strconv.Itoa(cfg.LineSize), strconv.Itoa(cfg.Assoc),
-			cfg.WriteHit.String(), cfg.WriteMiss.String(),
-			fmt.Sprintf("%.6f", s.MissRate()),
-			fmt.Sprintf("%.4f", 100*s.WriteMissFraction()),
-			fmt.Sprintf("%.4f", 100*s.WritesToDirtyFraction()),
-			fmt.Sprintf("%.6f", float64(s.BacksideTransactions())/inst),
-			fmt.Sprintf("%.6f", float64(s.BacksideBytes(false))/inst),
+			strconv.Itoa(r.Size), strconv.Itoa(r.Line), strconv.Itoa(r.Assoc),
+			r.WriteHit, r.WriteMiss,
+			fmt.Sprintf("%.6f", r.MissRate),
+			fmt.Sprintf("%.4f", r.WriteMissPct),
+			fmt.Sprintf("%.4f", r.WritesToDirtyPct),
+			fmt.Sprintf("%.6f", r.BacksideTxPerInstr),
+			fmt.Sprintf("%.6f", r.BacksideBytesPerInstr),
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -211,10 +181,20 @@ func runSweep(ctx context.Context, w io.Writer, tr *trace.Trace, cfgs []cache.Co
 	return cw.Error()
 }
 
+// splitList splits a comma-separated flag value, trimming whitespace
+// around each element.
+func splitList(s string) []string {
+	parts := strings.Split(s, ",")
+	for i, p := range parts {
+		parts[i] = strings.TrimSpace(p)
+	}
+	return parts
+}
+
 func parseInts(s string) ([]int, error) {
 	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+	for _, part := range splitList(s) {
+		v, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, err
 		}

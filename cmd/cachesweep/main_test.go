@@ -64,7 +64,7 @@ func TestBuildSweepErrors(t *testing.T) {
 }
 
 func TestBuildSweepPolicyParsing(t *testing.T) {
-	cfgs, err := buildSweep("1024", "16", "1", "wt,wb", "fow,wv,wa,wi")
+	cfgs, err := buildSweep("1024", "16", "1", " WT,wb", "fow, wv,WA,wi")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,8 @@ func TestRunSweepResume(t *testing.T) {
 		}
 		tr.Append(trace.Event{Addr: uint32(i*16) % 8192, Size: 4, Kind: k})
 	}
-	cfgs, err := buildSweep("1024,4096", "16,32", "1", "wb", "fow,wv")
+	// 12 configurations: two sweep units, the second one short.
+	cfgs, err := buildSweep("1024,4096,8192", "16,32", "1", "wb", "fow,wv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestRunSweepResume(t *testing.T) {
 	}
 
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	opt := sweep.Options{Workers: 1, Shard: 1, Checkpoint: ckpt, CheckpointEvery: 1}
+	opt := sweep.Options{Workers: 1, Checkpoint: ckpt, CheckpointEvery: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var discard bytes.Buffer

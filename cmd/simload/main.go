@@ -526,4 +526,3 @@ func (p *serverProc) stop() {
 		_ = cmd.Wait()
 	}
 }
-

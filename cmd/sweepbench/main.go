@@ -70,7 +70,7 @@ type Report struct {
 	// kernel path the gang engine actually runs, and the generic
 	// per-event Access path kept for comparison.
 	BatchNsPerEvent      float64 `json:"batch_ns_per_event"`
-	BatchAllocsPerEvent  float64 `json:"batch_allocs_per_event"`  // acceptance: 0
+	BatchAllocsPerEvent  float64 `json:"batch_allocs_per_event"` // acceptance: 0
 	AccessNsPerEvent     float64 `json:"access_ns_per_event"`
 	AccessAllocsPerEvent float64 `json:"access_allocs_per_event"` // acceptance: 0
 

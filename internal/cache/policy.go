@@ -14,7 +14,10 @@
 // (Figs 20–25).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // WriteHitPolicy selects what happens when a write hits in the cache
 // (paper §3).
@@ -256,57 +259,74 @@ func fmtSize(n int) string {
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
+// ParseWriteHit maps a write-hit policy name, the paper's or its short
+// form ("write-through"/"wt", "write-back"/"wb"), case-insensitively
+// to the enum.
+func ParseWriteHit(s string) (WriteHitPolicy, error) {
+	switch strings.ToLower(s) {
+	case "write-through", "wt":
+		return WriteThrough, nil
+	case "write-back", "wb":
+		return WriteBack, nil
+	}
+	return 0, fmt.Errorf("cache: unknown write-hit policy %q", s)
+}
+
+// ParseWriteMiss maps a write-miss policy name, the paper's or its
+// short form (fow, wv, wa, wi), case-insensitively to the enum.
+func ParseWriteMiss(s string) (WriteMissPolicy, error) {
+	switch strings.ToLower(s) {
+	case "fetch-on-write", "fow":
+		return FetchOnWrite, nil
+	case "write-validate", "wv":
+		return WriteValidate, nil
+	case "write-around", "wa":
+		return WriteAround, nil
+	case "write-invalidate", "wi":
+		return WriteInvalidate, nil
+	}
+	return 0, fmt.Errorf("cache: unknown write-miss policy %q", s)
+}
+
+// ParseReplacement maps a replacement policy name case-insensitively
+// to the enum; the empty string means LRU.
+func ParseReplacement(s string) (Replacement, error) {
+	switch strings.ToLower(s) {
+	case "", "lru":
+		return LRU, nil
+	case "fifo":
+		return FIFO, nil
+	case "random":
+		return Random, nil
+	}
+	return 0, fmt.Errorf("cache: unknown replacement policy %q", s)
+}
+
 // MarshalText implements encoding.TextMarshaler so configurations and
 // results serialize with policy names rather than enum numbers.
 func (p WriteHitPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (p *WriteHitPolicy) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "write-through", "wt":
-		*p = WriteThrough
-	case "write-back", "wb":
-		*p = WriteBack
-	default:
-		return fmt.Errorf("cache: unknown write-hit policy %q", b)
-	}
-	return nil
+// UnmarshalText implements encoding.TextUnmarshaler through ParseWriteHit.
+func (p *WriteHitPolicy) UnmarshalText(b []byte) (err error) {
+	*p, err = ParseWriteHit(string(b))
+	return err
 }
 
 // MarshalText implements encoding.TextMarshaler.
 func (p WriteMissPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (p *WriteMissPolicy) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "fetch-on-write", "fow":
-		*p = FetchOnWrite
-	case "write-validate", "wv":
-		*p = WriteValidate
-	case "write-around", "wa":
-		*p = WriteAround
-	case "write-invalidate", "wi":
-		*p = WriteInvalidate
-	default:
-		return fmt.Errorf("cache: unknown write-miss policy %q", b)
-	}
-	return nil
+// UnmarshalText implements encoding.TextUnmarshaler through ParseWriteMiss.
+func (p *WriteMissPolicy) UnmarshalText(b []byte) (err error) {
+	*p, err = ParseWriteMiss(string(b))
+	return err
 }
 
 // MarshalText implements encoding.TextMarshaler.
 func (r Replacement) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (r *Replacement) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "lru", "":
-		*r = LRU
-	case "fifo":
-		*r = FIFO
-	case "random":
-		*r = Random
-	default:
-		return fmt.Errorf("cache: unknown replacement policy %q", b)
-	}
-	return nil
+// UnmarshalText implements encoding.TextUnmarshaler through
+// ParseReplacement.
+func (r *Replacement) UnmarshalText(b []byte) (err error) {
+	*r, err = ParseReplacement(string(b))
+	return err
 }

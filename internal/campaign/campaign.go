@@ -89,6 +89,10 @@ func StandardArm(spec string, opt Options) (Arm, error) {
 	if !ok {
 		return Arm{}, fmt.Errorf("campaign: arm %q: want <wt|wb>+<parity|ecc|none>", spec)
 	}
+	hit, err := cache.ParseWriteHit(policy)
+	if err != nil {
+		return Arm{}, fmt.Errorf("campaign: arm %q: %w", spec, err)
+	}
 	scheme, err := faults.ParseScheme(schemeName)
 	if err != nil {
 		return Arm{}, fmt.Errorf("campaign: arm %q: %w", spec, err)
@@ -102,13 +106,10 @@ func StandardArm(spec string, opt Options) (Arm, error) {
 	for l := range cfg.Schemes {
 		cfg.Schemes[l] = scheme
 	}
-	l1 := cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1}
+	l1 := cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1, WriteHit: hit, WriteMiss: cache.FetchOnWrite}
 	l2 := cache.Config{Size: 64 << 10, LineSize: 32, Assoc: 2,
 		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
-	switch policy {
-	case "wt":
-		l1.WriteHit = cache.WriteThrough
-		l1.WriteMiss = cache.FetchOnWrite
+	if hit == cache.WriteThrough {
 		l2.WriteHit = cache.WriteThrough
 		cfg.Hierarchy = hierarchy.Config{
 			L1:         l1,
@@ -116,12 +117,8 @@ func StandardArm(spec string, opt Options) (Arm, error) {
 			L2:         &l2,
 		}
 		cfg.Buffer = &writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: 8}
-	case "wb":
-		l1.WriteHit = cache.WriteBack
-		l1.WriteMiss = cache.FetchOnWrite
+	} else {
 		cfg.Hierarchy = hierarchy.Config{L1: l1, L2: &l2}
-	default:
-		return Arm{}, fmt.Errorf("campaign: arm %q: unknown policy %q (want wt or wb)", spec, policy)
 	}
 	return Arm{Name: spec, Config: cfg}, nil
 }

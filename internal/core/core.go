@@ -16,6 +16,11 @@
 //
 //	cmp, _ := core.ComparePolicies(baseCfg, t)
 //	fmt.Println(cmp.TotalMissReduction(cache.WriteValidate))
+//
+// LoadConfig reads the same configuration from a JSON document (the
+// cachesim -config format). Its policy names go through
+// cache.ParseWriteHit, cache.ParseWriteMiss and cache.ParseReplacement,
+// the parsers every command shares.
 package core
 
 import (

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/writecache"
@@ -41,62 +40,17 @@ type JSONWC struct {
 	LineSize int `json:"line_size"`
 }
 
-// ParseWriteHit maps a policy name ("write-through"/"wt",
-// "write-back"/"wb") to the enum.
-func ParseWriteHit(s string) (cache.WriteHitPolicy, error) {
-	switch strings.ToLower(s) {
-	case "write-through", "wt":
-		return cache.WriteThrough, nil
-	case "write-back", "wb":
-		return cache.WriteBack, nil
-	default:
-		return 0, fmt.Errorf("core: unknown write-hit policy %q", s)
-	}
-}
-
-// ParseWriteMiss maps a policy name to the enum. Short forms fow, wv,
-// wa and wi are accepted.
-func ParseWriteMiss(s string) (cache.WriteMissPolicy, error) {
-	switch strings.ToLower(s) {
-	case "fetch-on-write", "fow":
-		return cache.FetchOnWrite, nil
-	case "write-validate", "wv":
-		return cache.WriteValidate, nil
-	case "write-around", "wa":
-		return cache.WriteAround, nil
-	case "write-invalidate", "wi":
-		return cache.WriteInvalidate, nil
-	default:
-		return 0, fmt.Errorf("core: unknown write-miss policy %q", s)
-	}
-}
-
-// ParseReplacement maps a replacement policy name to the enum; the
-// empty string means LRU.
-func ParseReplacement(s string) (cache.Replacement, error) {
-	switch strings.ToLower(s) {
-	case "", "lru":
-		return cache.LRU, nil
-	case "fifo":
-		return cache.FIFO, nil
-	case "random":
-		return cache.Random, nil
-	default:
-		return 0, fmt.Errorf("core: unknown replacement policy %q", s)
-	}
-}
-
 // toCacheConfig converts the JSON form, validating the policy names.
 func (j JSONCache) toCacheConfig() (cache.Config, error) {
-	hit, err := ParseWriteHit(j.WriteHit)
+	hit, err := cache.ParseWriteHit(j.WriteHit)
 	if err != nil {
 		return cache.Config{}, err
 	}
-	miss, err := ParseWriteMiss(j.WriteMiss)
+	miss, err := cache.ParseWriteMiss(j.WriteMiss)
 	if err != nil {
 		return cache.Config{}, err
 	}
-	repl, err := ParseReplacement(j.Replacement)
+	repl, err := cache.ParseReplacement(j.Replacement)
 	if err != nil {
 		return cache.Config{}, err
 	}

@@ -78,21 +78,6 @@ func TestLoadConfigErrors(t *testing.T) {
 	}
 }
 
-func TestParseHelpers(t *testing.T) {
-	if p, err := ParseWriteHit("WT"); err != nil || p != cache.WriteThrough {
-		t.Error("case-insensitive parse failed")
-	}
-	if _, err := ParseWriteHit(""); err == nil {
-		t.Error("empty write-hit accepted")
-	}
-	if p, err := ParseReplacement(""); err != nil || p != cache.LRU {
-		t.Error("empty replacement should default to LRU")
-	}
-	if p, err := ParseWriteMiss("WI"); err != nil || p != cache.WriteInvalidate {
-		t.Error("short-form write-miss parse failed")
-	}
-}
-
 func TestLoadConfigInclusiveAndSector(t *testing.T) {
 	doc := `{
 	  "l1": {"size": 8192, "line_size": 16, "assoc": 1,

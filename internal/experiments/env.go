@@ -204,7 +204,7 @@ func (e *Env) PrecomputeSweep(ctx context.Context, opt sweep.Options) error {
 	cfgs := SweepConfigs()
 	var units []sweep.Unit
 	for ti, t := range e.Traces {
-		units = append(units, sweep.Shard(ti, t, cfgs, opt.Shard)...)
+		units = append(units, sweep.Shard(ti, t, cfgs)...)
 	}
 	return sweep.RunUnits(ctx, units, opt, func(u sweep.Unit, stats []cache.Stats) {
 		for i, s := range stats {

@@ -8,9 +8,9 @@ import (
 // tenant's jobs keep failing on storage faults (a broken state volume,
 // a full disk the degrade paths could not absorb), re-admitting more of
 // that tenant's jobs just burns workers on a disk that cannot serve
-// them. After BreakerThreshold consecutive storage-fault jobs the
+// them. After breakerThreshold consecutive storage-fault jobs the
 // breaker opens: the tenant's submits are shed with 503 and an honest
-// Retry-After equal to the remaining cooldown. One probe job is
+// Retry-After equal to the remaining breakerCooldown. One probe job is
 // admitted after the cooldown; a clean job closes the breaker, another
 // storage-fault job reopens it immediately.
 type tenantBreaker struct {
@@ -20,6 +20,16 @@ type tenantBreaker struct {
 	// openUntil is when the cooldown ends (zero when closed).
 	openUntil time.Time
 }
+
+const (
+	// breakerThreshold is how many consecutive jobs of one tenant must
+	// end with storage-fault failures before its breaker opens.
+	breakerThreshold = 3
+	// breakerCooldown is how long an open breaker sheds a tenant's
+	// submits before admitting a probe job again, measured on the
+	// server's injected Now clock.
+	breakerCooldown = 30 * time.Second
+)
 
 // breakerWaitLocked returns the remaining cooldown for the tenant and
 // whether its breaker is currently open. Caller holds mu.
@@ -55,10 +65,10 @@ func (s *Server) recordJobStorageOutcomeLocked(tenant string, storageFault bool)
 		s.breakers[tenant] = b
 	}
 	b.consecutive++
-	if b.consecutive >= s.cfg.BreakerThreshold {
-		b.openUntil = s.now().Add(s.cfg.BreakerCooldown)
+	if b.consecutive >= breakerThreshold {
+		b.openUntil = s.now().Add(breakerCooldown)
 		s.metrics.BreakerOpens++
 		s.logf("tenant %s: circuit breaker open for %s after %d consecutive storage-fault job(s)",
-			tenant, s.cfg.BreakerCooldown, b.consecutive)
+			tenant, breakerCooldown, b.consecutive)
 	}
 }

@@ -36,19 +36,16 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 // TestBreakerShedsAfterStorageFaultJobs drives the per-tenant circuit
 // breaker end to end: a filesystem that eats every checkpoint read
-// makes the tenant's jobs die on storage faults; after BreakerThreshold
+// makes the tenant's jobs die on storage faults; after breakerThreshold
 // of them the tenant's submits are shed with an honest Retry-After,
 // and a clean probe job after the cooldown closes the breaker again.
 func TestBreakerShedsAfterStorageFaultJobs(t *testing.T) {
 	clk := newFakeClock()
 	faulty := vfs.NewFaulty(vfs.NewMem(), vfs.Plan{})
-	const cooldown = 30 * time.Second
 	s := newTestServer(t, func(c *Config) {
 		c.StateDir = "/state"
 		c.FS = faulty
 		c.Now = clk.Now
-		c.BreakerThreshold = 3
-		c.BreakerCooldown = cooldown
 	})
 	stop := startRun(t, s)
 	defer stop()
@@ -57,7 +54,7 @@ func TestBreakerShedsAfterStorageFaultJobs(t *testing.T) {
 	// Load at the start of each workload dies on a storage fault.
 	faulty.Reset(vfs.Plan{Seed: 1, Rate: 1, Kinds: vfs.KindReadEIO})
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		st := mustSubmit(t, s, testSpec("tenant-a", ""))
 		st = awaitTerminal(t, s, st.ID)
 		if st.State != StateFailed {
@@ -68,7 +65,7 @@ func TestBreakerShedsAfterStorageFaultJobs(t *testing.T) {
 		}
 	}
 	if m := s.MetricsSnapshot(); m.BreakerOpens != 1 {
-		t.Fatalf("BreakerOpens = %d, want 1 after %d storage-fault jobs", m.BreakerOpens, 3)
+		t.Fatalf("BreakerOpens = %d, want 1 after %d storage-fault jobs", m.BreakerOpens, breakerThreshold)
 	}
 
 	// The breaker is open: tenant-a is shed with the remaining cooldown.
@@ -79,9 +76,9 @@ func TestBreakerShedsAfterStorageFaultJobs(t *testing.T) {
 	if !strings.Contains(rej.Reason, "circuit breaker") {
 		t.Errorf("reason %q should name the breaker", rej.Reason)
 	}
-	if rej.RetryAfterMs != cooldown.Milliseconds() {
+	if rej.RetryAfterMs != breakerCooldown.Milliseconds() {
 		t.Errorf("RetryAfterMs = %d, want the honest remaining cooldown %d",
-			rej.RetryAfterMs, cooldown.Milliseconds())
+			rej.RetryAfterMs, breakerCooldown.Milliseconds())
 	}
 	if m := s.MetricsSnapshot(); m.RejectedBreaker != 1 {
 		t.Errorf("RejectedBreaker = %d, want 1", m.RejectedBreaker)
@@ -93,7 +90,7 @@ func TestBreakerShedsAfterStorageFaultJobs(t *testing.T) {
 
 	// Cooldown over and the disk healed: the probe job runs clean and
 	// closes the breaker.
-	clk.Advance(cooldown + time.Second)
+	clk.Advance(breakerCooldown + time.Second)
 	faulty.Reset(vfs.Plan{})
 	st = mustSubmit(t, s, testSpec("tenant-a", ""))
 	st = awaitTerminal(t, s, st.ID)
@@ -111,18 +108,17 @@ func TestBreakerShedsAfterStorageFaultJobs(t *testing.T) {
 // immediately for the next submit.
 func TestBreakerHalfOpenProbeRace(t *testing.T) {
 	clk := newFakeClock()
-	const cooldown = 30 * time.Second
 	s := newTestServer(t, func(c *Config) {
 		c.StateDir = "/state"
 		c.FS = vfs.NewMem()
 		c.Now = clk.Now
-		c.BreakerThreshold = 1
-		c.BreakerCooldown = cooldown
 	})
 
-	// One storage-fault job trips the breaker (threshold 1).
+	// breakerThreshold storage-fault jobs trip the breaker.
 	s.mu.Lock()
-	s.recordJobStorageOutcomeLocked("tenant-a", true)
+	for i := 0; i < breakerThreshold; i++ {
+		s.recordJobStorageOutcomeLocked("tenant-a", true)
+	}
 	s.mu.Unlock()
 	if _, rej, err := s.Submit(testSpec("tenant-a", "")); err != nil || rej == nil {
 		t.Fatalf("open breaker should shed: rej=%v err=%v", rej, err)
@@ -131,7 +127,7 @@ func TestBreakerHalfOpenProbeRace(t *testing.T) {
 	// Cooldown over: half-open. Race the probe slot with as many
 	// contenders as the per-tenant cap admits — every one must see the
 	// expired cooldown, none may observe a torn breaker state.
-	clk.Advance(cooldown + time.Second)
+	clk.Advance(breakerCooldown + time.Second)
 	contenders := s.cfg.PerTenant
 	var admitted, shedBreaker, shedOther atomic.Int64
 	var wg sync.WaitGroup

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cachewrite/internal/cache"
-	"cachewrite/internal/core"
 	"cachewrite/internal/workload"
 )
 
@@ -148,14 +147,15 @@ func (s *JobSpec) validate(maxConfigs int) error {
 	return nil
 }
 
-// Configs expands the normalized spec's cartesian grid, skipping
-// invalid combinations exactly like cmd/cachesweep does. Exported so
-// the load harness can rebuild the server's exact configuration
-// order when computing golden results.
+// Configs expands the normalized spec's cartesian grid in size, line,
+// assoc, write-hit, write-miss order, skipping invalid combinations.
+// It is the one grid expansion: cmd/cachesweep builds its sweep
+// through it, and the load harness and the benchmark rebuild the
+// server's exact configuration order with it.
 func (s *JobSpec) Configs() ([]cache.Config, error) {
 	var hits []cache.WriteHitPolicy
 	for _, h := range s.WriteHits {
-		p, err := core.ParseWriteHit(h)
+		p, err := cache.ParseWriteHit(h)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +163,7 @@ func (s *JobSpec) Configs() ([]cache.Config, error) {
 	}
 	var misses []cache.WriteMissPolicy
 	for _, m := range s.WriteMisses {
-		p, err := core.ParseWriteMiss(m)
+		p, err := cache.ParseWriteMiss(m)
 		if err != nil {
 			return nil, err
 		}
@@ -201,9 +201,10 @@ func (s *JobSpec) deadline(def, max time.Duration) time.Duration {
 	return d
 }
 
-// Row is one configuration's results, mirroring cmd/cachesweep's CSV
-// columns as JSON. Rows are derived deterministically from cache.Stats,
-// so a resumed job reports bytes identical to an uninterrupted one.
+// Row is one configuration's results. cmd/cachesweep prints the same
+// rows as CSV columns and simserved returns them as JSON. Rows are
+// derived deterministically from cache.Stats, so a resumed job reports
+// bytes identical to an uninterrupted one.
 type Row struct {
 	Size                  int     `json:"size"`
 	Line                  int     `json:"line"`
@@ -217,9 +218,9 @@ type Row struct {
 	BacksideBytesPerInstr float64 `json:"backside_bytes_per_instr"`
 }
 
-// RowsFor derives the response rows for one workload from the sweep's
-// per-configuration stats. Exported so the load harness can compute
-// the golden answer with the same arithmetic.
+// RowsFor derives the rows for one workload from the sweep's
+// per-configuration stats. It is the one row derivation: the server,
+// cmd/cachesweep, the load harness and the benchmark all use it.
 func RowsFor(cfgs []cache.Config, stats []cache.Stats) []Row {
 	rows := make([]Row, len(cfgs))
 	for i, cfg := range cfgs {

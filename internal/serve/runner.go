@@ -222,13 +222,13 @@ func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name str
 	if j.Spec.Events > 0 && t.Len() > j.Spec.Events {
 		t = t.Slice(0, j.Spec.Events)
 	}
-	units := sweep.Shard(ti, t, cfgs, 0)
+	units := sweep.Shard(ti, t, cfgs)
 	stats := make([]cache.Stats, len(cfgs))
 	opt := sweep.Options{
 		Workers:      s.cfg.SweepWorkers,
 		Checkpoint:   s.ckptPath(j.ID, ti),
 		Retries:      s.cfg.Retries,
-		SoftDeadline: s.cfg.StallWarn,
+		SoftDeadline: stallWarn,
 		FS:           s.fs,
 		Quarantine:   true,
 		OnEvent: func(e sweep.Event) {

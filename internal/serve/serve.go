@@ -91,9 +91,6 @@ type Config struct {
 	// Retries is the per-unit retry budget inside each sweep
 	// (default 1; negative disables retries).
 	Retries int
-	// StallWarn is the per-unit soft deadline for the sweep watchdog;
-	// stalls are surfaced in statusz counters (default 30s).
-	StallWarn time.Duration
 	// DrainGrace is how long Run waits for running jobs after ctx is
 	// cancelled before cancelling them into their checkpoints
 	// (default 5s).
@@ -111,14 +108,6 @@ type Config struct {
 	// real one). The chaos harness passes a vfs.Faulty here to prove
 	// the service degrades honestly under storage faults.
 	FS vfs.FS
-	// BreakerThreshold is how many consecutive jobs of one tenant must
-	// end with storage-fault failures before that tenant's circuit
-	// breaker opens (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds a tenant's
-	// submits before admitting a probe job again (default 30s). The
-	// cooldown is measured on the injected Now clock.
-	BreakerCooldown time.Duration
 	// Now is the clock (required by the determinism contract to be
 	// injected; cmd/simserved passes time.Now). Wall-clock values feed
 	// only Retry-After estimates, never results.
@@ -126,6 +115,10 @@ type Config struct {
 	// Logf receives operational log lines (default os.Stderr).
 	Logf func(format string, args ...any)
 }
+
+// stallWarn is the per-unit soft deadline for the sweep watchdog;
+// stalls are surfaced in statusz counters.
+const stallWarn = 30 * time.Second
 
 // journalVersion is the job-record schema version; bump when job or
 // JobSpec changes shape. Version 1 was one whole-table jobs.journal.
@@ -224,20 +217,11 @@ func New(cfg Config) (*Server, error) {
 	} else if cfg.Retries == 0 {
 		cfg.Retries = 1
 	}
-	if cfg.StallWarn <= 0 {
-		cfg.StallWarn = 30 * time.Second
-	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.BreakerThreshold < 1 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 30 * time.Second
 	}
 	if cfg.FS == nil {
 		cfg.FS = vfs.OS{}
@@ -452,12 +436,12 @@ func (s *Server) Health() Health {
 }
 
 // MetricsSnapshot returns the statusz counters. StoreDegraded is read
-// from the process-wide trace-cache counters at snapshot time.
+// from the process-wide trace-cache counter at snapshot time.
 func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.metrics
-	m.StoreDegraded = workload.CacheStatsSnapshot().StoreDegraded
+	m.StoreDegraded = workload.StoreDegraded()
 	return m
 }
 

@@ -33,7 +33,6 @@ func testConfig(t testing.TB) Config {
 		DefaultDeadline: time.Minute,
 		MaxDeadline:     time.Minute,
 		DrainGrace:      200 * time.Millisecond,
-		StallWarn:       time.Minute,
 		TraceMem:        4,
 		Now:             time.Now,
 		Logf:            func(string, ...any) {}, // tests assert, they don't read logs

@@ -56,10 +56,10 @@ var LockedPackages = []string{
 	"internal/experiments", // the Env memos and the coherence worker pool
 }
 
-// StatsPackages publish counter structs (serve statusz metrics,
-// workload CacheStats, coherence traffic Stats) whose accounting must
-// be sound: every counter both bumped somewhere in the module and read
-// by an exported snapshot/Stats/statusz emitter.
+// StatsPackages publish counters (serve statusz metrics, the workload
+// trace cache's store-degraded count, coherence traffic Stats) whose
+// accounting must be sound: every counter both bumped somewhere in the
+// module and read by an exported snapshot/Stats/statusz emitter.
 var StatsPackages = []string{
 	"internal/serve",
 	"internal/workload",

@@ -20,14 +20,14 @@ func TestRunUnitsNoStarvation(t *testing.T) {
 		lens           []int
 		cfgs           []cache.Config
 	}{
-		{workers: 3, units: 3 * ((len(policyConfigs()) + 1) / 2), lens: []int{100, 50000, 200}, cfgs: policyConfigs()},
-		{workers: 4, units: 2, lens: []int{300}, cfgs: policyConfigs()[:4]},
+		{workers: 3, units: 3 * ((len(policyConfigs()) + DefaultShard - 1) / DefaultShard), lens: []int{100, 50000, 200}, cfgs: policyConfigs()},
+		{workers: 4, units: 2, lens: []int{300}, cfgs: policyConfigs()[:12]},
 	} {
 		var units []Unit
 		for ti, n := range tc.lens {
 			tr := testTrace(n)
 			tr.Name = string(rune('a' + ti))
-			units = append(units, Shard(ti, tr, tc.cfgs, 2)...)
+			units = append(units, Shard(ti, tr, tc.cfgs)...)
 		}
 		if len(units) != tc.units {
 			t.Fatalf("workers=%d: sharded %d units, want %d", tc.workers, len(units), tc.units)
@@ -77,14 +77,13 @@ func TestUnevenDurationsByteIdentical(t *testing.T) {
 	for i, tr := range traces {
 		tr.Name = string(rune('a' + i))
 	}
-	cfgs := policyConfigs()
+	cfgs := policyConfigs()[:60] // per trace: seven full units and a short one
 
 	var mu sync.Mutex
 	done := map[string]int{}
 	workersSeen := map[int]bool{}
 	opt := Options{
 		Workers: 4,
-		Shard:   3,
 		OnEvent: func(e Event) {
 			if e.Kind == UnitDone {
 				mu.Lock()
@@ -108,7 +107,7 @@ func TestUnevenDurationsByteIdentical(t *testing.T) {
 	}
 	wantUnits := 0
 	for range traces {
-		wantUnits += (len(cfgs) + 2) / 3
+		wantUnits += (len(cfgs) + DefaultShard - 1) / DefaultShard
 	}
 	if len(done) != wantUnits {
 		t.Errorf("%d distinct units completed, want %d", len(done), wantUnits)

@@ -43,10 +43,10 @@ import (
 	"cachewrite/internal/vfs"
 )
 
-// DefaultShard is the default number of configurations driven by one
-// gang pass. Large enough to amortize the per-event fan-out loop,
-// small enough that a full paper sweep still splits into several times
-// more units than cores.
+// DefaultShard is the number of configurations driven by one gang
+// pass; every sweep shards by it. Large enough to amortize the
+// per-event fan-out loop, small enough that a full paper sweep still
+// splits into several times more units than cores.
 const DefaultShard = 8
 
 // Gang simulates every configuration over the trace in a single pass
@@ -166,20 +166,14 @@ type Unit struct {
 	Base int
 }
 
-// Shard splits cfgs into shards of at most size configurations and
-// pairs each with the trace, producing independent units. size < 1
-// uses DefaultShard. The shards partition cfgs in order (unit i covers
-// cfgs[i*size : (i+1)*size]).
-func Shard(ti int, t *trace.Trace, cfgs []cache.Config, size int) []Unit {
-	if size < 1 {
-		size = DefaultShard
-	}
-	units := make([]Unit, 0, (len(cfgs)+size-1)/size)
-	for base := 0; base < len(cfgs); base += size {
-		end := base + size
-		if end > len(cfgs) {
-			end = len(cfgs)
-		}
+// Shard splits cfgs into shards of at most DefaultShard configurations
+// and pairs each with the trace, producing independent units. The
+// shards partition cfgs in order (unit i covers
+// cfgs[i*DefaultShard : (i+1)*DefaultShard]).
+func Shard(ti int, t *trace.Trace, cfgs []cache.Config) []Unit {
+	units := make([]Unit, 0, (len(cfgs)+DefaultShard-1)/DefaultShard)
+	for base := 0; base < len(cfgs); base += DefaultShard {
+		end := min(base+DefaultShard, len(cfgs))
 		units = append(units, Unit{TraceIndex: ti, Trace: t, Cfgs: cfgs[base:end], Base: base})
 	}
 	return units
@@ -244,9 +238,6 @@ type Event struct {
 type Options struct {
 	// Workers is the scheduler pool size; < 1 means GOMAXPROCS.
 	Workers int
-	// Shard is the number of configurations per gang pass; < 1 means
-	// DefaultShard.
-	Shard int
 	// Checkpoint, when non-empty, makes the sweep crash-safe: completed
 	// unit results are journaled here (atomically, with CRC and
 	// previous-snapshot fallback), and a later run of the same sweep
@@ -564,7 +555,7 @@ func Sweep(ctx context.Context, traces []*trace.Trace, cfgs []cache.Config, opt 
 	var units []Unit
 	for ti, t := range traces {
 		out[ti] = make([]cache.Stats, len(cfgs))
-		units = append(units, Shard(ti, t, cfgs, opt.Shard)...)
+		units = append(units, Shard(ti, t, cfgs)...)
 	}
 	err := RunUnits(ctx, units, opt, func(u Unit, stats []cache.Stats) {
 		copy(out[u.TraceIndex][u.Base:], stats)

@@ -112,7 +112,7 @@ func TestGangBadConfig(t *testing.T) {
 func TestShardPartitions(t *testing.T) {
 	tr := testTrace(1)
 	cfgs := policyConfigs()
-	units := Shard(3, tr, cfgs, 5)
+	units := Shard(3, tr, cfgs)
 	n := 0
 	for i, u := range units {
 		if u.TraceIndex != 3 || u.Trace != tr {
@@ -121,7 +121,7 @@ func TestShardPartitions(t *testing.T) {
 		if u.Base != n {
 			t.Fatalf("unit %d: base %d, want %d", i, u.Base, n)
 		}
-		if len(u.Cfgs) > 5 || len(u.Cfgs) == 0 {
+		if len(u.Cfgs) > DefaultShard || len(u.Cfgs) == 0 {
 			t.Fatalf("unit %d: shard of %d configs", i, len(u.Cfgs))
 		}
 		for j, cfg := range u.Cfgs {
@@ -134,8 +134,8 @@ func TestShardPartitions(t *testing.T) {
 	if n != len(cfgs) {
 		t.Fatalf("shards cover %d configs, want %d", n, len(cfgs))
 	}
-	if got := Shard(0, tr, cfgs, 0); len(got) != (len(cfgs)+DefaultShard-1)/DefaultShard {
-		t.Fatalf("default shard size: %d units", len(got))
+	if len(units) != (len(cfgs)+DefaultShard-1)/DefaultShard {
+		t.Fatalf("%d configs sharded into %d units", len(cfgs), len(units))
 	}
 }
 
@@ -144,8 +144,8 @@ func TestShardPartitions(t *testing.T) {
 func TestSweepMatchesSequential(t *testing.T) {
 	traces := []*trace.Trace{testTrace(5000), testTrace(8000).Slice(1000, 8000)}
 	traces[1].Name = "sweeptest2"
-	cfgs := policyConfigs()[:10]
-	got, err := Sweep(context.Background(), traces, cfgs, Options{Workers: 4, Shard: 3})
+	cfgs := policyConfigs()[:20] // three units, the last one short
+	got, err := Sweep(context.Background(), traces, cfgs, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRunErrorNoDeadlock(t *testing.T) {
 	bad := Unit{Trace: tr, Cfgs: []cache.Config{{}}} // invalid: fails in cache.New
 	units := []Unit{bad}
 	for i := 0; i < 256; i++ {
-		units = append(units, Shard(0, tr, policyConfigs()[:2], 1)...)
+		units = append(units, Shard(0, tr, policyConfigs()[:2])...)
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -200,7 +200,7 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := testTrace(100)
-	err := RunUnits(ctx, Shard(0, tr, policyConfigs(), 1), Options{Workers: 2}, nil)
+	err := RunUnits(ctx, Shard(0, tr, policyConfigs()), Options{Workers: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunUnits on cancelled context: err = %v, want context.Canceled", err)
 	}
@@ -211,7 +211,7 @@ func TestRunEmptyAndNilCollect(t *testing.T) {
 		t.Fatalf("RunUnits with no units: %v", err)
 	}
 	tr := testTrace(100)
-	if err := RunUnits(context.Background(), Shard(0, tr, policyConfigs()[:3], 2), Options{}, nil); err != nil {
+	if err := RunUnits(context.Background(), Shard(0, tr, policyConfigs()[:12]), Options{}, nil); err != nil {
 		t.Fatalf("RunUnits with default workers and nil collect: %v", err)
 	}
 }

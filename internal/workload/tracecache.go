@@ -42,74 +42,15 @@ var Logf = func(format string, args ...any) {
 // of existing call sites stay unchanged.
 var FS vfs.FS = vfs.OS{}
 
-// CacheEventKind names a structured trace-cache incident.
-type CacheEventKind string
+// storeDegraded counts the trace-cache stores this process downgraded
+// to in-memory generation.
+var storeDegraded atomic.Int64
 
-const (
-	// EventStoreDegraded: a cache store failed (full disk, read-only
-	// cache, injected fault) and the run continued on the in-memory
-	// trace. The cache is now cold for that entry.
-	EventStoreDegraded CacheEventKind = "store_degraded"
-	// EventQuarantine: a corrupt entry was moved aside and regenerated.
-	EventQuarantine CacheEventKind = "quarantine"
-	// EventEvict: EnforceBudget removed entries to stay under budget.
-	EventEvict CacheEventKind = "evict"
-)
-
-// CacheEvent is one structured trace-cache incident. Cause is the
-// human classification ("disk full", …); Err the underlying error.
-type CacheEvent struct {
-	Kind  CacheEventKind
-	Dir   string
-	Name  string // workload name, when the event concerns one entry
-	Cause string
-	Err   error
-}
-
-// OnCacheEvent, when non-nil, receives every structured cache event in
-// addition to the Logf warning line. The serve layer hooks it to count
-// degradations per process and expose them in /statusz.
-var OnCacheEvent func(CacheEvent)
-
-func emitCacheEvent(e CacheEvent) {
-	switch e.Kind {
-	case EventStoreDegraded:
-		cacheStoreDegraded.Add(1)
-	case EventQuarantine:
-		cacheQuarantined.Add(1)
-	}
-	if OnCacheEvent != nil {
-		OnCacheEvent(e)
-	}
-}
-
-// CacheStats is a snapshot of the process-wide trace-cache counters.
-type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	Quarantined   int64
-	StoreDegraded int64
-	Evicted       int64
-}
-
-var (
-	cacheHits          atomic.Int64
-	cacheMisses        atomic.Int64
-	cacheQuarantined   atomic.Int64
-	cacheStoreDegraded atomic.Int64
-	cacheEvicted       atomic.Int64
-)
-
-// CacheStatsSnapshot returns the current trace-cache counters.
-func CacheStatsSnapshot() CacheStats {
-	return CacheStats{
-		Hits:          cacheHits.Load(),
-		Misses:        cacheMisses.Load(),
-		Quarantined:   cacheQuarantined.Load(),
-		StoreDegraded: cacheStoreDegraded.Load(),
-		Evicted:       cacheEvicted.Load(),
-	}
-}
+// StoreDegraded returns how many trace-cache stores this process has
+// downgraded to in-memory generation because the store failed (full
+// disk, read-only cache, injected fault). simserved reports it in
+// /statusz; each downgrade is also a Logf warning.
+func StoreDegraded() int64 { return storeDegraded.Load() }
 
 // DefaultCacheDir returns the default on-disk trace cache location,
 // <user cache dir>/cachewrite/traces (e.g. ~/.cache/cachewrite/traces
@@ -220,12 +161,10 @@ func GenerateCached(dir, name string, scale int) (*trace.Trace, error) {
 	path := CachePath(dir, name, scale)
 	t, lerr := loadCached(path, name)
 	if lerr == nil {
-		cacheHits.Add(1)
 		now := time.Now()
 		_ = FS.Chtimes(path, now, now) //simlint:allow errflow LRU bump is best effort: a failed mtime refresh only skews eviction order
 		return t, nil
 	}
-	cacheMisses.Add(1)
 	if !errors.Is(lerr, fs.ErrNotExist) {
 		// The entry exists but cannot be used: quarantine it for
 		// post-mortem so the next run does not trip over it again.
@@ -234,17 +173,15 @@ func GenerateCached(dir, name string, scale int) (*trace.Trace, error) {
 			_ = FS.Remove(path) //simlint:allow errflow last-resort cleanup of an entry that can be neither read nor renamed; regeneration overwrites it
 		}
 		Logf("trace cache %s: quarantined corrupt entry and regenerating %s: %v", dir, name, lerr)
-		emitCacheEvent(CacheEvent{Kind: EventQuarantine, Dir: dir, Name: name, Cause: "corrupt entry", Err: lerr})
 	}
 	t, err := Generate(name, scale)
 	if err != nil {
 		return nil, err
 	}
 	if serr := storeCached(path, t); serr != nil {
-		cause := classifyStoreError(serr)
+		storeDegraded.Add(1)
 		Logf("trace cache %s: cannot store %s (%s); continuing with in-memory trace: %v",
-			dir, name, cause, serr)
-		emitCacheEvent(CacheEvent{Kind: EventStoreDegraded, Dir: dir, Name: name, Cause: cause, Err: serr})
+			dir, name, classifyStoreError(serr), serr)
 	}
 	return t, nil
 }
@@ -334,11 +271,8 @@ func EnforceBudget(dir string, budget int64) (int, error) {
 		evicted++
 	}
 	if evicted > 0 {
-		cacheEvicted.Add(int64(evicted))
 		Logf("trace cache %s: evicted %d least-recently-used entries to stay under %d-byte budget",
 			dir, evicted, budget)
-		emitCacheEvent(CacheEvent{Kind: EventEvict, Dir: dir,
-			Cause: fmt.Sprintf("%d entries over %d-byte budget", evicted, budget)})
 	}
 	return evicted, firstErr
 }

@@ -218,7 +218,7 @@ func TestSweepTempFiles(t *testing.T) {
 // TestEnforceBudgetLRU: eviction removes least-recently-used entries
 // first and stops as soon as the directory fits the budget.
 func TestEnforceBudgetLRU(t *testing.T) {
-	captureLogf(t)
+	logs := captureLogf(t)
 	dir := t.TempDir()
 	mk := func(name string, age time.Duration) string {
 		p := filepath.Join(dir, name)
@@ -245,6 +245,9 @@ func TestEnforceBudgetLRU(t *testing.T) {
 	}
 	if evicted != 1 {
 		t.Fatalf("evicted %d entries, want 1", evicted)
+	}
+	if l := logs(); len(l) != 1 || !strings.Contains(l[0], "evicted 1 least-recently-used entries to stay under 2000-byte budget") {
+		t.Fatalf("logs = %v, want one eviction warning", l)
 	}
 	if _, err := os.Stat(oldest); !os.IsNotExist(err) {
 		t.Error("oldest entry survived eviction")
