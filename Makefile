@@ -65,13 +65,14 @@ fuzz-smoke: require-go
 	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzWriteCacheCurve$$' -fuzztime 5s
 
 # bench-smoke compiles and runs every sweep benchmark, the multi-core
-# extension benchmarks, the figures that fan their runs out over cores
+# extension benchmarks, the figures that fan their runs out over cores,
+# the ids the timing cycle model serves (ext-cpi, ext-perf, ext-burst)
 # and simserved's admission commit (at 0 and 1000 jobs of history) for
 # one iteration — fast enough for the gate, enough to catch bit-rot.
 bench-smoke: require-go
 	$(GO) test ./internal/sweep -run '^$$' -bench 'BenchmarkSweep|BenchmarkGang' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkExtCoh' -benchtime 1x -benchmem
-	$(GO) test . -run '^$$' -bench '^Benchmark(Fig5|Fig7|Fig8|Fig9|ExtSwitch|ExtL2Policy)$$' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench '^Benchmark(Fig5|Fig7|Fig8|Fig9|ExtCPI|ExtPerf|ExtBurst|ExtSwitch|ExtL2Policy)$$' -benchtime 1x -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench '^BenchmarkSubmit$$' -benchtime 1x -benchmem
 
 # bench-compare is the performance regression gate: a fresh reduced

@@ -30,20 +30,12 @@ import (
 type Request struct {
 	// Size, LineSize, Assoc fix the cache geometry under study.
 	Size, LineSize, Assoc int
-	// FetchLatency feeds the CPI estimates (default 10 when zero).
+	// FetchLatency feeds the CPI estimates; zero models a free fetch.
 	FetchLatency int
-	// WriteCacheMax bounds the write-cache sizing search (default 16).
-	WriteCacheMax int
 }
 
-func (r *Request) defaults() {
-	if r.FetchLatency == 0 {
-		r.FetchLatency = 10
-	}
-	if r.WriteCacheMax == 0 {
-		r.WriteCacheMax = 16
-	}
-}
+// writeCacheMax bounds the write-cache sizing search.
+const writeCacheMax = 16
 
 // Advice is the recommendation with its supporting evidence.
 type Advice struct {
@@ -70,7 +62,6 @@ type Advice struct {
 
 // Recommend runs the design-space evaluation on the trace.
 func Recommend(req Request, t *trace.Trace) (Advice, error) {
-	req.defaults()
 	geom := cache.Config{Size: req.Size, LineSize: req.LineSize, Assoc: req.Assoc,
 		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
 	if err := geom.Validate(); err != nil {
@@ -120,7 +111,7 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 	wbCache.AccessTrace(t)
 	adv.WBTrafficCut = wbCache.Stats().WritesToDirtyFraction()
 
-	entries, wcCut, err := sizeWriteCache(req, t)
+	entries, wcCut, err := sizeWriteCache(t)
 	if err != nil {
 		return Advice{}, err
 	}
@@ -151,16 +142,15 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 
 // sizeWriteCache finds the knee of the write-cache curve: the smallest
 // entry count whose marginal gain drops below one percentage point.
-func sizeWriteCache(req Request, t *trace.Trace) (entries int, removed float64, err error) {
-	// The curve reaches at least 1 entry, the floor below.
-	curve, err := reuse.WriteCacheCurve(t, 8, max(req.WriteCacheMax, 1))
+func sizeWriteCache(t *trace.Trace) (entries int, removed float64, err error) {
+	curve, err := reuse.WriteCacheCurve(t, 8, writeCacheMax)
 	if err != nil {
 		return 0, 0, err
 	}
 	prev := 0.0
 	best := 0
 	bestRemoved := 0.0
-	for n := 1; n <= req.WriteCacheMax; n++ {
+	for n := 1; n <= writeCacheMax; n++ {
 		f := curve.RemovedFraction(n)
 		if f-prev >= 0.01 {
 			best = n

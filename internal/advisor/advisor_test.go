@@ -11,7 +11,7 @@ import (
 )
 
 func stdReq() Request {
-	return Request{Size: 8 << 10, LineSize: 16, Assoc: 1}
+	return Request{Size: 8 << 10, LineSize: 16, Assoc: 1, FetchLatency: 10}
 }
 
 func TestRecommendValidatesGeometry(t *testing.T) {
@@ -111,13 +111,32 @@ func TestRecommendOnRealWorkload(t *testing.T) {
 	}
 }
 
+// TestRecommendZeroLatency: a zero fetch latency means free fetches,
+// write retires and write-backs, so every policy runs at exactly one
+// cycle per instruction.
+func TestRecommendZeroLatency(t *testing.T) {
+	tr, err := workload.Generate("yacc", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := stdReq()
+	req.FetchLatency = 0
+	adv, err := Recommend(req, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range cache.WriteMissPolicies() {
+		if adv.CPI[p] != 1 {
+			t.Errorf("%s: CPI = %v at zero latency, want 1", p, adv.CPI[p])
+		}
+	}
+}
+
 func TestSizeWriteCacheFloor(t *testing.T) {
 	// Streaming writes coalesce nothing: the sizing must settle on the
 	// 1-entry floor, not zero.
 	tr := synth.Sequential(trace.Write, 0x100000, 5000, 8, 8, 1)
-	req := stdReq()
-	req.defaults()
-	n, removed, err := sizeWriteCache(req, tr)
+	n, removed, err := sizeWriteCache(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

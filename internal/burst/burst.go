@@ -156,6 +156,14 @@ func (r VictimReport) PeakToAvg() float64 {
 	return r.PeakRate / r.AvgRate
 }
 
+// victimCount is a cache.Backside that counts the dirty victims of the
+// access in flight; AnalyzeVictims resets it before each Access.
+type victimCount uint64
+
+func (n *victimCount) FetchLine(uint32, int)          {}
+func (n *victimCount) WritebackLine(uint32, int, int) { *n++ }
+func (n *victimCount) WriteWord(uint32, uint8)        {}
+
 // AnalyzeVictims replays the trace through a write-back fetch-on-write
 // cache of the given geometry and measures when dirty victims emerge.
 func AnalyzeVictims(t *trace.Trace, cfg cache.Config, gapThreshold, window uint64) (VictimReport, error) {
@@ -169,11 +177,12 @@ func AnalyzeVictims(t *trace.Trace, cfg cache.Config, gapThreshold, window uint6
 	if err != nil {
 		return VictimReport{}, err
 	}
+	var newWBs victimCount
+	c.SetBackside(&newWBs)
 	r := VictimReport{Window: window}
 	var (
 		now      uint64
 		lastWB   uint64
-		prevWBs  uint64
 		runLen   int
 		haveRun  bool
 		winStart uint64
@@ -191,10 +200,8 @@ func AnalyzeVictims(t *trace.Trace, cfg cache.Config, gapThreshold, window uint6
 	}
 	for _, e := range t.Events {
 		now += e.Instructions()
+		newWBs = 0
 		c.Access(e)
-		wbs := c.Stats().Writebacks
-		newWBs := wbs - prevWBs
-		prevWBs = wbs
 
 		for now-winStart >= window {
 			rate := float64(winWBs) / float64(window)
@@ -208,7 +215,7 @@ func AnalyzeVictims(t *trace.Trace, cfg cache.Config, gapThreshold, window uint6
 			winWBs = 0
 		}
 
-		for i := uint64(0); i < newWBs; i++ {
+		for i := victimCount(0); i < newWBs; i++ {
 			r.DirtyVictims++
 			winWBs++
 			if haveRun && now-lastWB <= gapThreshold {

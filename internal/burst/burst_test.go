@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"math/rand"
 	"testing"
 
 	"cachewrite/internal/cache"
@@ -184,5 +185,37 @@ func TestNoVictimsNoBursts(t *testing.T) {
 	}
 	if rep.DirtyVictims != 0 || rep.MaxBurst != 0 || rep.PeakRate != 0 {
 		t.Errorf("phantom victims: %+v", rep)
+	}
+}
+
+// TestDirtyVictimsMatchWritebacks: the back-side victim counter sees
+// every write-back the cache's own counters record, under every
+// write-miss policy and on line-spanning events.
+func TestDirtyVictimsMatchWritebacks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := &trace.Trace{}
+	for i := 0; i < 5000; i++ {
+		e := trace.Event{Addr: uint32(rng.Intn(2048)), Size: []uint8{1, 4, 8}[rng.Intn(3)],
+			Gap: uint16(rng.Intn(3)), Kind: trace.Read}
+		if rng.Intn(2) == 0 {
+			e.Kind = trace.Write
+		}
+		tr.Append(e)
+	}
+	for _, miss := range cache.WriteMissPolicies() {
+		cfg := victimCfg()
+		cfg.WriteMiss = miss
+		rep, err := AnalyzeVictims(tr, cfg, 2, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cache.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.AccessTrace(tr)
+		if want := c.Stats().Writebacks; rep.DirtyVictims != want || want == 0 {
+			t.Errorf("%s: dirty victims = %d, cache write-backs = %d", miss, rep.DirtyVictims, want)
+		}
 	}
 }

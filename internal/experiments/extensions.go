@@ -8,7 +8,6 @@ import (
 	"cachewrite/internal/cache"
 	"cachewrite/internal/faults"
 	"cachewrite/internal/hierarchy"
-	"cachewrite/internal/pipeline"
 	"cachewrite/internal/reuse"
 	"cachewrite/internal/stats"
 	"cachewrite/internal/synth"
@@ -39,15 +38,15 @@ func extCPI(e *Env) (Result, error) {
 		Columns: []string{"benchmark", "organization", "store cost (cyc/store)", "interlock CPI", "wbuf CPI", "miss CPI", "total CPI"},
 	}
 	wbuf := &writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: 8}
-	orgs := pipeline.Organizations()
+	orgs := timing.Organizations()
 	return fillTable(tbl, len(e.Traces)*len(orgs), func(i int) ([]string, error) {
 		t, org := e.Traces[i/len(orgs)], orgs[i%len(orgs)]
 		cc := stdConfig(StdCacheSize, StdLineSize)
-		if org == pipeline.DirectMappedWriteThrough {
+		if org == timing.DirectMappedWriteThrough {
 			cc.WriteHit = cache.WriteThrough
 		}
-		s, err := pipeline.Evaluate(pipeline.Config{
-			Org: org, Cache: cc, MissPenalty: 10, WriteBuffer: wbuf,
+		s, err := timing.Evaluate(timing.Config{
+			L1: cc, Org: org, FetchLatency: 10, WriteBuffer: wbuf,
 		}, t)
 		if err != nil {
 			return nil, err
@@ -57,7 +56,7 @@ func extCPI(e *Env) (Result, error) {
 			fmt.Sprintf("%.3f", s.StoreCost()),
 			fmt.Sprintf("%.4f", float64(s.InterlockStalls+s.DrainStalls)/inst),
 			fmt.Sprintf("%.4f", float64(s.WriteBufferStalls)/inst),
-			fmt.Sprintf("%.4f", float64(s.MissStalls)/inst),
+			fmt.Sprintf("%.4f", float64(s.ReadMissStalls+s.WriteMissStalls)/inst),
 			fmt.Sprintf("%.3f", s.CPI())}, nil
 	})
 }

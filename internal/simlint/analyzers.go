@@ -14,6 +14,10 @@ var EnginePackages = []string{
 	"internal/writecache",
 	"internal/bus",
 	"internal/timing",
+	// burst, reuse and faults run inside experiments.fanOut workers.
+	"internal/burst",
+	"internal/reuse",
+	"internal/faults",
 	"internal/sweep",
 	"internal/coherence",
 	"internal/serve", // a panic in the service would take down every tenant

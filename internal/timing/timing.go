@@ -1,28 +1,38 @@
-// Package timing is a trace-driven performance model for the memory
+// Package timing is the trace-driven cycle model for the memory
 // system: it converts the functional simulator's hits, misses,
-// write-throughs and write-backs into cycles, capturing the latency
-// story that motivates the paper's write-miss taxonomy (§1: "write miss
-// policies, although they do affect bandwidth, focus foremost on
-// latency"; §4: "a cache using no-fetch-on-write can proceed
-// immediately").
+// write-throughs and write-backs into cycles along the paper's two
+// cycle axes. The latency axis motivates the write-miss taxonomy (§1:
+// "write miss policies, although they do affect bandwidth, focus
+// foremost on latency"; §4: "a cache using no-fetch-on-write can
+// proceed immediately"). The store-pipeline axis is §3/Fig 3–4's sixth
+// dimension of write-hit comparison: how stores fit the pipeline.
 //
 // The model:
 //
 //   - One cycle per instruction when nothing stalls.
-//   - A read miss (or a fetch-triggering write miss under
-//     fetch-on-write) stalls the CPU for FetchLatency cycles, plus any
-//     wait for the dirty-victim buffer to drain when the victim is
-//     dirty and the buffer is full.
+//   - Every line (or sector) fetched from the next level stalls the
+//     CPU for FetchLatency cycles, plus any wait for the dirty-victim
+//     buffer to drain when the victim is dirty and the buffer is full.
+//     The charge is per line fetched, not per missing event: an event
+//     that spans two lines and fetches both pays twice, and a write hit
+//     that must fill a partially-valid sub-block pays once.
 //   - Eliminated write misses (write-validate / write-around /
 //     write-invalidate) do not stall: the paper's central latency win.
 //   - Each write-through word takes its own entry in a FIFO write
 //     buffer (entries never merge) retired one entry per WriteRetire
 //     cycles; a full buffer stalls the CPU (the Fig 5 mechanism, here
 //     integrated with the rest of the machine).
+//   - Alternatively, WriteBuffer replays the trace through the
+//     coalescing write buffer of internal/writebuffer (the Fig 5 model
+//     itself) for a write-through L1 and adds its buffer-full stalls.
 //   - Dirty victims enter a victim buffer drained one entry per
 //     WritebackCycles; a refill that produces a dirty victim while the
 //     buffer is full waits for a slot (§3's "dirty victim buffer"
 //     discussion).
+//   - Org selects the store pipeline of Fig 3 on the five-stage
+//     pipeline (IF RF ALU MEM WB); see Organization. A gap
+//     (non-memory) instruction or any line fetch clears the pipeline's
+//     store state.
 package timing
 
 import (
@@ -30,12 +40,56 @@ import (
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/trace"
+	"cachewrite/internal/writebuffer"
 )
+
+// Organization selects the store pipeline model. The zero
+// Organization models no store pipeline: stores never interlock.
+type Organization uint8
+
+const (
+	// DirectMappedWriteThrough writes the data array in MEM
+	// concurrently with the tag probe: one cycle per store, no
+	// interlocks (Fig 3's left column). It needs a direct-mapped L1.
+	DirectMappedWriteThrough Organization = iota + 1
+	// SimpleWriteBack probes in MEM and writes the data in WB
+	// (probe-before-write): a load immediately following a store finds
+	// the data array busy and stalls one cycle (also the case for
+	// set-associative write-through).
+	SimpleWriteBack
+	// DelayedWriteBack adds the last-write register of §3.1/Fig 4: the
+	// probe for store N proceeds in parallel with the data write of
+	// store N-1, restoring one-cycle stores. A read miss between the
+	// probe and the deferred write drains the pending write first (one
+	// cycle).
+	DelayedWriteBack
+)
+
+// String returns a readable organization name.
+func (o Organization) String() string {
+	switch o {
+	case DirectMappedWriteThrough:
+		return "direct-mapped write-through"
+	case SimpleWriteBack:
+		return "simple write-back"
+	case DelayedWriteBack:
+		return "write-back + delayed write register"
+	default:
+		return fmt.Sprintf("Organization(%d)", uint8(o))
+	}
+}
+
+// Organizations lists the three store pipeline models.
+func Organizations() []Organization {
+	return []Organization{DirectMappedWriteThrough, SimpleWriteBack, DelayedWriteBack}
+}
 
 // Config parameterizes the performance model.
 type Config struct {
 	// L1 is the first-level cache configuration.
 	L1 cache.Config
+	// Org is the store pipeline organization (zero: no interlocks).
+	Org Organization
 	// FetchLatency is the CPU stall per line fetch from the next level.
 	FetchLatency int
 	// WriteBufferEntries is the FIFO write buffer depth for
@@ -46,6 +100,10 @@ type Config struct {
 	// WriteRetire is the cycles the next level needs to retire one
 	// write-buffer entry.
 	WriteRetire int
+	// WriteBuffer, when non-nil, models the write buffer as the
+	// coalescing Fig 5 buffer instead of the FIFO above (which must
+	// then have WriteRetire zero). It applies to write-through L1s only.
+	WriteBuffer *writebuffer.Config
 	// VictimBufferEntries is the dirty-victim buffer depth (the paper
 	// argues one entry usually suffices; here it is measurable). Zero
 	// means no buffer: every write-back stalls WritebackCycles.
@@ -57,14 +115,28 @@ type Config struct {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
+	if c.Org > DelayedWriteBack {
+		return fmt.Errorf("timing: unknown organization %d", c.Org)
+	}
 	if err := c.L1.Validate(); err != nil {
 		return fmt.Errorf("timing: %w", err)
+	}
+	if c.Org == DirectMappedWriteThrough && c.L1.Assoc != 1 {
+		return fmt.Errorf("timing: concurrent tag/data write requires a direct-mapped cache (assoc=%d)", c.L1.Assoc)
 	}
 	if c.FetchLatency < 0 || c.WriteRetire < 0 || c.WritebackCycles < 0 {
 		return fmt.Errorf("timing: latencies must be non-negative")
 	}
 	if c.WriteBufferEntries < 0 || c.VictimBufferEntries < 0 {
 		return fmt.Errorf("timing: buffer depths must be non-negative")
+	}
+	if c.WriteBuffer != nil {
+		if c.WriteRetire != 0 {
+			return fmt.Errorf("timing: WriteBuffer and WriteRetire select two write-buffer models; set one")
+		}
+		if err := c.WriteBuffer.Validate(); err != nil {
+			return fmt.Errorf("timing: %w", err)
+		}
 	}
 	return nil
 }
@@ -74,16 +146,23 @@ type Stats struct {
 	Instructions uint64
 	Cycles       uint64
 
-	// ReadMissStalls covers read misses (including write-validate's
+	// ReadMissStalls covers read fetches (including write-validate's
 	// induced partial-validity fills).
 	ReadMissStalls uint64
-	// WriteMissStalls covers fetch-on-write fetches — the stalls the
-	// no-fetch policies eliminate.
+	// WriteMissStalls covers fetches by writes: fetch-on-write misses
+	// (the stalls the no-fetch policies eliminate) and sub-block write
+	// fills.
 	WriteMissStalls uint64
 	// WriteBufferStalls covers CPU waits on a full write buffer.
 	WriteBufferStalls uint64
 	// VictimStalls covers refills waiting on a full dirty-victim buffer.
 	VictimStalls uint64
+	// InterlockStalls counts cycles lost to store/load structural
+	// hazards on the data array (SimpleWriteBack only).
+	InterlockStalls uint64
+	// DrainStalls counts cycles spent draining the delayed-write
+	// register ahead of a read miss refill (DelayedWriteBack only).
+	DrainStalls uint64
 
 	// Cache carries the functional statistics.
 	Cache cache.Stats
@@ -95,6 +174,17 @@ func (s Stats) CPI() float64 {
 		return 0
 	}
 	return float64(s.Cycles) / float64(s.Instructions)
+}
+
+// StoreCost returns the marginal cycles per store attributable to the
+// organization's store handling (interlock + drain stalls per store):
+// the measured version of Table 2's "cycles required per write" row,
+// minus the base cycle.
+func (s Stats) StoreCost() float64 {
+	if s.Cache.Writes == 0 {
+		return 0
+	}
+	return float64(s.InterlockStalls+s.DrainStalls) / float64(s.Cache.Writes)
 }
 
 // drainQueue models a FIFO drained at a fixed rate: entries become free
@@ -136,6 +226,16 @@ func (q *drainQueue) push(t uint64, capacity int) (stall uint64, now uint64) {
 	return stall, t
 }
 
+// outcome is a counting cache.Backside: the back-side traffic of the
+// access in flight. Evaluate resets it before each Access.
+type outcome struct {
+	fetches, writebacks, wtWords uint64
+}
+
+func (o *outcome) FetchLine(uint32, int)          { o.fetches++ }
+func (o *outcome) WritebackLine(uint32, int, int) { o.writebacks++ }
+func (o *outcome) WriteWord(uint32, uint8)        { o.wtWords++ }
+
 // Evaluate runs the trace through the functional cache and the timing
 // model.
 func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
@@ -146,50 +246,83 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
+	var out outcome
+	c.SetBackside(&out)
 
 	var s Stats
 	var now uint64
 	wb := &drainQueue{rate: uint64(cfg.WriteRetire)}
 	vb := &drainQueue{rate: uint64(cfg.WritebackCycles)}
+	// Store-pipeline state: the previous instruction was a store, and
+	// the delayed-write register holds a write.
+	afterStore, pending := false, false
 
-	var prev cache.Stats
 	for _, e := range t.Events {
 		now += e.Instructions()
+		out = outcome{}
 		c.Access(e)
-		cur := c.Stats()
-
-		fetches := cur.Fetches - prev.Fetches
-		writebacks := cur.Writebacks - prev.Writebacks
-		wtWords := cur.WriteThroughs - prev.WriteThroughs
 
 		// Dirty victims queue into the victim buffer; the CPU only waits
 		// when the buffer is full (it must, or the victim's data would be
 		// lost to the refill).
-		for i := uint64(0); i < writebacks; i++ {
+		for i := uint64(0); i < out.writebacks; i++ {
 			stall, t2 := vb.push(now, cfg.VictimBufferEntries)
 			s.VictimStalls += stall
 			now = t2
 		}
 
-		// Fetches stall the CPU directly.
-		if fetches > 0 {
-			stall := fetches * uint64(cfg.FetchLatency)
+		// Gap instructions are non-memory: they break any store/load
+		// adjacency and give the delayed write a free slot to retire.
+		if e.Gap > 0 {
+			afterStore, pending = false, false
+		}
+		if e.Kind == trace.Write {
+			afterStore, pending = true, cfg.Org == DelayedWriteBack
+		} else {
+			if afterStore && cfg.Org == SimpleWriteBack {
+				// The store's WB-stage data write collides with this
+				// load's MEM-stage data read.
+				s.InterlockStalls++
+				now++
+			}
+			if pending && out.fetches > 0 {
+				// The refill must wait for the deferred write to drain.
+				s.DrainStalls++
+				now++
+			}
+			afterStore = false
+		}
+
+		// Fetches stall the CPU directly, and a refill empties the
+		// pipeline's write-side state.
+		if out.fetches > 0 {
+			stall := out.fetches * uint64(cfg.FetchLatency)
 			if e.Kind == trace.Write {
 				s.WriteMissStalls += stall
 			} else {
 				s.ReadMissStalls += stall
 			}
 			now += stall
+			afterStore, pending = false, false
 		}
 
 		// Write-through words enter the write buffer.
-		for i := uint64(0); i < wtWords; i++ {
+		for i := uint64(0); i < out.wtWords; i++ {
 			stall, t2 := wb.push(now, cfg.WriteBufferEntries)
 			s.WriteBufferStalls += stall
 			now = t2
 		}
+	}
 
-		prev = cur
+	if cfg.WriteBuffer != nil && cfg.L1.WriteHit == cache.WriteThrough {
+		b, err := writebuffer.New(*cfg.WriteBuffer)
+		if err != nil {
+			return Stats{}, err
+		}
+		b.Run(t)
+		stall := b.Stats().StallCycles
+		s.WriteBufferStalls += stall
+		now += stall
 	}
 	s.Cache = c.Stats()
 	s.Instructions = s.Cache.Instructions
