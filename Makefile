@@ -33,8 +33,9 @@ lint: require-go
 
 # check is the pre-merge gate: simlint, go vet, the full suite under
 # the race detector (including the multi-core coherence tests in
-# internal/coherence), a short fuzz smoke over the trace decoders, a
-# single-iteration smoke of the sweep-engine benchmarks, the
+# internal/coherence), a short fuzz smoke over the trace decoders and
+# the coherence snoop filter, a single-iteration smoke of the
+# sweep-engine benchmarks, the
 # performance regression gate against the committed BENCH_sweep.json
 # scaling matrix, the SIGKILL/resume crash-safety smoke, and the
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,
@@ -63,6 +64,7 @@ fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinaryLenient$$' -fuzztime 5s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 5s
 	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzWriteCacheCurve$$' -fuzztime 5s
+	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzSnoopFilter$$' -fuzztime 5s
 
 # bench-smoke compiles and runs every sweep benchmark, the multi-core
 # extension benchmarks, the figures that fan their runs out over cores,

@@ -26,14 +26,26 @@
 // byte-level single-writer/multiple-reader: no byte is dirty in more
 // than one private cache (CheckSingleWriter).
 //
+// A snoop filter keeps the bus from probing every remote cache: a
+// directory entry per L1 line number holds a superset of the cores
+// whose L1 may hold the line. A core's bit is set on each of its own
+// references (the only way a line enters its L1) and cleared when a
+// coherence action removes its copy; an eviction leaves the bit set.
+// Filtering is exact, not approximate: every action a broadcast takes
+// on a remote cache (Probe, Downgrade, InvalidateRange, SnoopUpdate)
+// does nothing to a cache that lacks the line, so skipping a core
+// whose bit is clear changes no state or counter, and a stale bit
+// only costs one probe that finds nothing.
+//
 // The simulator is deterministic: per-core state lives in slices,
-// broadcasts visit cores in index order, and the multi-core schedule
-// merges per-core traces by instruction time with ties resolved
-// lowest-core-first.
+// broadcasts visit the holder set in ascending core order, and the
+// multi-core schedule merges per-core traces by instruction time with
+// ties resolved lowest-core-first.
 package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/hierarchy"
@@ -179,21 +191,37 @@ type core struct {
 	// traffic is counted by the L1's back-side port; only its L1ToL2
 	// counters move.
 	traffic hierarchy.Traffic
-	// invalidated records line numbers removed from this core's L1 by
-	// a coherence action; a later tag miss on such a line is a sharing
-	// miss (entry consumed on first re-access).
-	invalidated map[uint32]struct{}
 	// hybrid counts consecutive remote updates per resident line
 	// (Hybrid scheme only); a local reference resets the count.
 	hybrid map[uint32]uint16
 	stats  CoreStats
 }
 
+// dirPageBits is log2 of the directory's page size in entries.
+const dirPageBits = 12
+
+// dirEntry is the snoop filter's record of one L1 line number, one bit
+// per core.
+type dirEntry struct {
+	// holders is a superset of the cores whose L1 may hold the line.
+	holders uint64
+	// removed marks the cores whose copy a coherence action removed and
+	// which have not referenced the line since: their next tag miss on
+	// it is a sharing miss.
+	removed uint64
+}
+
+// dirPage is one page of the directory, allocated on first touch.
+type dirPage [1 << dirPageBits]dirEntry
+
 // System is the N-core simulator. Not safe for concurrent use.
 type System struct {
 	cfg   Config
 	cores []core
 	l2    *cache.Cache
+	// dir is the snoop filter, indexed by L1 line number through a
+	// page table (nil for one core, which never snoops).
+	dir []*dirPage
 	// stats holds the counters no core owns (L2ToMem traffic,
 	// intervention and update bytes); Stats adds the per-core ones.
 	stats     Stats
@@ -220,6 +248,9 @@ func New(cfg Config) (*System, error) {
 	for s.lineSize>>s.lineShift > 1 {
 		s.lineShift++
 	}
+	if cfg.Cores > 1 {
+		s.dir = make([]*dirPage, uint64(1)<<(32-s.lineShift-dirPageBits))
+	}
 	if cfg.L2 != nil {
 		l2, err := cache.New(*cfg.L2)
 		if err != nil {
@@ -234,11 +265,7 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 		c := &s.cores[i]
-		*c = core{
-			l1:          l1,
-			invalidated: make(map[uint32]struct{}),
-			hybrid:      make(map[uint32]uint16),
-		}
+		*c = core{l1: l1, hybrid: make(map[uint32]uint16)}
 		l1.SetBackside(&hierarchy.L1Port{T: &c.traffic, L2: s.l2})
 	}
 	return s, nil
@@ -304,20 +331,31 @@ func (s *System) Access(c int, e trace.Event) {
 	s.cores[c].l1.Access(e)
 }
 
+// entry returns the directory entry of the L1 line lineNum.
+func (s *System) entry(lineNum uint32) *dirEntry {
+	p := s.dir[lineNum>>dirPageBits]
+	if p == nil {
+		p = new(dirPage)
+		s.dir[lineNum>>dirPageBits] = p
+	}
+	return &p[lineNum&(1<<dirPageBits-1)]
+}
+
 // snoopSpan handles the protocol for the portion of an access within
 // one L1 line: bytes [addr, addr+n).
 func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 	lineNum := addr >> s.lineShift
 	lineAddr := lineNum << s.lineShift
 	me := &s.cores[c]
+	d := s.entry(lineNum)
+	self := uint64(1) << c
 
 	local := me.l1.Probe(addr)
-	if !local.Present {
-		if _, ok := me.invalidated[lineNum]; ok {
-			delete(me.invalidated, lineNum)
-			me.stats.SharingMisses++
-		}
+	if !local.Present && d.removed&self != 0 {
+		d.removed &^= self
+		me.stats.SharingMisses++
 	}
+	d.holders |= self
 	// A local reference resets the competitive update counter: the
 	// core still cares about this line.
 	if s.cfg.Scheme == Hybrid {
@@ -331,7 +369,7 @@ func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 		if !covered {
 			// The fetch must observe remote dirty data: downgrade the
 			// owner so the shared level is fresh before the fill.
-			s.downgradeRemotes(c, lineAddr)
+			s.downgradeRemotes(d.holders&^self, lineAddr)
 		}
 		return
 	}
@@ -339,12 +377,12 @@ func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 	// Write.
 	switch s.cfg.Scheme {
 	case Invalidate:
-		s.invalidateRemotes(c, lineAddr, lineNum)
+		s.invalidateRemotes(c, d, lineAddr)
 	case Update, Hybrid:
 		if s.writeWillFetch(local, covered, addr, n) {
-			s.downgradeRemotes(c, lineAddr)
+			s.downgradeRemotes(d.holders&^self, lineAddr)
 		}
-		s.updateRemotes(c, addr, n, lineNum, lineAddr)
+		s.updateRemotes(c, d, addr, n, lineNum, lineAddr)
 	}
 }
 
@@ -373,14 +411,13 @@ func (s *System) writeWillFetch(local cache.LineState, covered bool, addr, n uin
 	return false // write-around / write-invalidate never allocate
 }
 
-// downgradeRemotes flushes every remote dirty copy of the line at
-// lineAddr to the shared level (M→S): the data stays readable remotely
-// but the requesting core's fill now observes the newest bytes.
-func (s *System) downgradeRemotes(c int, lineAddr uint32) {
-	for j := range s.cores {
-		if j != c {
-			s.downgrade(&s.cores[j], lineAddr)
-		}
+// downgradeRemotes flushes the dirty copy of the line at lineAddr in
+// every core of the remotes set to the shared level (M→S): the data
+// stays readable remotely but the requesting core's fill now observes
+// the newest bytes.
+func (s *System) downgradeRemotes(remotes uint64, lineAddr uint32) {
+	for ; remotes != 0; remotes &= remotes - 1 {
+		s.downgrade(&s.cores[bits.TrailingZeros64(remotes)], lineAddr)
 	}
 }
 
@@ -393,44 +430,45 @@ func (s *System) downgrade(r *core, lineAddr uint32) {
 	}
 }
 
-// invalidateRemotes removes every remote copy of the line (the
-// Invalidate scheme's write broadcast), flushing dirty remote data to
-// the shared level before dropping it.
-func (s *System) invalidateRemotes(c int, lineAddr, lineNum uint32) {
+// invalidateRemotes removes every remote copy of the line d describes
+// (the Invalidate scheme's write broadcast), flushing dirty remote data
+// to the shared level before dropping it. Afterwards only the writer
+// may hold the line.
+func (s *System) invalidateRemotes(c int, d *dirEntry, lineAddr uint32) {
 	hit := false
-	for j := range s.cores {
-		if j == c {
-			continue
-		}
+	for rs := d.holders &^ (1 << c); rs != 0; rs &= rs - 1 {
+		j := bits.TrailingZeros64(rs)
 		r := &s.cores[j]
 		s.downgrade(r, lineAddr)
 		if lines, _ := r.l1.InvalidateRange(lineAddr, int(s.lineSize)); lines > 0 {
 			hit = true
 			r.stats.InvalidationsReceived++
-			r.invalidated[lineNum] = struct{}{}
+			d.removed |= 1 << j
 		}
 	}
+	d.holders &= 1 << c
 	if hit {
 		s.cores[c].stats.InvalidationsSent++
 	}
 }
 
 // updateRemotes applies a write-update broadcast of bytes
-// [addr, addr+n) to every remote copy. Under Hybrid, a copy that has
-// absorbed hybridK updates with no local reference self-invalidates
-// instead of taking another.
-func (s *System) updateRemotes(c int, addr, n uint32, lineNum, lineAddr uint32) {
+// [addr, addr+n) to every remote copy of the line d describes. Under
+// Hybrid, a copy that has absorbed hybridK updates with no local
+// reference self-invalidates instead of taking another. A holder bit
+// found stale is cleared along with the core's update counter, so a
+// core outside the holder set never has one.
+func (s *System) updateRemotes(c int, d *dirEntry, addr, n uint32, lineNum, lineAddr uint32) {
 	hit := false
-	for j := range s.cores {
-		if j == c {
-			continue
-		}
+	for rs := d.holders &^ (1 << c); rs != 0; rs &= rs - 1 {
+		j := bits.TrailingZeros64(rs)
 		r := &s.cores[j]
 		st := r.l1.Probe(lineAddr)
 		if !st.Present {
 			if s.cfg.Scheme == Hybrid {
 				delete(r.hybrid, lineNum)
 			}
+			d.holders &^= 1 << j
 			continue
 		}
 		if s.cfg.Scheme == Hybrid {
@@ -443,7 +481,8 @@ func (s *System) updateRemotes(c int, addr, n uint32, lineNum, lineAddr uint32) 
 				s.downgrade(r, lineAddr)
 				r.l1.InvalidateRange(lineAddr, int(s.lineSize))
 				r.stats.HybridInvalidations++
-				r.invalidated[lineNum] = struct{}{}
+				d.holders &^= 1 << j
+				d.removed |= 1 << j
 				hit = true // the broadcast still happened
 				continue
 			}
@@ -459,9 +498,8 @@ func (s *System) updateRemotes(c int, addr, n uint32, lineNum, lineAddr uint32) 
 	}
 }
 
-// Run replays a multi-core workload to completion: per-core streams
-// are merged by global instruction time (each core's stagger offset
-// applied), ties resolving lowest-core-first for determinism.
+// Run replays a multi-core workload to completion in its merged issue
+// order (see Workload).
 func (s *System) Run(w *Workload) error {
 	if w == nil || len(w.PerCore) != len(s.cores) {
 		got := 0
@@ -470,38 +508,10 @@ func (s *System) Run(w *Workload) error {
 		}
 		return fmt.Errorf("coherence: workload has %d per-core traces, system has %d cores", got, len(s.cores))
 	}
-	type cursor struct {
-		c    int
-		i    int
-		when uint64
-	}
-	cs := make([]cursor, 0, len(w.PerCore))
-	for c, t := range w.PerCore {
-		if t.Len() == 0 {
-			continue
-		}
-		var off uint64
-		if c < len(w.Offsets) {
-			off = w.Offsets[c]
-		}
-		cs = append(cs, cursor{c: c, when: off + t.Events[0].Instructions()})
-	}
-	for len(cs) > 0 {
-		best := 0
-		for i := 1; i < len(cs); i++ {
-			if cs[i].when < cs[best].when {
-				best = i
-			}
-		}
-		cu := &cs[best]
-		t := w.PerCore[cu.c]
-		s.Access(cu.c, t.Events[cu.i])
-		cu.i++
-		if cu.i >= t.Len() {
-			cs = append(cs[:best], cs[best+1:]...)
-			continue
-		}
-		cu.when += t.Events[cu.i].Instructions()
+	var next [MaxCores]int
+	for _, c := range w.schedule() {
+		s.Access(int(c), w.PerCore[c].Events[next[c]])
+		next[c]++
 	}
 	return nil
 }

@@ -4,8 +4,9 @@
 // their base addresses so every core touches them at the same place —
 // true sharing with deterministic, address-hashed selection. The
 // per-core streams carry stagger offsets and are merged by instruction
-// time, either inside System.Run (coherent replay) or via
-// trace.InterleaveOffset (a single-cache baseline stream).
+// time, either once per workload into the issue order System.Run
+// replays (coherent replay) or via trace.InterleaveOffset (a
+// single-cache baseline stream).
 package coherence
 
 import (
@@ -50,11 +51,16 @@ type WorkloadConfig struct {
 }
 
 // Workload is an N-core reference schedule: one trace per core plus
-// per-core start offsets (instruction stagger).
+// per-core start offsets (instruction stagger). BuildWorkload also
+// merges the streams into the issue order every System.Run of the
+// workload replays, so PerCore and Offsets must not change afterwards.
 type Workload struct {
 	Name    string
 	PerCore []*trace.Trace
 	Offsets []uint64
+	// order is the merged issue order as core ids (nil for a Workload
+	// assembled by hand, which Run merges itself).
+	order []uint8
 }
 
 // BuildWorkload constructs the N-core workload. It fails if any
@@ -101,6 +107,27 @@ func BuildWorkload(base *trace.Trace, cfg WorkloadConfig) (*Workload, error) {
 		owner[g] = who
 		return nil
 	}
+	// A claim depends only on the event's base granule, because the
+	// stride is a multiple of SharedGranule. So each core claims each
+	// distinct base granule once, at its first occurrence (firsts holds
+	// those event indices in trace order): the first collision, and its
+	// error, are the ones an event-by-event pass would meet.
+	shared := make([]bool, t.Len())
+	var firsts []int
+	seen := make(map[uint32]struct{})
+	last := ^uint32(0)
+	for i, e := range t.Events {
+		g := e.Addr / SharedGranule
+		shared[i] = sharedGranule(g, threshold)
+		if g == last {
+			continue
+		}
+		last = g
+		if _, ok := seen[g]; !ok {
+			seen[g] = struct{}{}
+			firsts = append(firsts, i)
+		}
+	}
 	for c := 0; c < cfg.Cores; c++ {
 		img, err := trace.Rebase(t, int64(stride)*int64(c))
 		if err != nil {
@@ -108,21 +135,77 @@ func BuildWorkload(base *trace.Trace, cfg WorkloadConfig) (*Workload, error) {
 		}
 		img.Name = fmt.Sprintf("%s/core%d", base.Name, c)
 		for i, e := range t.Events {
-			if sharedGranule(e.Addr/SharedGranule, threshold) {
+			if shared[i] {
 				// Shared granule: every core references the base
 				// address, so the cores genuinely collide here.
 				img.Events[i].Addr = e.Addr
-				if err := claim(e.Addr/SharedGranule, -1); err != nil {
-					return nil, err
-				}
-			} else if err := claim(img.Events[i].Addr/SharedGranule, c); err != nil {
+			}
+		}
+		for _, i := range firsts {
+			g, who := img.Events[i].Addr/SharedGranule, c
+			if shared[i] {
+				who = -1
+			}
+			if err := claim(g, who); err != nil {
 				return nil, err
 			}
 		}
 		w.PerCore[c] = img
 		w.Offsets[c] = uint64(c) * cfg.Stagger
 	}
+	w.order = mergeOrder(w.PerCore, w.Offsets)
 	return w, nil
+}
+
+// schedule returns w's merged issue order.
+func (w *Workload) schedule() []uint8 {
+	if w.order != nil {
+		return w.order
+	}
+	return mergeOrder(w.PerCore, w.Offsets)
+}
+
+// mergeOrder merges the per-core streams by global instruction time
+// (each core's offset applied), ties resolving lowest-core-first for
+// determinism, and returns the core id of each event in issue order.
+func mergeOrder(perCore []*trace.Trace, offsets []uint64) []uint8 {
+	type cursor struct {
+		c    uint8
+		i    int
+		when uint64
+	}
+	n := 0
+	cs := make([]cursor, 0, len(perCore))
+	for c, t := range perCore {
+		n += t.Len()
+		if t.Len() == 0 {
+			continue
+		}
+		var off uint64
+		if c < len(offsets) {
+			off = offsets[c]
+		}
+		cs = append(cs, cursor{c: uint8(c), when: off + t.Events[0].Instructions()})
+	}
+	order := make([]uint8, 0, n)
+	for len(cs) > 0 {
+		best := 0
+		for i := 1; i < len(cs); i++ {
+			if cs[i].when < cs[best].when {
+				best = i
+			}
+		}
+		cu := &cs[best]
+		order = append(order, cu.c)
+		t := perCore[cu.c]
+		cu.i++
+		if cu.i >= t.Len() {
+			cs = append(cs[:best], cs[best+1:]...)
+			continue
+		}
+		cu.when += t.Events[cu.i].Instructions()
+	}
+	return order
 }
 
 // sharedGranule decides, by deterministic hash, whether a granule is

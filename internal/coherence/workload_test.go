@@ -89,8 +89,13 @@ func TestBuildWorkloadCollisionDetected(t *testing.T) {
 		{Addr: 0x00, Size: 4, Kind: trace.Write},
 		{Addr: 0x40, Size: 4, Kind: trace.Write},
 	}}
-	if _, err := BuildWorkload(base, WorkloadConfig{Cores: 2, SharedFraction: 0, Stride: 64}); err == nil {
+	_, err := BuildWorkload(base, WorkloadConfig{Cores: 2, SharedFraction: 0, Stride: 64})
+	if err == nil {
 		t.Fatal("window collision not detected")
+	}
+	const want = "coherence: address windows collide at granule 0x40 (stride 64 too small for this footprint)"
+	if err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
 	}
 }
 

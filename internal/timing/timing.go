@@ -188,30 +188,42 @@ func (s Stats) StoreCost() float64 {
 }
 
 // drainQueue models a FIFO drained at a fixed rate: entries become free
-// rate cycles apart once the drain engine reaches them.
+// rate cycles apart once the drain engine reaches them. The occupied
+// slots live in a ring of fixed capacity; a zero-capacity queue is
+// unbuffered.
 type drainQueue struct {
-	freeAt []uint64 // completion time per occupied slot, FIFO order
-	rate   uint64
+	freeAt  []uint64 // ring of completion times per slot
+	head, n int      // oldest occupied slot and occupancy, FIFO order
+	rate    uint64
+}
+
+// newDrainQueue returns an empty queue of the given capacity (<= 0
+// means unbuffered) drained every rate cycles.
+func newDrainQueue(rate uint64, capacity int) *drainQueue {
+	return &drainQueue{freeAt: make([]uint64, max(capacity, 0)), rate: rate}
 }
 
 // drain removes entries completed by time t.
 func (q *drainQueue) drain(t uint64) {
-	for len(q.freeAt) > 0 && q.freeAt[0] <= t {
-		q.freeAt = q.freeAt[1:]
+	for q.n > 0 && q.freeAt[q.head] <= t {
+		q.head++
+		if q.head == len(q.freeAt) {
+			q.head = 0
+		}
+		q.n--
 	}
 }
 
-// push inserts an entry at time t given capacity cap, returning the
-// stall incurred (time the CPU waits for a slot) and the new current
-// time.
-func (q *drainQueue) push(t uint64, capacity int) (stall uint64, now uint64) {
-	q.drain(t)
-	if capacity <= 0 {
+// push inserts an entry at time t, returning the stall incurred (time
+// the CPU waits for a slot) and the new current time.
+func (q *drainQueue) push(t uint64) (stall uint64, now uint64) {
+	if len(q.freeAt) == 0 {
 		// Unbuffered: the CPU absorbs the full drain latency.
 		return q.rate, t + q.rate
 	}
-	if len(q.freeAt) >= capacity {
-		wait := q.freeAt[0] - t
+	q.drain(t)
+	if q.n == len(q.freeAt) {
+		wait := q.freeAt[q.head] - t
 		t += wait
 		stall = wait
 		q.drain(t)
@@ -219,10 +231,13 @@ func (q *drainQueue) push(t uint64, capacity int) (stall uint64, now uint64) {
 	// The new entry completes rate cycles after the later of now and the
 	// previous tail.
 	start := t
-	if n := len(q.freeAt); n > 0 && q.freeAt[n-1] > start {
-		start = q.freeAt[n-1]
+	if q.n > 0 {
+		if tail := q.freeAt[(q.head+q.n-1)%len(q.freeAt)]; tail > start {
+			start = tail
+		}
 	}
-	q.freeAt = append(q.freeAt, start+q.rate)
+	q.freeAt[(q.head+q.n)%len(q.freeAt)] = start + q.rate
+	q.n++
 	return stall, t
 }
 
@@ -251,8 +266,8 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 
 	var s Stats
 	var now uint64
-	wb := &drainQueue{rate: uint64(cfg.WriteRetire)}
-	vb := &drainQueue{rate: uint64(cfg.WritebackCycles)}
+	wb := newDrainQueue(uint64(cfg.WriteRetire), cfg.WriteBufferEntries)
+	vb := newDrainQueue(uint64(cfg.WritebackCycles), cfg.VictimBufferEntries)
 	// Store-pipeline state: the previous instruction was a store, and
 	// the delayed-write register holds a write.
 	afterStore, pending := false, false
@@ -266,7 +281,7 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 		// when the buffer is full (it must, or the victim's data would be
 		// lost to the refill).
 		for i := uint64(0); i < out.writebacks; i++ {
-			stall, t2 := vb.push(now, cfg.VictimBufferEntries)
+			stall, t2 := vb.push(now)
 			s.VictimStalls += stall
 			now = t2
 		}
@@ -308,7 +323,7 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 
 		// Write-through words enter the write buffer.
 		for i := uint64(0); i < out.wtWords; i++ {
-			stall, t2 := wb.push(now, cfg.WriteBufferEntries)
+			stall, t2 := wb.push(now)
 			s.WriteBufferStalls += stall
 			now = t2
 		}

@@ -132,10 +132,17 @@ func CompactRegions(t *Trace, blockBits uint) (*Trace, error) {
 	if blockBits < 4 || blockBits > 31 {
 		return nil, fmt.Errorf("trace: compact block bits %d outside [4,31]", blockBits)
 	}
+	// Consecutive events almost always share a block, so the map is
+	// touched only when the block changes.
 	seen := make(map[uint32]struct{})
+	last := ^uint32(0)
 	for _, e := range t.Events {
-		seen[e.Addr>>blockBits] = struct{}{}
-		seen[(e.Addr+uint32(e.Size)-1)>>blockBits] = struct{}{}
+		for _, b := range [2]uint32{e.Addr >> blockBits, (e.Addr + uint32(e.Size) - 1) >> blockBits} {
+			if b != last {
+				seen[b] = struct{}{}
+				last = b
+			}
+		}
 	}
 	blocks := make([]uint32, 0, len(seen))
 	for b := range seen {
@@ -148,8 +155,12 @@ func CompactRegions(t *Trace, blockBits uint) (*Trace, error) {
 	}
 	mask := uint32(1)<<blockBits - 1
 	out := &Trace{Name: t.Name, Events: make([]Event, t.Len())}
+	lastBlock, lastSlot := ^uint32(0), uint32(0)
 	for i, e := range t.Events {
-		e.Addr = slot[e.Addr>>blockBits]<<blockBits | e.Addr&mask
+		if b := e.Addr >> blockBits; b != lastBlock {
+			lastBlock, lastSlot = b, slot[b]
+		}
+		e.Addr = lastSlot<<blockBits | e.Addr&mask
 		out.Events[i] = e
 	}
 	return out, nil

@@ -1,6 +1,11 @@
 package trace
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
 
 // interleave merges with no start offsets, discarding the stats.
 func interleave(name string, ts ...*Trace) *Trace {
@@ -224,5 +229,67 @@ func TestCompactRegions(t *testing.T) {
 	}
 	if _, err := CompactRegions(tr, 32); err == nil {
 		t.Error("block bits above range accepted")
+	}
+}
+
+// compactRegionsReference is CompactRegions with one map insert per
+// block end and one slot lookup per event.
+func compactRegionsReference(t *Trace, blockBits uint) *Trace {
+	seen := make(map[uint32]struct{})
+	for _, e := range t.Events {
+		seen[e.Addr>>blockBits] = struct{}{}
+		seen[(e.Addr+uint32(e.Size)-1)>>blockBits] = struct{}{}
+	}
+	blocks := make([]uint32, 0, len(seen))
+	for b := range seen {
+		blocks = append(blocks, b)
+	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	slot := make(map[uint32]uint32, len(blocks))
+	for i, b := range blocks {
+		slot[b] = uint32(i)
+	}
+	mask := uint32(1)<<blockBits - 1
+	out := &Trace{Name: t.Name, Events: make([]Event, t.Len())}
+	for i, e := range t.Events {
+		e.Addr = slot[e.Addr>>blockBits]<<blockBits | e.Addr&mask
+		out.Events[i] = e
+	}
+	return out
+}
+
+// TestCompactRegionsMatchesReference: on random traces that revisit a
+// few blocks in runs, jump between them, and straddle block
+// boundaries, CompactRegions equals the map-per-event reference.
+func TestCompactRegionsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 200; iter++ {
+		blockBits := uint(4 + rng.Intn(20))
+		bases := make([]uint32, 1+rng.Intn(6))
+		for i := range bases {
+			bases[i] = rng.Uint32() >> 1 &^ (1<<blockBits - 1)
+		}
+		tr := &Trace{Name: "rand"}
+		base := bases[0]
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			if rng.Intn(8) == 0 {
+				base = bases[rng.Intn(len(bases))]
+			}
+			size := uint8(1 << rng.Intn(4))
+			off := rng.Uint32() & (1<<blockBits - 1)
+			if rng.Intn(4) == 0 {
+				// The last bytes of the block, so the access spans
+				// into the next one.
+				off = 1<<blockBits - uint32(rng.Intn(int(size)))
+			}
+			tr.Append(Event{Addr: base + off, Size: size, Gap: uint16(rng.Intn(3)), Kind: Kind(rng.Intn(2))})
+		}
+		got, err := CompactRegions(tr, blockBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := compactRegionsReference(tr, blockBits); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d (block bits %d): CompactRegions differs from the reference", iter, blockBits)
+		}
 	}
 }
