@@ -33,11 +33,13 @@ lint: require-go
 
 # check is the pre-merge gate: simlint, go vet, the full suite under
 # the race detector (including the multi-core coherence tests in
-# internal/coherence), a short fuzz smoke over the trace decoders and
-# the coherence snoop filter, a single-iteration smoke of the
-# sweep-engine benchmarks, the
-# performance regression gate against the committed BENCH_sweep.json
-# scaling matrix, the SIGKILL/resume crash-safety smoke, and the
+# internal/coherence and the parallel trace loader in
+# internal/workload), a short fuzz smoke over the trace decoders (each
+# alone, and the windowed decoder against its byte-at-a-time
+# reference) and the coherence snoop filter, a single-iteration smoke
+# of the sweep-engine benchmarks, the performance regression gate
+# against the committed BENCH_sweep.json scaling matrix, the
+# SIGKILL/resume crash-safety smoke, and the
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,
 # graceful drain), and the storage-fault chaos smoke (the same plan
 # with torn writes/ENOSPC/failed renames injected under the state
@@ -59,20 +61,25 @@ check: build
 	$(MAKE) faultfs-smoke
 	@echo "check: gates passed: build lint vet race perfbench fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
 
+# FuzzDecodeMatchesReference seeds streams longer than one 64 KiB
+# decode window; minimizing a new input grown from one would spend the
+# whole 5 s, so its new inputs are kept as found.
 fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinaryLenient$$' -fuzztime 5s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecodeMatchesReference$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 5s
 	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzWriteCacheCurve$$' -fuzztime 5s
 	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzSnoopFilter$$' -fuzztime 5s
 
-# bench-smoke compiles and runs every sweep benchmark, the multi-core
-# extension benchmarks, the figures that fan their runs out over cores,
-# the ids the timing cycle model serves (ext-cpi, ext-perf, ext-burst)
-# and simserved's admission commit (at 0 and 1000 jobs of history) for
+# bench-smoke compiles and runs every sweep benchmark, the trace
+# decoder benchmark, the multi-core extension benchmarks, the figures
+# that fan their runs out over cores, the ids the timing cycle model
+# serves (ext-cpi, ext-perf, ext-burst) and simserved's admission commit (at 0 and 1000 jobs of history) for
 # one iteration — fast enough for the gate, enough to catch bit-rot.
 bench-smoke: require-go
 	$(GO) test ./internal/sweep -run '^$$' -bench 'BenchmarkSweep|BenchmarkGang' -benchtime 1x -benchmem
+	$(GO) test ./internal/trace -run '^$$' -bench '^BenchmarkReadBinary$$' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkExtCoh' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench '^Benchmark(Fig5|Fig7|Fig8|Fig9|ExtCPI|ExtPerf|ExtBurst|ExtSwitch|ExtL2Policy)$$' -benchtime 1x -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench '^BenchmarkSubmit$$' -benchtime 1x -benchmem

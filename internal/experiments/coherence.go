@@ -9,6 +9,7 @@ import (
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/coherence"
+	"cachewrite/internal/fanout"
 	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/stats"
 	"cachewrite/internal/trace"
@@ -182,14 +183,14 @@ func (e *Env) cohRuns(keys []cohKey) (map[cohKey]cohRun, error) {
 
 	// Errors are memoized per key, not returned by the jobs, so that
 	// the one reported follows keys order.
-	_, _ = fanOut(len(groups), func(i int) (struct{}, error) {
+	_, _ = fanout.Run(len(groups), func(i int) (struct{}, error) {
 		e.cohGroupRun(groups[i])
 		return struct{}{}, nil
 	})
 
 	runs := make(map[cohKey]cohRun, len(keys))
 	for _, k := range keys {
-		// Every entry's once has returned in a job, which fanOut
+		// Every entry's once has returned in a job, which fanout.Run
 		// orders before these reads.
 		ent := e.coh.entry(k)
 		if ent.err != nil {
@@ -315,6 +316,31 @@ func extCohSchemes(e *Env) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// Baseline: the identical reference schedule through one shared
+	// cache — what coherence overhead is measured against. One job per
+	// trace, fanned out like the scheme runs.
+	type baseline struct {
+		l1 cache.Stats
+		h  hierarchy.Stats
+	}
+	bases, err := fanout.Run(len(e.Traces), func(ti int) (baseline, error) {
+		w, err := e.cohWorkload(ti, cores)
+		if err != nil {
+			return baseline{}, err
+		}
+		merged, _ := w.Interleaved()
+		l2 := cohL2()
+		h, err := hierarchy.New(hierarchy.Config{L1: stdConfig(StdCacheSize, StdLineSize), L2: &l2})
+		if err != nil {
+			return baseline{}, err
+		}
+		h.AccessTrace(merged)
+		h.Flush()
+		return baseline{h.L1().Stats(), h.Stats()}, nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
 	for ti, t := range e.Traces {
 		for _, scheme := range coherence.Schemes() {
 			r := runs[key(ti, scheme)]
@@ -326,25 +352,11 @@ func extCohSchemes(e *Env) (Result, error) {
 				fmt.Sprintf("%.2f", float64(r.sys.UpdatesReceived)/k),
 				fmt.Sprintf("%.1f", float64(r.sys.BusBytes())/k))
 		}
-		// Baseline: the identical reference schedule through one
-		// shared cache — what coherence overhead is measured against.
-		w, err := e.cohWorkload(ti, cores)
-		if err != nil {
-			return Result{}, err
-		}
-		merged, _ := w.Interleaved()
-		l2 := cohL2()
-		h, err := hierarchy.New(hierarchy.Config{L1: stdConfig(StdCacheSize, StdLineSize), L2: &l2})
-		if err != nil {
-			return Result{}, err
-		}
-		h.AccessTrace(merged)
-		h.Flush()
-		ls, hs := h.L1().Stats(), h.Stats()
-		k := float64(ls.Refs()) / 1000
+		b := bases[ti]
+		k := float64(b.l1.Refs()) / 1000
 		tbl.AddRow(t.Name, "shared-L1 (no coherence)",
-			stats.FmtPct(ls.MissRate()), "-", "-", "-",
-			fmt.Sprintf("%.1f", float64(hs.L1ToL2Bytes)/k))
+			stats.FmtPct(b.l1.MissRate()), "-", "-", "-",
+			fmt.Sprintf("%.1f", float64(b.h.L1ToL2Bytes)/k))
 	}
 	return Result{Table: tbl}, nil
 }

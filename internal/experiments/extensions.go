@@ -6,6 +6,7 @@ import (
 	"cachewrite/internal/burst"
 	"cachewrite/internal/bus"
 	"cachewrite/internal/cache"
+	"cachewrite/internal/fanout"
 	"cachewrite/internal/faults"
 	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/reuse"
@@ -61,10 +62,10 @@ func extCPI(e *Env) (Result, error) {
 	})
 }
 
-// fillTable fans row(0), …, row(n-1) out with fanOut and returns tbl
+// fillTable fans row(0), …, row(n-1) out with fanout.Run and returns tbl
 // with the rows added in index order.
 func fillTable(tbl *stats.Table, n int, row func(i int) ([]string, error)) (Result, error) {
-	rows, err := fanOut(n, row)
+	rows, err := fanout.Run(n, row)
 	if err != nil {
 		return Result{}, err
 	}
@@ -426,7 +427,7 @@ func extL2Policy(e *Env) (Result, error) {
 		instr   uint64
 	}
 	nt := len(e.Traces)
-	runs, err := fanOut(len(combos)*nt, func(i int) (run, error) {
+	runs, err := fanout.Run(len(combos)*nt, func(i int) (run, error) {
 		cb := combos[i/nt]
 		l2 := cache.Config{Size: 64 << 10, LineSize: 64, Assoc: 4,
 			WriteHit: cb.hit, WriteMiss: cb.miss}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cachewrite/internal/fanout"
 	"cachewrite/internal/reuse"
 	"cachewrite/internal/stats"
 	"cachewrite/internal/writebuffer"
@@ -89,7 +90,7 @@ type curveMemo struct {
 // writeCacheCurves returns every trace's 0..wcMaxEntries write-cache
 // curve at lineSize, in trace order, each computed once per Env.
 func (e *Env) writeCacheCurves(lineSize int) ([]*reuse.Curve, error) {
-	return fanOut(len(e.Traces), func(ti int) (*reuse.Curve, error) {
+	return fanout.Run(len(e.Traces), func(ti int) (*reuse.Curve, error) {
 		ent := lazyEntry(&e.curves.mu, &e.curves.m, curveKey{ti, lineSize})
 		ent.once.Do(func() {
 			e.curves.computed.Add(1)
@@ -114,7 +115,7 @@ func fig5(e *Env) (Result, error) {
 		intervals = append(intervals, n)
 	}
 	nt := len(e.Traces)
-	runs, err := fanOut(len(intervals)*nt, func(i int) (writebuffer.Stats, error) {
+	runs, err := fanout.Run(len(intervals)*nt, func(i int) (writebuffer.Stats, error) {
 		b, err := writebuffer.New(writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: intervals[i/nt]})
 		if err != nil {
 			return writebuffer.Stats{}, err

@@ -1,4 +1,6 @@
-package experiments
+// Package fanout runs independent jobs over all cores and gathers
+// their results in a deterministic order.
+package fanout
 
 import (
 	"runtime"
@@ -6,13 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// fanOut runs job(0), …, job(n-1) on up to GOMAXPROCS goroutines and
+// Run runs job(0), …, job(n-1) on up to GOMAXPROCS goroutines and
 // returns their results in index order. Every job runs, and the error
 // returned is the lowest-index failing job's, so neither the results
-// nor the error depend on scheduling. Callers combine the results in
-// index order, which keeps every rendering byte-identical at any
-// GOMAXPROCS.
-func fanOut[T any](n int, job func(i int) (T, error)) ([]T, error) {
+// nor the error depend on scheduling: a caller that combines the
+// results in index order produces the same output at any GOMAXPROCS.
+func Run[T any](n int, job func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
 	var (

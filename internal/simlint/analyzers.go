@@ -14,7 +14,7 @@ var EnginePackages = []string{
 	"internal/writecache",
 	"internal/bus",
 	"internal/timing",
-	// burst, reuse and faults run inside experiments.fanOut workers.
+	// burst, reuse and faults run inside fanout.Run workers.
 	"internal/burst",
 	"internal/reuse",
 	"internal/faults",

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -24,7 +26,12 @@ import (
 //	  gap: uvarint (only if bit4 set; omitted gaps are zero)
 //
 // Delta encoding keeps sequential workloads (linpack, liver) to ~3
-// bytes/event.
+// bytes/event. A record is at most maxRecordLen (21) bytes and usually
+// 2 or 3, with one-byte delta and gap varints. The readers
+// decode it from 64 KiB windows of a bufio.Reader (decodeEvents):
+// every record that lies whole in a window is decoded inline, and only
+// a rejected record or the stream's last bytes take the per-record
+// path (decodeRecord).
 
 var magic = [4]byte{'C', 'W', 'T', '1'}
 
@@ -124,23 +131,29 @@ func WriteBinary(w io.Writer, t *Trace) error {
 // the first malformed record fails the whole read. Use
 // ReadBinaryLenient to salvage what a damaged file still holds.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
+	return readBinary(r, decodeWindow)
+}
+
+// readBinary is ReadBinary decoding window bytes at a time.
+func readBinary(r io.Reader, window int) (*Trace, error) {
+	br := bufio.NewReaderSize(r, window)
 	t := &Trace{}
 	count, err := decodeHeader(br, t)
 	if err != nil {
 		return nil, err
 	}
-	if count > 0 && count < 1<<28 {
-		t.Events = make([]Event, 0, count)
+	// The header's count is untrusted: a damaged one must not reserve
+	// gigabytes for a stream a few bytes long.
+	if count > 0 {
+		t.Events = make([]Event, 0, min(count, maxPrealloc))
 	}
-	prev := uint32(0)
-	for i := uint64(0); i < count; i++ {
-		e, newPrev, err := decodeEvent(br, prev, i)
-		if err != nil {
-			return nil, err
-		}
-		prev = newPrev
-		t.Events = append(t.Events, e)
+	var rejected error
+	t.Events = decodeEvents(br, window, count, t.Events, func(err error) bool {
+		rejected = err
+		return false
+	})
+	if rejected != nil {
+		return nil, rejected
 	}
 	return t, nil
 }
@@ -217,53 +230,167 @@ func ReadText(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// decodeEvent reads one event given the previous address (for delta
-// decoding); it is shared by ReadBinary and ReadBinaryLenient.
-// Value-range violations (a corrupt but structurally intact record) are
-// reported wrapping ErrCorruptRecord so lenient decoding can skip the
-// record and resynchronize on the next tag byte; I/O and
-// varint-framing failures are returned as-is and end the stream. The
-// returned address is the delta base for the next event, advanced as
-// far as decoding got even when the record is rejected.
-func decodeEvent(br *bufio.Reader, prev uint32, i uint64) (Event, uint32, error) {
-	tag, err := br.ReadByte()
-	if err != nil {
-		return Event{}, prev, fmt.Errorf("trace: event %d tag: %w", i, err)
-	}
-	var e Event
-	if tag&tagKindWrite != 0 {
-		e.Kind = Write
-	}
-	e.Size = 1 << ((tag & tagSizeMask) >> tagSizeShift)
-	if tag&tagDelta != 0 {
-		d, err := binary.ReadVarint(br)
-		if err != nil {
-			return Event{}, prev, fmt.Errorf("trace: event %d delta: %w", i, err)
+// maxRecordLen is the longest record: a tag byte and two varints of
+// at most binary.MaxVarintLen64 bytes each.
+const maxRecordLen = 1 + 2*binary.MaxVarintLen64
+
+// maxPrealloc bounds the events ReadBinary reserves from the header's
+// count before decoding: 64 MiB, more than any paper trace at scale 1
+// holds. A longer trace grows by append.
+const maxPrealloc = 1 << 23
+
+// decodeWindow is how many bytes of the stream ReadBinary and
+// ReadBinaryLenient decode at a time.
+const decodeWindow = 64 << 10
+
+// errVarintOverflow is the error binary.ReadUvarint returns for a
+// varint longer than 64 bits, so decoding from a window fails with the
+// very error a byte-at-a-time read would.
+var errVarintOverflow = func() error {
+	_, err := binary.ReadUvarint(bytes.NewReader(bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64)))
+	return err
+}()
+
+// decodeEvents decodes the count records that follow a CWT1 header in
+// br, appending every accepted event to events. ReadBinary and
+// ReadBinaryLenient share it and differ only in reject, which sees each
+// record error decodeRecord reports and returns true to skip the
+// record and decode on, false to stop.
+//
+// Records are decoded from windows of window bytes (more than
+// maxRecordLen, and no more than br's buffer holds). A record that starts
+// at least maxRecordLen bytes before the window's end lies whole inside
+// it, so it is decoded inline with no end-of-stream checks, and a
+// one-byte delta or gap (the common case) costs no call. Only a
+// rejected record and the stream's last bytes go through decodeRecord.
+// Memory stays bounded by the window whatever the stream's length.
+func decodeEvents(br *bufio.Reader, window int, count uint64, events []Event, reject func(error) bool) []Event {
+	prev := uint32(0)
+	for i := uint64(0); i < count; {
+		buf, end := br.Peek(window)
+		off, whole := 0, len(buf)-maxRecordLen
+		// Past whole a record may run off the window, so the window is
+		// refilled there unless the stream ends (end != nil).
+		for ; i < count && (off <= whole || end != nil); i++ {
+			if off <= whole {
+				tag := buf[off]
+				p := off + 1
+				x, n := uint64(buf[p]), 1
+				if x >= 0x80 {
+					x, n = binary.Uvarint(buf[p:])
+				}
+				a := int64(x)
+				if tag&tagDelta != 0 {
+					a = int64(prev) + (int64(x>>1) ^ -int64(x&1))
+				}
+				p += n
+				var gap uint64
+				if n > 0 && tag&tagHasGap != 0 {
+					gap, n = uint64(buf[p]), 1
+					if gap >= 0x80 {
+						gap, n = binary.Uvarint(buf[p:])
+					}
+					p += n
+				}
+				if n > 0 && uint64(a) <= math.MaxUint32 && gap <= math.MaxUint16 {
+					events = append(events, Event{
+						Addr: uint32(a),
+						Gap:  uint16(gap),
+						Size: 1 << ((tag & tagSizeMask) >> tagSizeShift),
+						Kind: Kind(tag & tagKindWrite),
+					})
+					prev, off = uint32(a), p
+					continue
+				}
+			}
+			// A rejected record, an overlong varint or the stream's
+			// last bytes: decodeRecord tells which.
+			e, used, next, err := decodeRecord(buf[off:], prev, i, end)
+			off, prev = off+used, next
+			if err == nil {
+				events = append(events, e)
+			} else if !reject(err) {
+				return events
+			}
 		}
+		br.Discard(off) // cannot fail: off never passes the peeked bytes
+	}
+	return events
+}
+
+// decodeRecord decodes the record at the front of b given the previous
+// address (for delta decoding), just as reading it a byte at a time
+// from a stream that holds b and then fails with end would. It returns
+// the event, the bytes it used and the delta base for the next record,
+// advanced as far as decoding got even when the record is rejected.
+// Value-range violations (a corrupt but structurally intact record)
+// are reported wrapping ErrCorruptRecord so lenient decoding can skip
+// the record and resynchronize on the next tag byte; running out of
+// bytes and varint-framing failures end the stream.
+func decodeRecord(b []byte, prev uint32, i uint64, end error) (Event, int, uint32, error) {
+	if len(b) == 0 {
+		return Event{}, 0, prev, fmt.Errorf("trace: event %d tag: %w", i, end)
+	}
+	tag := b[0]
+	e := Event{Size: 1 << ((tag & tagSizeMask) >> tagSizeShift), Kind: Kind(tag & tagKindWrite)}
+	x, n, err := readUvarint(b[1:], end)
+	n++
+	if tag&tagDelta != 0 {
+		if err != nil {
+			return Event{}, n, prev, fmt.Errorf("trace: event %d delta: %w", i, err)
+		}
+		d := int64(x>>1) ^ -int64(x&1)
 		a := int64(prev) + d
-		if a < 0 || a > int64(^uint32(0)) {
-			return Event{}, prev, fmt.Errorf("trace: event %d: %w: delta %d from 0x%x leaves the address space", i, ErrCorruptRecord, d, prev)
+		if a < 0 || a > math.MaxUint32 {
+			return Event{}, n, prev, fmt.Errorf("trace: event %d: %w: delta %d from 0x%x leaves the address space", i, ErrCorruptRecord, d, prev)
 		}
 		e.Addr = uint32(a)
 	} else {
-		a, err := binary.ReadUvarint(br)
 		if err != nil {
-			return Event{}, prev, fmt.Errorf("trace: event %d addr: %w", i, err)
+			return Event{}, n, prev, fmt.Errorf("trace: event %d addr: %w", i, err)
 		}
-		if a > uint64(^uint32(0)) {
-			return Event{}, prev, fmt.Errorf("trace: event %d: %w: address 0x%x exceeds 32 bits", i, ErrCorruptRecord, a)
+		if x > math.MaxUint32 {
+			return Event{}, n, prev, fmt.Errorf("trace: event %d: %w: address 0x%x exceeds 32 bits", i, ErrCorruptRecord, x)
 		}
-		e.Addr = uint32(a)
+		e.Addr = uint32(x)
 	}
 	if tag&tagHasGap != 0 {
-		g, err := binary.ReadUvarint(br)
+		g, k, err := readUvarint(b[n:], end)
+		n += k
 		if err != nil {
-			return Event{}, e.Addr, fmt.Errorf("trace: event %d gap: %w", i, err)
+			return Event{}, n, e.Addr, fmt.Errorf("trace: event %d gap: %w", i, err)
 		}
-		if g > 0xffff {
-			return Event{}, e.Addr, fmt.Errorf("trace: event %d: %w: gap %d exceeds 16 bits", i, ErrCorruptRecord, g)
+		if g > math.MaxUint16 {
+			return Event{}, n, e.Addr, fmt.Errorf("trace: event %d: %w: gap %d exceeds 16 bits", i, ErrCorruptRecord, g)
 		}
 		e.Gap = uint16(g)
 	}
-	return e, e.Addr, nil
+	return e, n, e.Addr, nil
+}
+
+// readUvarint decodes a uvarint from the front of b and reports the
+// bytes it used, failing as binary.ReadUvarint would on a stream that
+// holds b and then fails with end.
+func readUvarint(b []byte, end error) (uint64, int, error) {
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if i == len(b) {
+			//simlint:allow sentinelerr binary.ReadUvarint turns only an unwrapped io.EOF into io.ErrUnexpectedEOF
+			if i > 0 && end == io.EOF {
+				return x, i, io.ErrUnexpectedEOF
+			}
+			return x, i, end
+		}
+		c := b[i]
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				return x, i + 1, errVarintOverflow
+			}
+			return x | uint64(c)<<s, i + 1, nil
+		}
+		x |= uint64(c&0x7f) << s
+		s += 7
+	}
+	return x, binary.MaxVarintLen64, errVarintOverflow
 }

@@ -67,29 +67,29 @@ func (s *DecodeStats) note(err error) {
 // what did not. The error is non-nil only when nothing can be decoded
 // at all (unreadable or wrong-magic header).
 func ReadBinaryLenient(r io.Reader) (*Trace, DecodeStats, error) {
+	return readBinaryLenient(r, decodeWindow)
+}
+
+// readBinaryLenient is ReadBinaryLenient decoding window bytes at a
+// time.
+func readBinaryLenient(r io.Reader, window int) (*Trace, DecodeStats, error) {
 	var ds DecodeStats
-	br := bufio.NewReader(r)
+	br := bufio.NewReaderSize(r, window)
 	t := &Trace{}
 	count, err := decodeHeader(br, t)
 	if err != nil {
 		return nil, ds, err
 	}
-	prev := uint32(0)
-	for i := uint64(0); i < count; i++ {
-		e, newPrev, err := decodeEvent(br, prev, i)
-		prev = newPrev
-		if err != nil {
-			ds.note(err)
-			if errors.Is(err, ErrCorruptRecord) {
-				ds.Skipped++
-				continue
-			}
-			ds.Truncated = true
-			break
+	t.Events = decodeEvents(br, window, count, nil, func(err error) bool {
+		ds.note(err)
+		if errors.Is(err, ErrCorruptRecord) {
+			ds.Skipped++
+			return true
 		}
-		t.Events = append(t.Events, e)
-		ds.Decoded++
-	}
+		ds.Truncated = true
+		return false
+	})
+	ds.Decoded = uint64(len(t.Events))
 	return t, ds, nil
 }
 

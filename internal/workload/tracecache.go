@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"cachewrite/internal/fanout"
 	"cachewrite/internal/trace"
 	"cachewrite/internal/vfs"
 )
@@ -142,6 +143,13 @@ func sweepTempFiles(dir string) int {
 	return removed
 }
 
+// genMu lets one cache miss generate at a time, while hits decode in
+// parallel. A generation grows its trace by append, so two at once
+// hold two growing traces and their garbage: filling an empty cache
+// with the six paper traces in parallel raised peak RSS from 153–176
+// to 161–198 MiB on a 2-CPU host.
+var genMu sync.Mutex
+
 // GenerateCached is Generate backed by the on-disk trace cache at dir:
 // a hit decodes the stored CWT1 file instead of re-executing the
 // workload; a miss generates the trace and stores it for next time.
@@ -174,7 +182,9 @@ func GenerateCached(dir, name string, scale int) (*trace.Trace, error) {
 		}
 		Logf("trace cache %s: quarantined corrupt entry and regenerating %s: %v", dir, name, lerr)
 	}
+	genMu.Lock()
 	t, err := Generate(name, scale)
+	genMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -199,17 +209,12 @@ func classifyStoreError(err error) string {
 }
 
 // GenerateAllCached produces traces for the six paper benchmarks in
-// paper order through the cache at dir (empty dir disables caching).
+// paper order through the cache at dir (empty dir disables caching),
+// loading them in parallel. On failure it returns the error of the
+// first failing benchmark in paper order.
 func GenerateAllCached(dir string, scale int) ([]*trace.Trace, error) {
-	var ts []*trace.Trace
-	for _, name := range PaperOrder() {
-		t, err := GenerateCached(dir, name, scale)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-	return ts, nil
+	names := PaperOrder()
+	return fanout.Run(len(names), func(i int) (*trace.Trace, error) { return GenerateCached(dir, names[i], scale) })
 }
 
 // EnforceBudget prunes the cache directory to at most budget bytes of

@@ -29,6 +29,8 @@ func TestStoreDegradedUnderENOSPC(t *testing.T) {
 	// with ENOSPC. (Reads — the sweep's ReadDir, the lookup Open — are
 	// not counted operations.)
 	swapFS(t, vfs.NewFaulty(vfs.OS{}, vfs.Plan{FailAtOp: 2, FailKind: vfs.KindENOSPC}))
+	// The collector takes no lock, so this test may only call the
+	// single-name GenerateCached, never a parallel loader.
 	var lines []string
 	var loggedErrs []error
 	prev := Logf

@@ -358,9 +358,15 @@ func TestGenerateAllCached(t *testing.T) {
 	if len(ts) != len(PaperOrder()) {
 		t.Fatalf("got %d traces, want %d", len(ts), len(PaperOrder()))
 	}
+	// The parallel load returns, in paper order, exactly what loading
+	// each name on its own does.
 	for i, name := range PaperOrder() {
-		if ts[i].Name != name {
-			t.Fatalf("trace %d is %q, want %q", i, ts[i].Name, name)
+		want, err := GenerateCached(dir, name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ts[i], want) {
+			t.Fatalf("trace %d (%q) differs from GenerateCached(%q)", i, ts[i].Name, name)
 		}
 	}
 	// Second pass is a pure cache hit and must agree.

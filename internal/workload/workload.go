@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cachewrite/internal/fanout"
 	"cachewrite/internal/memsim"
 	"cachewrite/internal/trace"
 )
@@ -90,17 +91,11 @@ func Generate(name string, scale int) (*trace.Trace, error) {
 }
 
 // GenerateAll produces traces for the six paper benchmarks in paper
-// order.
+// order, generating them in parallel. On failure it returns the error
+// of the first failing benchmark in paper order.
 func GenerateAll(scale int) ([]*trace.Trace, error) {
-	var ts []*trace.Trace
-	for _, name := range PaperOrder() {
-		t, err := Generate(name, scale)
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-	return ts, nil
+	names := PaperOrder()
+	return fanout.Run(len(names), func(i int) (*trace.Trace, error) { return Generate(names[i], scale) })
 }
 
 // rng is a deterministic xorshift64* generator. We use our own instead

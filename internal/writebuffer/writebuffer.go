@@ -14,6 +14,7 @@ package writebuffer
 
 import (
 	"fmt"
+	"slices"
 
 	"cachewrite/internal/trace"
 )
@@ -73,11 +74,12 @@ func (s Stats) StallCPI() float64 {
 
 // Buffer is a coalescing write buffer simulator.
 type Buffer struct {
-	cfg   Config
-	fifo  []uint32 // line numbers, oldest first
-	now   uint64   // current cycle
-	ret   uint64   // next retirement opportunity
-	stats Stats
+	cfg     Config
+	lines   []uint32 // ring of cfg.Entries buffered line numbers
+	head, n int      // oldest occupied slot and occupancy, FIFO order
+	now     uint64   // current cycle
+	ret     uint64   // next retirement opportunity
+	stats   Stats
 }
 
 // New builds a buffer.
@@ -85,7 +87,7 @@ func New(cfg Config) (*Buffer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Buffer{cfg: cfg, fifo: make([]uint32, 0, cfg.Entries)}, nil
+	return &Buffer{cfg: cfg, lines: make([]uint32, cfg.Entries)}, nil
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -121,36 +123,51 @@ func (b *Buffer) write(addr uint32) {
 	b.drainUpTo(b.now)
 
 	ln := addr / uint32(b.cfg.LineSize)
-	for _, have := range b.fifo {
-		if have == ln {
-			b.stats.Merged++
-			return
-		}
+	if older, newer := b.pending(); slices.Contains(older, ln) || slices.Contains(newer, ln) {
+		b.stats.Merged++
+		return
 	}
-	if len(b.fifo) == b.cfg.Entries {
+	if b.n == len(b.lines) {
 		// Full: stall until the next retirement frees an entry.
 		wait := b.ret - b.now
 		b.stats.StallCycles += wait
 		b.now = b.ret
 		b.retireOne()
 	}
-	if len(b.fifo) == 0 {
+	if b.n == 0 {
 		// The retirement clock restarts when the buffer goes from empty
 		// to non-empty.
 		b.ret = b.now + uint64(b.cfg.RetireInterval)
 	}
-	b.fifo = append(b.fifo, ln)
+	tail := b.head + b.n
+	if tail >= len(b.lines) {
+		tail -= len(b.lines)
+	}
+	b.lines[tail] = ln
+	b.n++
+}
+
+// pending returns the buffered line numbers as the ring's two
+// segments, oldest first.
+func (b *Buffer) pending() (older, newer []uint32) {
+	if end := b.head + b.n; end > len(b.lines) {
+		return b.lines[b.head:], b.lines[:end-len(b.lines)]
+	}
+	return b.lines[b.head : b.head+b.n], nil
 }
 
 // drainUpTo retires entries whose retirement opportunity has passed.
 func (b *Buffer) drainUpTo(t uint64) {
-	for len(b.fifo) > 0 && b.ret <= t {
+	for b.n > 0 && b.ret <= t {
 		b.retireOne()
 	}
 }
 
 func (b *Buffer) retireOne() {
-	b.fifo = b.fifo[1:]
+	if b.head++; b.head == len(b.lines) {
+		b.head = 0
+	}
+	b.n--
 	b.stats.Retired++
 	b.ret += uint64(b.cfg.RetireInterval)
 }
@@ -160,9 +177,13 @@ func (b *Buffer) retireOne() {
 // passed. Fault injection uses it to strike a resident entry.
 func (b *Buffer) PendingLineAddrs() []uint32 {
 	b.drainUpTo(b.now)
-	out := make([]uint32, len(b.fifo))
-	for i, ln := range b.fifo {
-		out[i] = ln * uint32(b.cfg.LineSize)
+	older, newer := b.pending()
+	out := make([]uint32, 0, b.n)
+	for _, ln := range older {
+		out = append(out, ln*uint32(b.cfg.LineSize))
+	}
+	for _, ln := range newer {
+		out = append(out, ln*uint32(b.cfg.LineSize))
 	}
 	return out
 }

@@ -50,8 +50,8 @@ func TestZeroRetireInterval(t *testing.T) {
 	if s.Retired != 3 || s.StallCycles != 0 {
 		t.Errorf("retired=%d stalls=%d", s.Retired, s.StallCycles)
 	}
-	if len(b.fifo) != 0 {
-		t.Errorf("pending = %d", len(b.fifo))
+	if b.n != 0 {
+		t.Errorf("pending = %d", b.n)
 	}
 }
 
@@ -63,8 +63,8 @@ func TestMergeWithinInterval(t *testing.T) {
 	if s.Merged != 1 {
 		t.Errorf("merged = %d, want 1", s.Merged)
 	}
-	if len(b.fifo) != 1 {
-		t.Errorf("pending = %d, want 1", len(b.fifo))
+	if b.n != 1 {
+		t.Errorf("pending = %d, want 1", b.n)
 	}
 }
 
