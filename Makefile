@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint require-go fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke bench bench-all
+.PHONY: build test check lint require-go fuzz-smoke bench-smoke resilience-smoke serve-smoke faultfs-smoke bench-all
 
 # require-go fails fast with a clear message when the Go toolchain is
 # missing or $(GO) points at a nonexistent binary, instead of letting
@@ -37,8 +37,9 @@ lint: require-go
 # internal/workload), a short fuzz smoke over the trace decoders (each
 # alone, and the windowed decoder against its byte-at-a-time
 # reference) and the coherence snoop filter, a single-iteration smoke
-# of the sweep-engine benchmarks, the performance regression gate
-# against the committed BENCH_sweep.json scaling matrix, the
+# of the sweep-engine benchmarks, the gang engine's speedup floor
+# (TestGangSpeedupFloor: at least 1.2x over one cache pass per config,
+# at one worker and at GOMAXPROCS; the race suite skips it), the
 # SIGKILL/resume crash-safety smoke, and the
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,
 # graceful drain), and the storage-fault chaos smoke (the same plan
@@ -55,11 +56,11 @@ check: build
 	cd perfbench && $(GO) test ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
-	$(MAKE) bench-compare
+	$(GO) test ./internal/sweep -run '^TestGangSpeedupFloor$$' -count 1
 	$(MAKE) resilience-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) faultfs-smoke
-	@echo "check: gates passed: build lint vet race perfbench fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
+	@echo "check: gates passed: build lint vet race perfbench fuzz-smoke bench-smoke TestGangSpeedupFloor resilience-smoke serve-smoke faultfs-smoke"
 
 # FuzzDecodeMatchesReference seeds streams longer than one 64 KiB
 # decode window; minimizing a new input grown from one would spend the
@@ -84,14 +85,6 @@ bench-smoke: require-go
 	$(GO) test . -run '^$$' -bench '^Benchmark(Fig5|Fig7|Fig8|Fig9|ExtCPI|ExtPerf|ExtBurst|ExtSwitch|ExtL2Policy)$$' -benchtime 1x -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench '^BenchmarkSubmit$$' -benchtime 1x -benchmem
 
-# bench-compare is the performance regression gate: a fresh reduced
-# sweep measured at the full worker matrix, compared against the
-# committed BENCH_sweep.json (ns/event within 10% on identical
-# silicon, zero-alloc hot loops, scaling matrix invariants). See
-# scripts/bench_compare.sh and EXPERIMENTS.md.
-bench-compare: require-go
-	GO="$(GO)" sh scripts/bench_compare.sh
-
 # resilience-smoke SIGKILLs a checkpointed sweep mid-flight three
 # times, resumes it, and requires the final CSV to be byte-identical
 # to an uninterrupted run.
@@ -112,14 +105,6 @@ serve-smoke: require-go
 # jobs. See scripts/faultfs_smoke.sh and docs/faults.md.
 faultfs-smoke: require-go
 	GO="$(GO)" sh scripts/faultfs_smoke.sh
-
-# bench measures the gang sweep engine against the sequential baseline
-# on the full figure sweep at every worker-pool size up to the full
-# core count and writes BENCH_sweep.json (wall clocks, speedup,
-# ns/event, allocs/event, scaling[] matrix, host metadata). See
-# EXPERIMENTS.md for how to read it.
-bench: require-go
-	$(GO) run ./cmd/sweepbench -workers auto -out BENCH_sweep.json
 
 # bench-all runs the complete per-figure/ablation benchmark suite.
 bench-all: require-go

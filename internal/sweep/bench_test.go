@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/trace"
@@ -15,12 +17,8 @@ func paperConfigs() []cache.Config {
 	var cfgs []cache.Config
 	add := func(size, line int) {
 		for _, p := range cache.WriteMissPolicies() {
-			cfg := cache.Config{Size: size, LineSize: line, Assoc: 1,
-				WriteHit: cache.WriteBack, WriteMiss: p}
-			if p == cache.WriteAround || p == cache.WriteInvalidate {
-				cfg.WriteHit = cache.WriteThrough
-			}
-			cfgs = append(cfgs, cfg)
+			cfgs = append(cfgs, cache.Config{Size: size, LineSize: line, Assoc: 1,
+				WriteHit: p.PairedWriteHit(), WriteMiss: p})
 		}
 	}
 	for _, size := range []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10} {
@@ -48,24 +46,29 @@ func reportPerEvent(b *testing.B, configEvents int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(configEvents), "ns/event")
 }
 
-// BenchmarkSweepSequential is the pre-gang baseline: one full pass over
-// every trace per configuration, single-threaded.
+// sequentialSweep is the pre-gang baseline: one full pass over every
+// trace per configuration, single-threaded.
+func sequentialSweep(tb testing.TB, ts []*trace.Trace, cfgs []cache.Config) {
+	for _, t := range ts {
+		for _, cfg := range cfgs {
+			c, err := cache.New(cfg)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			c.AccessTrace(t)
+			c.Flush()
+			_ = c.Stats()
+		}
+	}
+}
+
+// BenchmarkSweepSequential times sequentialSweep over the paper sweep.
 func BenchmarkSweepSequential(b *testing.B) {
 	ts := benchTraces()
 	cfgs := paperConfigs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, t := range ts {
-			for _, cfg := range cfgs {
-				c, err := cache.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c.AccessTrace(t)
-				c.Flush()
-				_ = c.Stats()
-			}
-		}
+		sequentialSweep(b, ts, cfgs)
 	}
 	b.StopTimer()
 	reportPerEvent(b, len(ts)*len(cfgs)*benchEvents)
@@ -124,14 +127,84 @@ func BenchmarkGangAccess(b *testing.B) {
 }
 
 // TestAccessZeroAlloc pins the acceptance criterion that the
-// steady-state access loop performs zero allocations per event.
+// steady-state access loop performs zero allocations per event, under
+// each write-miss policy with its paired write-hit policy.
 func TestAccessZeroAlloc(t *testing.T) {
 	tr := testTrace(5000)
-	c := cache.MustNew(cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1,
-		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite})
-	// Warm once so steady state (not cold-map growth) is measured.
-	c.AccessTrace(tr)
-	if av := testing.AllocsPerRun(10, func() { c.AccessTrace(tr) }); av != 0 {
-		t.Fatalf("steady-state access loop allocates: %v allocs/run", av)
+	for _, p := range cache.WriteMissPolicies() {
+		c := cache.MustNew(cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1,
+			WriteHit: p.PairedWriteHit(), WriteMiss: p})
+		// Warm once so steady state (not cold-map growth) is measured.
+		c.AccessTrace(tr)
+		if av := testing.AllocsPerRun(10, func() { c.AccessTrace(tr) }); av != 0 {
+			t.Errorf("%v: steady-state access loop allocates: %v allocs/run", p, av)
+		}
+	}
+}
+
+// minSpeedup is the least speedup over sequentialSweep that
+// TestGangSpeedupFloor accepts from the gang engine, at one worker and
+// at GOMAXPROCS workers.
+const minSpeedup = 1.2
+
+// TestGangSpeedupFloor is the live check on single-pass multi-config
+// simulation: over the 48 paper configs, the gang engine must beat one
+// cache.New and AccessTrace per config by minSpeedup with one worker
+// (the batch kernels' win alone) and, given two or more CPUs, with
+// GOMAXPROCS workers. Each engine keeps its fastest of five interleaved
+// runs. The one-worker ratio compares CPU time, which other processes
+// on a busy host (go test ./... runs packages side by side) inflate
+// far less than wall time; a parallel speedup shows only in wall time.
+// The race detector slows the kernels far more than the baseline, so
+// the test skips under it, and under -short.
+func TestGangSpeedupFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test; skipped under -short")
+	}
+	if raceEnabled {
+		t.Skip("timing test; the race detector distorts the ratios")
+	}
+	// One long trace: each engine builds every cache once per trace,
+	// and that setup, paid alike by both, would dilute the per-event
+	// win that the floor is about.
+	ts := []*trace.Trace{testTrace(120_000)}
+	cfgs := paperConfigs()
+	procs := runtime.GOMAXPROCS(0)
+	gang := func(workers int) func() {
+		return func() {
+			if _, err := Sweep(context.Background(), ts, cfgs, Options{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	engines := []func(){func() { sequentialSweep(t, ts, cfgs) }, gang(1), gang(procs)}
+	wall := make([]time.Duration, len(engines))
+	cpu := make([]time.Duration, len(engines))
+	for round := 0; round < 5; round++ {
+		for i, run := range engines {
+			runtime.GC() // so no run pays for garbage the one before it left
+			start, startCPU := time.Now(), cpuTime(t)
+			run()
+			w, c := time.Since(start), cpuTime(t)-startCPU
+			if round == 0 || w < wall[i] {
+				wall[i] = w
+			}
+			if round == 0 || c < cpu[i] {
+				cpu[i] = c
+			}
+		}
+	}
+	single := float64(cpu[0]) / float64(cpu[1])
+	all := float64(wall[0]) / float64(wall[2])
+	t.Logf("CPU time: sequential %v, gang at 1 worker %v (%.2fx); wall time: sequential %v, gang at %d workers %v (%.2fx)",
+		cpu[0], cpu[1], single, wall[0], procs, wall[2], all)
+	if single < minSpeedup {
+		t.Errorf("gang at 1 worker is %.2fx the sequential baseline, below the %.1fx floor", single, minSpeedup)
+	}
+	switch {
+	case procs < 2:
+		t.Log("GOMAXPROCS is 1: only the one-worker floor applies")
+	case all < minSpeedup:
+		t.Errorf("gang at %d workers is %.2fx the sequential baseline, below the %.1fx floor", procs, all, minSpeedup)
 	}
 }

@@ -335,6 +335,7 @@ func decodeRecord(b []byte, prev uint32, i uint64, end error) (Event, int, uint3
 	e := Event{Size: 1 << ((tag & tagSizeMask) >> tagSizeShift), Kind: Kind(tag & tagKindWrite)}
 	x, n, err := readUvarint(b[1:], end)
 	n++
+	var bad error // an out-of-range address, reported once the gap is read
 	if tag&tagDelta != 0 {
 		if err != nil {
 			return Event{}, n, prev, fmt.Errorf("trace: event %d delta: %w", i, err)
@@ -342,7 +343,7 @@ func decodeRecord(b []byte, prev uint32, i uint64, end error) (Event, int, uint3
 		d := int64(x>>1) ^ -int64(x&1)
 		a := int64(prev) + d
 		if a < 0 || a > math.MaxUint32 {
-			return Event{}, n, prev, fmt.Errorf("trace: event %d: %w: delta %d from 0x%x leaves the address space", i, ErrCorruptRecord, d, prev)
+			bad = fmt.Errorf("trace: event %d: %w: delta %d from 0x%x leaves the address space", i, ErrCorruptRecord, d, prev)
 		}
 		e.Addr = uint32(a)
 	} else {
@@ -350,9 +351,14 @@ func decodeRecord(b []byte, prev uint32, i uint64, end error) (Event, int, uint3
 			return Event{}, n, prev, fmt.Errorf("trace: event %d addr: %w", i, err)
 		}
 		if x > math.MaxUint32 {
-			return Event{}, n, prev, fmt.Errorf("trace: event %d: %w: address 0x%x exceeds 32 bits", i, ErrCorruptRecord, x)
+			bad = fmt.Errorf("trace: event %d: %w: address 0x%x exceeds 32 bits", i, ErrCorruptRecord, x)
 		}
 		e.Addr = uint32(x)
+	}
+	if bad != nil {
+		// A rejected address is no delta base; the next record starts
+		// after this one's gap, so the gap is consumed all the same.
+		e.Addr = prev
 	}
 	if tag&tagHasGap != 0 {
 		g, k, err := readUvarint(b[n:], end)
@@ -360,10 +366,13 @@ func decodeRecord(b []byte, prev uint32, i uint64, end error) (Event, int, uint3
 		if err != nil {
 			return Event{}, n, e.Addr, fmt.Errorf("trace: event %d gap: %w", i, err)
 		}
-		if g > math.MaxUint16 {
-			return Event{}, n, e.Addr, fmt.Errorf("trace: event %d: %w: gap %d exceeds 16 bits", i, ErrCorruptRecord, g)
+		if bad == nil && g > math.MaxUint16 {
+			bad = fmt.Errorf("trace: event %d: %w: gap %d exceeds 16 bits", i, ErrCorruptRecord, g)
 		}
 		e.Gap = uint16(g)
+	}
+	if bad != nil {
+		return Event{}, n, e.Addr, bad
 	}
 	return e, n, e.Addr, nil
 }

@@ -140,8 +140,8 @@ func TestDecodeMatchesReferenceAtWindowEdges(t *testing.T) {
 // returns exactly what the byte-at-a-time reference returns. Decoding
 // every input also at a window of a record or two puts a refill between
 // almost every pair of records. The seeds include a stream longer than
-// one production window, damaged at that window's end, and a short
-// stream damaged throughout.
+// one production window, damaged at that window's end, a short stream
+// damaged throughout, and records rejected for their gap or address.
 func FuzzDecodeMatchesReference(f *testing.F) {
 	raw, edges := longStream(f)
 	f.Add(raw)
@@ -160,6 +160,9 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		}
 	}
 	f.Add(corruptGapRecordBytes())
+	for _, data := range rejectedAddressStreams() {
+		f.Add(data)
+	}
 	f.Add([]byte("CWT1\x00\xff\xff\xff\xff\xff\xff"))
 	f.Fuzz(checkMatchesReference)
 }

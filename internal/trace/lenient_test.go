@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -156,5 +157,47 @@ func TestStrictDeltaWrapRejected(t *testing.T) {
 	}
 	if ds.Skipped != 1 || len(tr.Events) != 1 {
 		t.Errorf("lenient: kept %d skipped %d, want 1/1", len(tr.Events), ds.Skipped)
+	}
+}
+
+// rejectedAddressStreams returns two streams of three records, r 0x100,
+// a write whose address is out of range and which carries gap 5, then
+// r +4: in the first the bad address is absolute (2^32), in the second
+// a delta that steps below zero.
+func rejectedAddressStreams() [][]byte {
+	var streams [][]byte
+	for _, bad := range [][]byte{
+		{0x15, 0x80, 0x80, 0x80, 0x80, 0x10, 0x05}, // write+gap, abs addr 1<<32, gap 5
+		{0x35, 0xff, 0x07, 0x05},                   // write+delta+gap, delta -0x200, gap 5
+	} {
+		var hand bytes.Buffer
+		hand.Write(magic[:])
+		hand.WriteByte(3)
+		hand.WriteString("dmg")
+		hand.WriteByte(3)
+		hand.Write([]byte{0x04, 0x80, 0x02}) // read, size 4, abs addr 0x100
+		hand.Write(bad)
+		hand.Write([]byte{0x24, 0x08}) // read+delta, delta +4
+		streams = append(streams, hand.Bytes())
+	}
+	return streams
+}
+
+// TestLenientSkipsRejectedAddress: a record rejected for its address
+// is skipped whole, gap included, so the gap byte is not decoded as the
+// next record's tag and the record after it survives.
+func TestLenientSkipsRejectedAddress(t *testing.T) {
+	want := []Event{{Addr: 0x100, Size: 4, Kind: Read}, {Addr: 0x104, Size: 4, Kind: Read}}
+	for i, data := range rejectedAddressStreams() {
+		if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrCorruptRecord) {
+			t.Errorf("stream %d: strict decode error = %v, want ErrCorruptRecord", i, err)
+		}
+		got, ds, err := ReadBinaryLenient(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Events, want) || ds.Skipped != 1 || ds.Truncated {
+			t.Errorf("stream %d: lenient decode %v (%v), want %v with 1 skipped", i, got.Events, ds, want)
+		}
 	}
 }

@@ -78,6 +78,7 @@ func referenceDecodeEvent(br *bufio.Reader, prev uint32, i uint64) (Event, uint3
 		e.Kind = Write
 	}
 	e.Size = 1 << ((tag & tagSizeMask) >> tagSizeShift)
+	var bad error // an out-of-range address, reported once the gap is read
 	if tag&tagDelta != 0 {
 		d, err := binary.ReadVarint(br)
 		if err != nil {
@@ -85,7 +86,7 @@ func referenceDecodeEvent(br *bufio.Reader, prev uint32, i uint64) (Event, uint3
 		}
 		a := int64(prev) + d
 		if a < 0 || a > int64(^uint32(0)) {
-			return Event{}, prev, fmt.Errorf("trace: event %d: %w: delta %d from 0x%x leaves the address space", i, ErrCorruptRecord, d, prev)
+			bad = fmt.Errorf("trace: event %d: %w: delta %d from 0x%x leaves the address space", i, ErrCorruptRecord, d, prev)
 		}
 		e.Addr = uint32(a)
 	} else {
@@ -94,19 +95,25 @@ func referenceDecodeEvent(br *bufio.Reader, prev uint32, i uint64) (Event, uint3
 			return Event{}, prev, fmt.Errorf("trace: event %d addr: %w", i, err)
 		}
 		if a > uint64(^uint32(0)) {
-			return Event{}, prev, fmt.Errorf("trace: event %d: %w: address 0x%x exceeds 32 bits", i, ErrCorruptRecord, a)
+			bad = fmt.Errorf("trace: event %d: %w: address 0x%x exceeds 32 bits", i, ErrCorruptRecord, a)
 		}
 		e.Addr = uint32(a)
+	}
+	if bad != nil {
+		e.Addr = prev
 	}
 	if tag&tagHasGap != 0 {
 		g, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Event{}, e.Addr, fmt.Errorf("trace: event %d gap: %w", i, err)
 		}
-		if g > 0xffff {
-			return Event{}, e.Addr, fmt.Errorf("trace: event %d: %w: gap %d exceeds 16 bits", i, ErrCorruptRecord, g)
+		if bad == nil && g > 0xffff {
+			bad = fmt.Errorf("trace: event %d: %w: gap %d exceeds 16 bits", i, ErrCorruptRecord, g)
 		}
 		e.Gap = uint16(g)
+	}
+	if bad != nil {
+		return Event{}, e.Addr, bad
 	}
 	return e, e.Addr, nil
 }
