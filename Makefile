@@ -36,7 +36,9 @@ lint: require-go
 # internal/coherence and the parallel trace loader in
 # internal/workload), a short fuzz smoke over the trace decoders (each
 # alone, and the windowed decoder against its byte-at-a-time
-# reference) and the coherence snoop filter, a single-iteration smoke
+# reference), the coherence snoop filter and the write-buffer queue
+# (against the drain queue and the sliding-slice buffer it replaced),
+# a single-iteration smoke
 # of the sweep-engine benchmarks, the gang engine's speedup floor
 # (TestGangSpeedupFloor: at least 1.2x over one cache pass per config,
 # at one worker and at GOMAXPROCS; the race suite skips it), the
@@ -64,14 +66,17 @@ check: build
 
 # FuzzDecodeMatchesReference seeds streams longer than one 64 KiB
 # decode window; minimizing a new input grown from one would spend the
-# whole 5 s, so its new inputs are kept as found.
+# whole 5 s, so its new inputs are kept as found. FuzzWriteCacheCurve
+# and FuzzQueueMatchesReferences keep theirs as found too: minimizing
+# one froze each at 0 execs/s from about 3 s to the end of the run.
 fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinaryLenient$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecodeMatchesReference$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 5s
-	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzWriteCacheCurve$$' -fuzztime 5s
+	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzWriteCacheCurve$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzSnoopFilter$$' -fuzztime 5s
+	$(GO) test ./internal/writebuffer -run '^$$' -fuzz '^FuzzQueueMatchesReferences$$' -fuzztime 5s -fuzzminimizetime 1x
 
 # bench-smoke compiles and runs every sweep benchmark, the trace
 # decoder benchmark, the multi-core extension benchmarks, the figures

@@ -205,8 +205,8 @@ type HierarchyConfig struct {
 	// cache, optional L2.
 	Hierarchy hierarchy.Config
 	// Buffer, if non-nil, adds a coalescing write buffer fed by the
-	// CPU's store stream (only meaningful behind a write-through L1,
-	// as in the paper's Fig 5).
+	// CPU's store stream. It needs a write-through L1, as in the
+	// paper's Fig 5: behind one, every store is written through.
 	Buffer *writebuffer.Config
 	// Layers selects which layers upsets strike. Layers absent from
 	// the configured topology (no write cache, no L2, no buffer) are
@@ -242,6 +242,9 @@ func (c HierarchyConfig) Validate() error {
 		return fmt.Errorf("faults: %w", err)
 	}
 	if c.Buffer != nil {
+		if c.Hierarchy.L1.WriteHit != cache.WriteThrough {
+			return fmt.Errorf("faults: a write buffer needs a write-through L1, not %s", c.Hierarchy.L1.WriteHit)
+		}
 		if err := c.Buffer.Validate(); err != nil {
 			return fmt.Errorf("faults: %w", err)
 		}
@@ -321,7 +324,7 @@ func InjectHierarchy(cfg HierarchyConfig, t *trace.Trace) (HierarchyReport, erro
 	if in.rng == 0 {
 		in.rng = 0x9e3779b97f4a7c15
 	}
-	if cfg.Buffer != nil && cfg.Hierarchy.L1.WriteHit == cache.WriteThrough {
+	if cfg.Buffer != nil {
 		if in.buf, err = writebuffer.New(*cfg.Buffer); err != nil {
 			return HierarchyReport{}, fmt.Errorf("faults: %w", err)
 		}

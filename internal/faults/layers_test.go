@@ -242,6 +242,20 @@ func TestInjectHierarchySkipsAbsentLayers(t *testing.T) {
 	}
 }
 
+// TestBufferNeedsWriteThroughL1: a write buffer behind a write-back
+// L1 would see no store stream, so the configuration is rejected
+// rather than reported as a layer of zeroes.
+func TestBufferNeedsWriteThroughL1(t *testing.T) {
+	cfg := wbConfig(ByteParity)
+	cfg.Buffer = &writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: 8}
+	if cfg.Validate() == nil {
+		t.Error("write buffer behind a write-back L1 accepted")
+	}
+	if _, err := InjectHierarchy(cfg, testTrace(t)); err == nil {
+		t.Error("InjectHierarchy ran a write buffer behind a write-back L1")
+	}
+}
+
 func TestParseLayers(t *testing.T) {
 	ls, err := ParseLayers("l2, wb,l1")
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/trace"
+	"cachewrite/internal/writebuffer"
 )
 
 // referenceEvaluate is the cycle model with Org at its zero value,
@@ -19,15 +20,15 @@ func referenceEvaluate(cfg Config, t *trace.Trace) Stats {
 	}
 	var s Stats
 	var now uint64
-	wb := newDrainQueue(uint64(cfg.WriteRetire), cfg.WriteBufferEntries)
-	vb := newDrainQueue(uint64(cfg.WritebackCycles), cfg.VictimBufferEntries)
+	wb := writebuffer.NewQueue(cfg.WriteBufferEntries, uint64(cfg.WriteRetire))
+	vb := writebuffer.NewQueue(cfg.VictimBufferEntries, uint64(cfg.WritebackCycles))
 	var prev cache.Stats
 	for _, e := range t.Events {
 		now += e.Instructions()
 		c.Access(e)
 		cur := c.Stats()
 		for i := uint64(0); i < cur.Writebacks-prev.Writebacks; i++ {
-			stall, t2 := vb.push(now)
+			stall, t2 := vb.Push(now)
 			s.VictimStalls += stall
 			now = t2
 		}
@@ -41,7 +42,7 @@ func referenceEvaluate(cfg Config, t *trace.Trace) Stats {
 			now += stall
 		}
 		for i := uint64(0); i < cur.WriteThroughs-prev.WriteThroughs; i++ {
-			stall, t2 := wb.push(now)
+			stall, t2 := wb.Push(now)
 			s.WriteBufferStalls += stall
 			now = t2
 		}
@@ -199,64 +200,6 @@ func TestStorePipelineMatchesReference(t *testing.T) {
 				if org == SimpleWriteBack && interlock == 0 || org == DelayedWriteBack && miss == cache.FetchOnWrite && drain == 0 {
 					t.Errorf("%s %s/%s: trace exercises no store-pipeline stalls", org, hit, miss)
 				}
-			}
-		}
-	}
-}
-
-// sliceQueue is the drain queue as a sliding slice that grows by
-// append: drainQueue's ring must agree with it push for push.
-type sliceQueue struct {
-	freeAt []uint64
-	rate   uint64
-}
-
-func (q *sliceQueue) drain(t uint64) {
-	for len(q.freeAt) > 0 && q.freeAt[0] <= t {
-		q.freeAt = q.freeAt[1:]
-	}
-}
-
-func (q *sliceQueue) push(t uint64, capacity int) (stall uint64, now uint64) {
-	q.drain(t)
-	if capacity <= 0 {
-		return q.rate, t + q.rate
-	}
-	if len(q.freeAt) >= capacity {
-		wait := q.freeAt[0] - t
-		t += wait
-		stall = wait
-		q.drain(t)
-	}
-	start := t
-	if n := len(q.freeAt); n > 0 && q.freeAt[n-1] > start {
-		start = q.freeAt[n-1]
-	}
-	q.freeAt = append(q.freeAt, start+q.rate)
-	return stall, t
-}
-
-// TestDrainQueueMatchesSlice: on random push times, every capacity
-// (unbuffered included) and rate, the ring returns the stalls and
-// times of the sliding-slice queue, and allocates nothing per push.
-func TestDrainQueueMatchesSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for capacity := -1; capacity <= 6; capacity++ {
-		for rate := uint64(0); rate <= 7; rate++ {
-			ring, ref := newDrainQueue(rate, capacity), &sliceQueue{rate: rate}
-			var now, refNow uint64
-			for i := 0; i < 2000; i++ {
-				step := uint64(rng.Intn(10))
-				var stall, refStall uint64
-				stall, now = ring.push(now + step)
-				refStall, refNow = ref.push(refNow+step, capacity)
-				if stall != refStall || now != refNow {
-					t.Fatalf("capacity %d rate %d push %d: ring (stall %d, now %d), slice (stall %d, now %d)",
-						capacity, rate, i, stall, now, refStall, refNow)
-				}
-			}
-			if allocs := testing.AllocsPerRun(100, func() { now += 2; _, now = ring.push(now) }); allocs != 0 {
-				t.Errorf("capacity %d rate %d: %v allocations per push", capacity, rate, allocs)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/trace"
-	"cachewrite/internal/writebuffer"
 )
 
 // Store-pipeline tests (§3/Fig 3–4): the Org dimension of the model.
@@ -39,8 +38,8 @@ func TestOrganizationStrings(t *testing.T) {
 	}
 }
 
-// TestValidateStorePipeline: the store-pipeline and coalescing-buffer
-// fields are checked alongside the rest of Config.
+// TestValidateStorePipeline: the store-pipeline fields are checked
+// alongside the rest of Config.
 func TestValidateStorePipeline(t *testing.T) {
 	good := orgCfg(SimpleWriteBack)
 	good.FetchLatency = 10
@@ -55,15 +54,6 @@ func TestValidateStorePipeline(t *testing.T) {
 		{"set-associative concurrent write", func(c *Config) {
 			c.Org = DirectMappedWriteThrough
 			c.L1.Assoc = 2
-		}},
-		{"bad coalescing buffer", func(c *Config) {
-			c.WriteRetire = 0
-			c.WriteBuffer = &writebuffer.Config{Entries: -1, LineSize: 16}
-		}},
-		{"two write-buffer models", func(c *Config) {
-			c.WriteBufferEntries = 4
-			c.WriteRetire = 6
-			c.WriteBuffer = &writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: 8}
 		}},
 	} {
 		cfg := good
@@ -180,10 +170,11 @@ func TestWriteBufferStallsOnlyForWriteThrough(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Append(wr(uint32(i*64), 0))
 	}
-	wbc := &writebuffer.Config{Entries: 2, LineSize: 16, RetireInterval: 40}
-	cfg := orgCfg(DirectMappedWriteThrough)
-	cfg.WriteBuffer = wbc
-	wt, err := Evaluate(cfg, tr)
+	slow := func(cfg Config) Config {
+		cfg.WriteBufferEntries, cfg.WriteRetire = 2, 40
+		return cfg
+	}
+	wt, err := Evaluate(slow(orgCfg(DirectMappedWriteThrough)), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +182,9 @@ func TestWriteBufferStallsOnlyForWriteThrough(t *testing.T) {
 		t.Error("write-through organization recorded no write-buffer stalls")
 	}
 	if wt.Cycles != wt.Instructions+wt.WriteMissStalls+wt.WriteBufferStalls {
-		t.Errorf("coalescing-buffer stalls missing from cycles: %+v", wt)
+		t.Errorf("write-buffer stalls missing from cycles: %+v", wt)
 	}
-	cfg = orgCfg(SimpleWriteBack)
-	cfg.WriteBuffer = wbc
-	wb, err := Evaluate(cfg, tr)
+	wb, err := Evaluate(slow(orgCfg(SimpleWriteBack)), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,16 +19,13 @@
 //   - Eliminated write misses (write-validate / write-around /
 //     write-invalidate) do not stall: the paper's central latency win.
 //   - Each write-through word takes its own entry in a FIFO write
-//     buffer (entries never merge) retired one entry per WriteRetire
-//     cycles; a full buffer stalls the CPU (the Fig 5 mechanism, here
-//     integrated with the rest of the machine).
-//   - Alternatively, WriteBuffer replays the trace through the
-//     coalescing write buffer of internal/writebuffer (the Fig 5 model
-//     itself) for a write-through L1 and adds its buffer-full stalls.
-//   - Dirty victims enter a victim buffer drained one entry per
-//     WritebackCycles; a refill that produces a dirty victim while the
-//     buffer is full waits for a slot (§3's "dirty victim buffer"
-//     discussion).
+//     buffer (a writebuffer.Queue: entries never merge) retired one
+//     entry per WriteRetire cycles; a full buffer stalls the CPU (the
+//     Fig 5 mechanism, here integrated with the rest of the machine).
+//   - Dirty victims enter a victim buffer (the same queue) drained one
+//     entry per WritebackCycles; a refill that produces a dirty victim
+//     while the buffer is full waits for a slot (§3's "dirty victim
+//     buffer" discussion).
 //   - Org selects the store pipeline of Fig 3 on the five-stage
 //     pipeline (IF RF ALU MEM WB); see Organization. A gap
 //     (non-memory) instruction or any line fetch clears the pipeline's
@@ -100,10 +97,6 @@ type Config struct {
 	// WriteRetire is the cycles the next level needs to retire one
 	// write-buffer entry.
 	WriteRetire int
-	// WriteBuffer, when non-nil, models the write buffer as the
-	// coalescing Fig 5 buffer instead of the FIFO above (which must
-	// then have WriteRetire zero). It applies to write-through L1s only.
-	WriteBuffer *writebuffer.Config
 	// VictimBufferEntries is the dirty-victim buffer depth (the paper
 	// argues one entry usually suffices; here it is measurable). Zero
 	// means no buffer: every write-back stalls WritebackCycles.
@@ -129,14 +122,6 @@ func (c Config) Validate() error {
 	}
 	if c.WriteBufferEntries < 0 || c.VictimBufferEntries < 0 {
 		return fmt.Errorf("timing: buffer depths must be non-negative")
-	}
-	if c.WriteBuffer != nil {
-		if c.WriteRetire != 0 {
-			return fmt.Errorf("timing: WriteBuffer and WriteRetire select two write-buffer models; set one")
-		}
-		if err := c.WriteBuffer.Validate(); err != nil {
-			return fmt.Errorf("timing: %w", err)
-		}
 	}
 	return nil
 }
@@ -187,60 +172,6 @@ func (s Stats) StoreCost() float64 {
 	return float64(s.InterlockStalls+s.DrainStalls) / float64(s.Cache.Writes)
 }
 
-// drainQueue models a FIFO drained at a fixed rate: entries become free
-// rate cycles apart once the drain engine reaches them. The occupied
-// slots live in a ring of fixed capacity; a zero-capacity queue is
-// unbuffered.
-type drainQueue struct {
-	freeAt  []uint64 // ring of completion times per slot
-	head, n int      // oldest occupied slot and occupancy, FIFO order
-	rate    uint64
-}
-
-// newDrainQueue returns an empty queue of the given capacity (<= 0
-// means unbuffered) drained every rate cycles.
-func newDrainQueue(rate uint64, capacity int) *drainQueue {
-	return &drainQueue{freeAt: make([]uint64, max(capacity, 0)), rate: rate}
-}
-
-// drain removes entries completed by time t.
-func (q *drainQueue) drain(t uint64) {
-	for q.n > 0 && q.freeAt[q.head] <= t {
-		q.head++
-		if q.head == len(q.freeAt) {
-			q.head = 0
-		}
-		q.n--
-	}
-}
-
-// push inserts an entry at time t, returning the stall incurred (time
-// the CPU waits for a slot) and the new current time.
-func (q *drainQueue) push(t uint64) (stall uint64, now uint64) {
-	if len(q.freeAt) == 0 {
-		// Unbuffered: the CPU absorbs the full drain latency.
-		return q.rate, t + q.rate
-	}
-	q.drain(t)
-	if q.n == len(q.freeAt) {
-		wait := q.freeAt[q.head] - t
-		t += wait
-		stall = wait
-		q.drain(t)
-	}
-	// The new entry completes rate cycles after the later of now and the
-	// previous tail.
-	start := t
-	if q.n > 0 {
-		if tail := q.freeAt[(q.head+q.n-1)%len(q.freeAt)]; tail > start {
-			start = tail
-		}
-	}
-	q.freeAt[(q.head+q.n)%len(q.freeAt)] = start + q.rate
-	q.n++
-	return stall, t
-}
-
 // outcome is a counting cache.Backside: the back-side traffic of the
 // access in flight. Evaluate resets it before each Access.
 type outcome struct {
@@ -266,8 +197,8 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 
 	var s Stats
 	var now uint64
-	wb := newDrainQueue(uint64(cfg.WriteRetire), cfg.WriteBufferEntries)
-	vb := newDrainQueue(uint64(cfg.WritebackCycles), cfg.VictimBufferEntries)
+	wb := writebuffer.NewQueue(cfg.WriteBufferEntries, uint64(cfg.WriteRetire))
+	vb := writebuffer.NewQueue(cfg.VictimBufferEntries, uint64(cfg.WritebackCycles))
 	// Store-pipeline state: the previous instruction was a store, and
 	// the delayed-write register holds a write.
 	afterStore, pending := false, false
@@ -281,7 +212,7 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 		// when the buffer is full (it must, or the victim's data would be
 		// lost to the refill).
 		for i := uint64(0); i < out.writebacks; i++ {
-			stall, t2 := vb.push(now)
+			stall, t2 := vb.Push(now)
 			s.VictimStalls += stall
 			now = t2
 		}
@@ -323,22 +254,12 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 
 		// Write-through words enter the write buffer.
 		for i := uint64(0); i < out.wtWords; i++ {
-			stall, t2 := wb.push(now)
+			stall, t2 := wb.Push(now)
 			s.WriteBufferStalls += stall
 			now = t2
 		}
 	}
 
-	if cfg.WriteBuffer != nil && cfg.L1.WriteHit == cache.WriteThrough {
-		b, err := writebuffer.New(*cfg.WriteBuffer)
-		if err != nil {
-			return Stats{}, err
-		}
-		b.Run(t)
-		stall := b.Stats().StallCycles
-		s.WriteBufferStalls += stall
-		now += stall
-	}
 	s.Cache = c.Stats()
 	s.Instructions = s.Cache.Instructions
 	s.Cycles = now

@@ -1,23 +1,116 @@
-// Package writebuffer models the coalescing write buffer of paper §3.2
-// and Fig 5: a small FIFO of cache-line-wide entries between a
-// write-through cache and the next level. Writes to an address whose
-// line is already buffered merge into that entry; when the buffer is
-// full the CPU stalls until the next retirement.
+// Package writebuffer models the write buffer of paper §3.2 and Fig 5:
+// a FIFO between the CPU and the next level, drained at a fixed rate,
+// that stalls the CPU when it is full.
 //
-// Timing follows the paper's model: the instruction stream advances one
-// cycle per instruction, cache misses are ignored, and the buffer
-// retires one entry every RetireInterval cycles. The paper's
-// observation — merging only becomes significant when the buffer is
-// almost always full, i.e. when stores almost always stall — emerges
-// directly from this model.
+// Queue is that FIFO, and one retire rule times it: an entry pushed at
+// cycle t completes rate cycles after the later of t and the completion
+// of the entry ahead of it, and a push that finds every slot busy
+// stalls the CPU until the oldest entry completes. Queue serves the
+// cycle model (internal/timing) as its per-word write buffer and its
+// dirty-victim buffer.
+//
+// Buffer is the coalescing buffer of Fig 5: a Queue of cache-line-wide
+// entries in which a write to a line still pending merges into its
+// entry instead of taking a slot. Its clock is the paper's: the
+// instruction stream advances one cycle per instruction and cache
+// misses are ignored. The paper's observation — merging only becomes
+// significant when the buffer is almost always full, i.e. when stores
+// almost always stall — emerges directly from this model.
 package writebuffer
 
 import (
 	"fmt"
-	"slices"
 
 	"cachewrite/internal/trace"
 )
+
+// Queue is a FIFO of fixed depth drained one entry every rate cycles,
+// by the rule in the package comment. It allocates nothing per push.
+type Queue struct {
+	slots   []slot // ring of depth slots
+	head, n int    // oldest occupied slot and occupancy, FIFO order
+	rate    uint64
+	last    uint64 // completion cycle of the newest entry ever pushed
+}
+
+// slot is one queued entry: its completion cycle and, for Buffer's
+// merge check, its line number.
+type slot struct {
+	done uint64
+	line uint32
+}
+
+// NewQueue returns an empty queue of depth slots drained one entry
+// every rate cycles. The depth must not be negative; a depth of zero
+// is unbuffered: every push stalls the CPU for rate cycles.
+func NewQueue(depth int, rate uint64) Queue {
+	return Queue{slots: make([]slot, depth), rate: rate}
+}
+
+// Push enqueues an entry at cycle t and returns the cycles the CPU
+// stalls waiting for a slot and the cycle it resumes at.
+func (q *Queue) Push(t uint64) (stall, now uint64) {
+	q.drain(t)
+	return q.push(t, 0)
+}
+
+// push is Push for a queue already drained to cycle t.
+func (q *Queue) push(t uint64, line uint32) (stall, now uint64) {
+	if len(q.slots) == 0 || q.rate == 0 {
+		// Unbuffered, the CPU absorbs the whole drain time; at rate
+		// zero the entry completes as it enters.
+		return q.rate, t + q.rate
+	}
+	if q.n == len(q.slots) {
+		// Wait for the oldest entry; the next completes rate cycles
+		// after it.
+		stall = q.slots[q.head].done - t
+		t += stall
+		q.pop()
+	}
+	// An empty queue's last entry completed by t, so no test of n is
+	// needed.
+	q.last = max(t, q.last) + q.rate
+	q.slots[q.at(q.n)] = slot{done: q.last, line: line}
+	q.n++
+	return stall, t
+}
+
+// at returns the ring index of the i-th oldest entry.
+func (q *Queue) at(i int) int {
+	if i += q.head; i >= len(q.slots) {
+		i -= len(q.slots)
+	}
+	return i
+}
+
+// drain removes the entries completed by cycle t.
+func (q *Queue) drain(t uint64) {
+	for q.n > 0 && q.slots[q.head].done <= t {
+		q.pop()
+	}
+}
+
+// pop removes the oldest entry.
+func (q *Queue) pop() {
+	if q.head++; q.head == len(q.slots) {
+		q.head = 0
+	}
+	q.n--
+}
+
+// holds reports whether an entry for line is queued.
+func (q *Queue) holds(line uint32) bool {
+	for i, j := 0, q.head; i < q.n; i++ {
+		if q.slots[j].line == line {
+			return true
+		}
+		if j++; j == len(q.slots) {
+			j = 0
+		}
+	}
+	return false
+}
 
 // Config describes a coalescing write buffer.
 type Config struct {
@@ -74,24 +167,35 @@ func (s Stats) StallCPI() float64 {
 
 // Buffer is a coalescing write buffer simulator.
 type Buffer struct {
-	cfg     Config
-	lines   []uint32 // ring of cfg.Entries buffered line numbers
-	head, n int      // oldest occupied slot and occupancy, FIFO order
-	now     uint64   // current cycle
-	ret     uint64   // next retirement opportunity
-	stats   Stats
+	cfg   Config
+	q     Queue
+	now   uint64 // current cycle
+	stats Stats
 }
 
-// New builds a buffer.
+// New builds a buffer. It is small enough to inline, so a caller that
+// keeps the buffer local allocates only its queue's slots.
 func New(cfg Config) (*Buffer, error) {
-	if err := cfg.Validate(); err != nil {
+	b, err := newBuffer(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &Buffer{cfg: cfg, lines: make([]uint32, cfg.Entries)}, nil
+	return &b, nil
+}
+
+func newBuffer(cfg Config) (Buffer, error) {
+	if err := cfg.Validate(); err != nil {
+		return Buffer{}, err
+	}
+	return Buffer{cfg: cfg, q: NewQueue(cfg.Entries, uint64(cfg.RetireInterval))}, nil
 }
 
 // Stats returns a copy of the accumulated counters.
-func (b *Buffer) Stats() Stats { return b.stats }
+func (b *Buffer) Stats() Stats {
+	s := b.stats
+	s.Retired = s.Writes - s.Merged - uint64(b.q.n)
+	return s
+}
 
 // Run simulates the full trace: every event advances time by its
 // instruction count; write events enter the buffer.
@@ -115,75 +219,25 @@ func (b *Buffer) Step(e trace.Event) {
 
 func (b *Buffer) write(addr uint32) {
 	b.stats.Writes++
-	if b.cfg.RetireInterval == 0 {
-		// Immediate retirement: the write passes straight through.
-		b.stats.Retired++
-		return
-	}
-	b.drainUpTo(b.now)
-
 	ln := addr / uint32(b.cfg.LineSize)
-	if older, newer := b.pending(); slices.Contains(older, ln) || slices.Contains(newer, ln) {
+	b.q.drain(b.now)
+	if b.q.holds(ln) {
 		b.stats.Merged++
 		return
 	}
-	if b.n == len(b.lines) {
-		// Full: stall until the next retirement frees an entry.
-		wait := b.ret - b.now
-		b.stats.StallCycles += wait
-		b.now = b.ret
-		b.retireOne()
-	}
-	if b.n == 0 {
-		// The retirement clock restarts when the buffer goes from empty
-		// to non-empty.
-		b.ret = b.now + uint64(b.cfg.RetireInterval)
-	}
-	tail := b.head + b.n
-	if tail >= len(b.lines) {
-		tail -= len(b.lines)
-	}
-	b.lines[tail] = ln
-	b.n++
-}
-
-// pending returns the buffered line numbers as the ring's two
-// segments, oldest first.
-func (b *Buffer) pending() (older, newer []uint32) {
-	if end := b.head + b.n; end > len(b.lines) {
-		return b.lines[b.head:], b.lines[:end-len(b.lines)]
-	}
-	return b.lines[b.head : b.head+b.n], nil
-}
-
-// drainUpTo retires entries whose retirement opportunity has passed.
-func (b *Buffer) drainUpTo(t uint64) {
-	for b.n > 0 && b.ret <= t {
-		b.retireOne()
-	}
-}
-
-func (b *Buffer) retireOne() {
-	if b.head++; b.head == len(b.lines) {
-		b.head = 0
-	}
-	b.n--
-	b.stats.Retired++
-	b.ret += uint64(b.cfg.RetireInterval)
+	stall, now := b.q.push(b.now, ln)
+	b.stats.StallCycles += stall
+	b.now = now
 }
 
 // PendingLineAddrs returns the byte addresses of the buffered lines,
 // oldest first, after draining entries whose retirement time has
 // passed. Fault injection uses it to strike a resident entry.
 func (b *Buffer) PendingLineAddrs() []uint32 {
-	b.drainUpTo(b.now)
-	older, newer := b.pending()
-	out := make([]uint32, 0, b.n)
-	for _, ln := range older {
-		out = append(out, ln*uint32(b.cfg.LineSize))
-	}
-	for _, ln := range newer {
-		out = append(out, ln*uint32(b.cfg.LineSize))
+	b.q.drain(b.now)
+	out := make([]uint32, b.q.n)
+	for i := range out {
+		out[i] = b.q.slots[b.q.at(i)].line * uint32(b.cfg.LineSize)
 	}
 	return out
 }

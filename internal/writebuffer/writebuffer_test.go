@@ -50,8 +50,8 @@ func TestZeroRetireInterval(t *testing.T) {
 	if s.Retired != 3 || s.StallCycles != 0 {
 		t.Errorf("retired=%d stalls=%d", s.Retired, s.StallCycles)
 	}
-	if b.n != 0 {
-		t.Errorf("pending = %d", b.n)
+	if b.q.n != 0 {
+		t.Errorf("pending = %d", b.q.n)
 	}
 }
 
@@ -63,8 +63,8 @@ func TestMergeWithinInterval(t *testing.T) {
 	if s.Merged != 1 {
 		t.Errorf("merged = %d, want 1", s.Merged)
 	}
-	if b.n != 1 {
-		t.Errorf("pending = %d, want 1", b.n)
+	if b.q.n != 1 {
+		t.Errorf("pending = %d, want 1", b.q.n)
 	}
 }
 
