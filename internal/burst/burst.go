@@ -9,7 +9,8 @@
 //
 // AnalyzeWrites measures store bursts in the instruction stream;
 // AnalyzeVictims replays the trace through a write-back cache and
-// measures when dirty victims emerge. Both report peak-to-average
+// measures when dirty victims emerge (ReplayVictims does the same from
+// a recorded pass of the cache, cache.Log). Both report peak-to-average
 // bandwidth over fixed instruction windows — the number a designer
 // needs to size the write-back port and the victim buffer.
 package burst
@@ -157,7 +158,7 @@ func (r VictimReport) PeakToAvg() float64 {
 }
 
 // victimCount is a cache.Backside that counts the dirty victims of the
-// access in flight; AnalyzeVictims resets it before each Access.
+// access in flight.
 type victimCount uint64
 
 func (n *victimCount) FetchLine(uint32, int)          {}
@@ -167,76 +168,116 @@ func (n *victimCount) WriteWord(uint32, uint8)        {}
 // AnalyzeVictims replays the trace through a write-back fetch-on-write
 // cache of the given geometry and measures when dirty victims emerge.
 func AnalyzeVictims(t *trace.Trace, cfg cache.Config, gapThreshold, window uint64) (VictimReport, error) {
-	if gapThreshold == 0 || window == 0 {
-		return VictimReport{}, fmt.Errorf("burst: gapThreshold and window must be positive")
-	}
-	if cfg.WriteHit != cache.WriteBack {
-		return VictimReport{}, fmt.Errorf("burst: victim analysis requires a write-back cache (got %s)", cfg.WriteHit)
+	m, err := newVictimModel(cfg, gapThreshold, window)
+	if err != nil {
+		return VictimReport{}, err
 	}
 	c, err := cache.New(cfg)
 	if err != nil {
 		return VictimReport{}, err
 	}
-	var newWBs victimCount
-	c.SetBackside(&newWBs)
-	r := VictimReport{Window: window}
-	var (
-		now      uint64
-		lastWB   uint64
-		runLen   int
-		haveRun  bool
-		winStart uint64
-		winWBs   uint64
-	)
-	endRun := func() {
-		if haveRun && runLen > 0 {
-			r.Bursts[bucketOf(runLen)]++
-			if runLen > r.MaxBurst {
-				r.MaxBurst = runLen
-			}
-		}
-		runLen = 0
-		haveRun = false
-	}
+	c.SetBackside(&m.wbs)
 	for _, e := range t.Events {
-		now += e.Instructions()
-		newWBs = 0
 		c.Access(e)
+		m.step(e)
+	}
+	return m.finish(), nil
+}
 
-		for now-winStart >= window {
-			rate := float64(winWBs) / float64(window)
-			if rate > r.PeakRate {
-				r.PeakRate = rate
-			}
-			if winWBs > r.MaxPending {
-				r.MaxPending = winWBs
-			}
-			winStart += window
-			winWBs = 0
-		}
+// ReplayVictims is AnalyzeVictims over a recorded pass of a write-back
+// cache (see cache.Log) instead of a live one. The result equals
+// AnalyzeVictims(log.Trace(), log.Config(), gapThreshold, window).
+func ReplayVictims(log *cache.Log, gapThreshold, window uint64) (VictimReport, error) {
+	m, err := newVictimModel(log.Config(), gapThreshold, window)
+	if err != nil {
+		return VictimReport{}, err
+	}
+	p := log.Replayer(&m.wbs)
+	for _, e := range log.Trace().Events {
+		p.Next()
+		m.step(e)
+	}
+	return m.finish(), nil
+}
 
-		for i := victimCount(0); i < newWBs; i++ {
-			r.DirtyVictims++
-			winWBs++
-			if haveRun && now-lastWB <= gapThreshold {
-				runLen++
-			} else {
-				endRun()
-				haveRun = true
-				runLen = 1
-			}
-			lastWB = now
+// victimModel is the dirty-victim burst measurement behind the cache.
+// It learns each event's dirty victims through wbs, from a live cache
+// (AnalyzeVictims) or a replayed log (ReplayVictims).
+type victimModel struct {
+	gapThreshold uint64
+	wbs          victimCount
+	r            VictimReport
+	now          uint64
+	lastWB       uint64
+	runLen       int
+	haveRun      bool
+	winStart     uint64
+	winWBs       uint64
+}
+
+func newVictimModel(cfg cache.Config, gapThreshold, window uint64) (*victimModel, error) {
+	if gapThreshold == 0 || window == 0 {
+		return nil, fmt.Errorf("burst: gapThreshold and window must be positive")
+	}
+	if cfg.WriteHit != cache.WriteBack {
+		return nil, fmt.Errorf("burst: victim analysis requires a write-back cache (got %s)", cfg.WriteHit)
+	}
+	return &victimModel{gapThreshold: gapThreshold, r: VictimReport{Window: window}}, nil
+}
+
+func (m *victimModel) endRun() {
+	if m.haveRun && m.runLen > 0 {
+		m.r.Bursts[bucketOf(m.runLen)]++
+		if m.runLen > m.r.MaxBurst {
+			m.r.MaxBurst = m.runLen
 		}
 	}
-	endRun()
-	if winWBs > r.MaxPending {
-		r.MaxPending = winWBs
+	m.runLen = 0
+	m.haveRun = false
+}
+
+// step accounts event e, whose dirty victims are counted in m.wbs, and
+// clears the count for the next event.
+func (m *victimModel) step(e trace.Event) {
+	m.now += e.Instructions()
+	for m.now-m.winStart >= m.r.Window {
+		rate := float64(m.winWBs) / float64(m.r.Window)
+		if rate > m.r.PeakRate {
+			m.r.PeakRate = rate
+		}
+		if m.winWBs > m.r.MaxPending {
+			m.r.MaxPending = m.winWBs
+		}
+		m.winStart += m.r.Window
+		m.winWBs = 0
 	}
-	if rate := float64(winWBs) / float64(window); rate > r.PeakRate {
-		r.PeakRate = rate
+
+	for i := victimCount(0); i < m.wbs; i++ {
+		m.r.DirtyVictims++
+		m.winWBs++
+		if m.haveRun && m.now-m.lastWB <= m.gapThreshold {
+			m.runLen++
+		} else {
+			m.endRun()
+			m.haveRun = true
+			m.runLen = 1
+		}
+		m.lastWB = m.now
 	}
-	if now > 0 {
-		r.AvgRate = float64(r.DirtyVictims) / float64(now)
+	m.wbs = 0
+}
+
+// finish closes the last run and window and returns the report.
+func (m *victimModel) finish() VictimReport {
+	m.endRun()
+	if m.winWBs > m.r.MaxPending {
+		m.r.MaxPending = m.winWBs
 	}
-	return r, nil
+	if rate := float64(m.winWBs) / float64(m.r.Window); rate > m.r.PeakRate {
+		m.r.PeakRate = rate
+	}
+	if m.now > 0 {
+		m.r.AvgRate = float64(m.r.DirtyVictims) / float64(m.now)
+	}
+	return m.r
 }

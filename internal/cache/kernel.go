@@ -123,6 +123,19 @@ func (c *Cache) AccessBatch(events []trace.Event, dec []Decoded) {
 	}
 }
 
+// AccessEvents runs events through the batch kernel, decoding them a
+// window at a time. The result is bit-identical to calling Access on
+// each event in order.
+func (c *Cache) AccessEvents(events []trace.Event) {
+	var dec [256]Decoded
+	for len(events) > 0 {
+		n := min(len(events), len(dec))
+		c.DecodeBatch(events[:n], dec[:n])
+		c.AccessBatch(events[:n], dec[:n])
+		events = events[n:]
+	}
+}
+
 // accessBatchDirect is the direct-mapped granularity-1 kernel: one tag
 // compare per event, no way loops, no sub-block masks. Events whose
 // decoded mask is zero (line-crossing, zero-size) take the generic

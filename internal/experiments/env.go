@@ -49,20 +49,29 @@ type memoEntry struct {
 	err   error
 }
 
+// logEntry is one recorded L1 pass, gated like memoEntry.
+type logEntry struct {
+	once sync.Once
+	log  *cache.Log
+	err  error
+}
+
 // Env holds the benchmark traces and memoizes cache simulations so the
 // many figures sharing a configuration pay for it once. One mutex
-// guards the memo map, held only for the lookup, never for a
-// simulation; each key is computed exactly once even when raced. The
-// multi-core experiments and the write-cache curves keep their own
+// guards the memo map and the log map, held only for the lookup, never
+// for a simulation; each key is computed exactly once even when raced.
+// The multi-core experiments and the write-cache curves keep their own
 // memos beside it (see cohMemo and curveMemo), built the same way.
 type Env struct {
 	Traces []*trace.Trace
 
-	mu       sync.Mutex
-	memo     map[memoKey]*memoEntry
-	computes atomic.Uint64
-	coh      cohMemo
-	curves   curveMemo
+	mu         sync.Mutex
+	memo       map[memoKey]*memoEntry
+	computes   atomic.Uint64
+	logs       map[memoKey]*logEntry
+	recordings atomic.Uint64
+	coh        cohMemo
+	curves     curveMemo
 }
 
 // NewEnvCached generates the six paper benchmarks at the given scale,
@@ -134,6 +143,27 @@ func (e *Env) compute(ti int, cfg cache.Config) (cache.Stats, error) {
 func (e *Env) store(k memoKey, s cache.Stats) {
 	ent := e.entry(k)
 	ent.once.Do(func() { ent.stats = s })
+}
+
+// l1Log returns the recorded pass of trace ti through cfg, then a
+// flush (see cache.Log), recording it on first use. The extension ids
+// that put a model behind the standard L1 (ext-cpi, ext-burst,
+// ext-victim, ext-perf, ext-l2policy) replay these logs instead of
+// simulating the L1 again. Like CacheStats, concurrent callers for one
+// key record it once. The recording's flushed statistics also answer
+// CacheStats for the key.
+func (e *Env) l1Log(ti int, cfg cache.Config) (*cache.Log, error) {
+	ent := lazyEntry(&e.mu, &e.logs, memoKey{ti, cfg})
+	ent.once.Do(func() {
+		e.recordings.Add(1)
+		ent.log, ent.err = cache.NewLog(cfg, e.Traces[ti])
+		if ent.err != nil {
+			ent.err = fmt.Errorf("experiments: %s on %s: %w", cfg, e.Traces[ti].Name, ent.err)
+			return
+		}
+		e.store(memoKey{ti, cfg}, ent.log.FlushedStats())
+	})
+	return ent.log, ent.err
 }
 
 // Computes reports how many simulations the environment has actually

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/sweep"
+	"cachewrite/internal/workload"
 )
 
 // TestCacheStatsComputeOnceConcurrent hammers the memo from many
@@ -127,4 +129,70 @@ func TestPrecomputeCancelled(t *testing.T) {
 	if err := env.PrecomputeSweep(ctx, sweep.Options{Workers: 2}); err == nil {
 		t.Fatal("PrecomputeSweep(cancelled) returned nil")
 	}
+}
+
+// TestL1PassRecordedOncePerTrace pins the work count of the ids that
+// put a model behind the standard L1 (ext-cpi, ext-burst, ext-victim,
+// ext-perf, ext-l2policy): per trace, exactly one recorded pass of the
+// 8KB/16B write-back fetch-on-write L1 and one of its write-through
+// twin, none more on a second run, and the same when the ids race
+// (make check runs this under -race). Before the passes were shared,
+// the write-back L1 ran 8 times per trace and its twin 3 times.
+func TestL1PassRecordedOncePerTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real workloads in -short mode")
+	}
+	ts, err := workload.GenerateAll(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range ts {
+		ts[i] = tr.Slice(0, min(tr.Len(), 20_000))
+	}
+	ids := []string{"ext-cpi", "ext-burst", "ext-victim", "ext-perf", "ext-l2policy"}
+	wb := stdConfig(StdCacheSize, StdLineSize)
+	wt := wb
+	wt.WriteHit = cache.WriteThrough
+	check := func(env *Env, when string) {
+		t.Helper()
+		if got, want := env.recordings.Load(), uint64(2*len(ts)); got != want {
+			t.Errorf("%s: %d L1 passes recorded, want %d (two per trace)", when, got, want)
+		}
+		for ti := range ts {
+			for _, cfg := range []cache.Config{wb, wt} {
+				if env.logs[memoKey{ti, cfg}] == nil {
+					t.Errorf("%s: trace %d has no recorded pass of %s", when, ti, cfg)
+				}
+			}
+		}
+	}
+
+	env := NewEnvFromTraces(ts)
+	for run := 1; run <= 2; run++ {
+		for _, id := range ids {
+			if _, err := Run(env, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(env, fmt.Sprintf("run %d", run))
+	}
+
+	raced := NewEnvFromTraces(ts)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(ids))
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			if _, err := Run(raced, id); err != nil {
+				errs <- err
+			}
+		}(id)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	check(raced, "racing ids")
 }

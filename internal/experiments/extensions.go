@@ -41,12 +41,13 @@ func extCPI(e *Env) (Result, error) {
 	wbuf := writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: 8}
 	orgs := timing.Organizations()
 	return fillTable(tbl, len(e.Traces)*len(orgs), func(i int) ([]string, error) {
-		t, org := e.Traces[i/len(orgs)], orgs[i%len(orgs)]
+		ti, org := i/len(orgs), orgs[i%len(orgs)]
+		t := e.Traces[ti]
 		cc := stdConfig(StdCacheSize, StdLineSize)
 		if org == timing.DirectMappedWriteThrough {
 			cc.WriteHit = cache.WriteThrough
 		}
-		s, err := timing.Evaluate(timing.Config{L1: cc, Org: org, FetchLatency: 10}, t)
+		s, err := e.timingReplay(ti, timing.Config{L1: cc, Org: org, FetchLatency: 10})
 		if err != nil {
 			return nil, err
 		}
@@ -73,6 +74,16 @@ func extCPI(e *Env) (Result, error) {
 			fmt.Sprintf("%.4f", float64(s.ReadMissStalls+s.WriteMissStalls)/inst),
 			fmt.Sprintf("%.3f", s.CPI())}, nil
 	})
+}
+
+// timingReplay runs the timing model over the recorded pass of trace
+// ti through cfg.L1.
+func (e *Env) timingReplay(ti int, cfg timing.Config) (timing.Stats, error) {
+	log, err := e.l1Log(ti, cfg.L1)
+	if err != nil {
+		return timing.Stats{}, err
+	}
+	return timing.Replay(cfg, log)
 }
 
 // fillTable fans row(0), …, row(n-1) out with fanout.Run and returns tbl
@@ -102,7 +113,11 @@ func extBurst(e *Env) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		vr, err := burst.AnalyzeVictims(t, stdConfig(StdCacheSize, StdLineSize), 2, 64)
+		log, err := e.l1Log(ti, stdConfig(StdCacheSize, StdLineSize))
+		if err != nil {
+			return nil, err
+		}
+		vr, err := burst.ReplayVictims(log, 2, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -131,23 +146,23 @@ func extVictim(e *Env) (Result, error) {
 		l1 := stdConfig(StdCacheSize, StdLineSize)
 		l1.WriteHit = cache.WriteThrough
 		wc := &writecache.Config{Entries: 8, LineSize: StdLineSize}
-
-		plain, err := hierarchy.New(hierarchy.Config{L1: l1, WriteCache: wc})
+		log, err := e.l1Log(ti, l1)
 		if err != nil {
 			return nil, err
 		}
-		plain.AccessTrace(t)
-
-		victim, err := hierarchy.New(hierarchy.Config{L1: l1, WriteCache: wc, VictimMode: true})
+		plain, err := hierarchy.Replay(hierarchy.Config{L1: l1, WriteCache: wc}, log, false)
 		if err != nil {
 			return nil, err
 		}
-		victim.AccessTrace(t)
+		victim, err := hierarchy.Replay(hierarchy.Config{L1: l1, WriteCache: wc, VictimMode: true}, log, false)
+		if err != nil {
+			return nil, err
+		}
 
-		pTx := plain.Stats().L1ToL2Transactions
-		vTx := victim.Stats().L1ToL2Transactions
-		fetches := victim.L1().Stats().Fetches
-		hits := victim.Stats().VictimHits
+		pTx := plain.L1ToL2Transactions
+		vTx := victim.L1ToL2Transactions
+		fetches := log.Stats().Fetches
+		hits := victim.VictimHits
 		saved := 0.0
 		if pTx > 0 {
 			saved = 1 - float64(vTx)/float64(pTx)
@@ -189,7 +204,13 @@ func extPerf(e *Env) (Result, error) {
 				VictimBufferEntries: 1,
 				WritebackCycles:     6,
 			}
-			s, err := timing.Evaluate(cfg, e.Traces[ti])
+			var s timing.Stats
+			var err error
+			if p == cache.FetchOnWrite {
+				s, err = e.timingReplay(ti, cfg) // the standard L1
+			} else {
+				s, err = timing.Evaluate(cfg, e.Traces[ti])
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -347,15 +368,16 @@ func extSwitch(e *Env) (Result, error) {
 
 	quanta := []uint64{100_000, 10_000, 1_000}
 	return fillTable(tbl, len(quanta), func(i int) ([]string, error) {
-		mixed, err := synth.RoundRobin("mix", quanta[i], e.Traces...)
-		if err != nil {
-			return nil, err
-		}
 		c, err := cache.New(stdConfig(StdCacheSize, StdLineSize))
 		if err != nil {
 			return nil, err
 		}
-		c.AccessTrace(mixed)
+		// The mix is streamed through the cache, quantum by quantum,
+		// never built.
+		err = synth.Interleave(quanta[i], e.Traces, c.AccessEvents)
+		if err != nil {
+			return nil, err
+		}
 		s := c.Stats()
 		return []string{fmt.Sprintf("quantum %d instructions", quanta[i]),
 			stats.FmtPct(s.WritesToDirtyFraction()), stats.FmtPct(s.MissRate())}, nil
@@ -444,16 +466,16 @@ func extL2Policy(e *Env) (Result, error) {
 		cb := combos[i/nt]
 		l2 := cache.Config{Size: 64 << 10, LineSize: 64, Assoc: 4,
 			WriteHit: cb.hit, WriteMiss: cb.miss}
-		h, err := hierarchy.New(hierarchy.Config{
-			L1: stdConfig(StdCacheSize, StdLineSize),
-			L2: &l2,
-		})
+		l1 := stdConfig(StdCacheSize, StdLineSize)
+		log, err := e.l1Log(i%nt, l1)
 		if err != nil {
 			return run{}, err
 		}
-		h.AccessTrace(e.Traces[i%nt])
-		h.Flush()
-		return run{h.Stats().Traffic, h.L1().Stats().Instructions}, nil
+		s, err := hierarchy.Replay(hierarchy.Config{L1: l1, L2: &l2}, log, true)
+		if err != nil {
+			return run{}, err
+		}
+		return run{s.Traffic, log.Stats().Instructions}, nil
 	})
 	if err != nil {
 		return Result{}, err

@@ -2,7 +2,10 @@
 // first-level data cache: L1 → (optional write cache) → L2 → memory.
 // The paper assumes "two or more levels of caching" (§1); this package
 // provides that second level and the measurement points for the traffic
-// "out the back" of the first-level cache that §5 characterizes.
+// "out the back" of the first-level cache that §5 characterizes. New
+// builds the whole hierarchy around a live L1; Replay feeds the levels
+// behind the L1 from a recorded pass of it (cache.Log), which is that
+// traffic as one stream.
 package hierarchy
 
 import (
@@ -136,21 +139,64 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg}
-	var err error
+	h, sink, err := newBehindL1(cfg)
+	if err != nil {
+		return nil, err
+	}
 	if h.l1, err = cache.New(cfg.L1); err != nil {
 		return nil, err
 	}
+	h.l1.SetBackside(sink)
+	return h, nil
+}
+
+// Replay drives the levels behind the L1 with a recorded pass of
+// cfg.L1 (see cache.Log) instead of a live L1; if flush is set, the
+// pass's flush follows and then every level behind the L1 is flushed.
+// The result equals the Stats of New(cfg) after
+// AccessTrace(log.Trace()), and then Flush if flush is set. Inclusion
+// is rejected: an L2 eviction invalidates L1 lines, which changes the
+// L1's later traffic, so it needs a live L1.
+func Replay(cfg Config, log *cache.Log, flush bool) (Stats, error) {
+	if err := cfg.Validate(); err != nil {
+		return Stats{}, err
+	}
+	if cfg.Inclusive {
+		return Stats{}, fmt.Errorf("hierarchy: an inclusive hierarchy cannot replay a recorded L1 pass")
+	}
+	if log.Config() != cfg.L1 {
+		return Stats{}, fmt.Errorf("hierarchy: log of %s replayed as L1 %s", log.Config(), cfg.L1)
+	}
+	h, sink, err := newBehindL1(cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	p := log.Replayer(sink)
+	for range log.Trace().Events {
+		p.Next()
+	}
+	if flush {
+		log.ReplayFlush(sink)
+		h.flushBehindL1()
+	}
+	return h.stats, nil
+}
+
+// newBehindL1 builds the levels behind the L1 of a validated cfg and
+// returns the sink the L1's back side feeds.
+func newBehindL1(cfg Config) (*Hierarchy, *l1Sink, error) {
+	h := &Hierarchy{cfg: cfg}
+	var err error
 	if cfg.L2 != nil {
 		if h.l2, err = cache.New(*cfg.L2); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		h.l2.SetBackside(&memSink{MemPort: MemPort{T: &h.stats.Traffic}, h: h})
 	}
 	sink := &l1Sink{L1Port: L1Port{T: &h.stats.Traffic, L2: h.l2}, h: h}
 	if cfg.WriteCache != nil {
 		if h.wc, err = writecache.New(*cfg.WriteCache); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// A write-cache eviction is one whole-line write to the next
 		// level.
@@ -158,8 +204,7 @@ func New(cfg Config) (*Hierarchy, error) {
 			sink.L1Port.WriteWord(lineAddr, uint8(h.wc.LineSize()))
 		})
 	}
-	h.l1.SetBackside(sink)
-	return h, nil
+	return h, sink, nil
 }
 
 // Access simulates one event through the hierarchy.
@@ -175,6 +220,12 @@ func (h *Hierarchy) AccessTrace(t *trace.Trace) {
 // Flush drains dirty state from every level (flush-stop accounting).
 func (h *Hierarchy) Flush() {
 	h.l1.Flush()
+	h.flushBehindL1()
+}
+
+// flushBehindL1 drains the write cache and flushes the L2, after the
+// L1's flush.
+func (h *Hierarchy) flushBehindL1() {
 	if h.wc != nil {
 		h.wc.Drain()
 	}

@@ -1,7 +1,7 @@
 // Package synth generates parameterized synthetic reference streams:
 // the canonical access patterns cache papers reason with — sequential
 // streams, strided walks, block copies, pointer chases, hot/cold
-// mixtures and round-robin interleavings. They complement the six real
+// mixtures and round-robin interleavings (streamed, see Interleave). They complement the six real
 // workload stand-ins: where package workload answers "what do real
 // programs do", synth answers "what does this policy do to a pure
 // pattern" (the paper's own block-copy argument in §4 is synthetic in
@@ -117,51 +117,44 @@ func PointerChase(seed uint64, nodes, hops, nodeSize int) (*trace.Trace, error) 
 	return t, nil
 }
 
-// RoundRobin interleaves traces with a fixed instruction quantum — the
-// context-switch pattern of multiprogrammed machines (out of the
+// Interleave runs traces round-robin with a fixed instruction quantum —
+// the context-switch pattern of multiprogrammed machines (out of the
 // paper's scope, §2, but the natural follow-on question). Each trace
-// runs for quantum instructions, then the next takes over; event gaps
-// within a quantum are preserved.
-func RoundRobin(name string, quantum uint64, ts ...*trace.Trace) (*trace.Trace, error) {
+// runs for quantum instructions, then the next takes over; an event
+// that would overrun the quantum waits for the trace's next turn,
+// unless it is the turn's first (a quantum is a minimum grant).
+// Finished and empty traces drop out. Interleave hands each turn's run
+// of events to fn, in schedule order, as a slice of the original
+// trace, so the interleaving is streamed and never built.
+func Interleave(quantum uint64, ts []*trace.Trace, fn func(run []trace.Event)) error {
 	if quantum == 0 {
-		return nil, fmt.Errorf("synth: quantum must be positive")
+		return fmt.Errorf("synth: quantum must be positive")
 	}
-	type cur struct {
-		t *trace.Trace
-		i int
-	}
-	live := make([]*cur, 0, len(ts))
-	total := 0
+	live := make([][]trace.Event, 0, len(ts)) // each trace's unrun events
 	for _, t := range ts {
 		if t.Len() > 0 {
-			live = append(live, &cur{t: t})
-			total += t.Len()
+			live = append(live, t.Events)
 		}
 	}
-	// Every event is emitted exactly once, so one allocation at the
-	// exact length replaces repeated append growth (the mixes of the
-	// paper traces run to millions of events).
-	out := &trace.Trace{Name: name, Events: make([]trace.Event, 0, total)}
 	for len(live) > 0 {
 		for li := 0; li < len(live); {
-			c := live[li]
-			var used uint64
-			for c.i < c.t.Len() {
-				e := c.t.Events[c.i]
-				cost := e.Instructions()
+			rest := live[li]
+			n := 0
+			for used := uint64(0); n < len(rest); n++ {
+				cost := rest[n].Instructions()
 				if used+cost > quantum && used > 0 {
 					break
 				}
-				out.Append(e)
 				used += cost
-				c.i++
 			}
-			if c.i >= c.t.Len() {
+			fn(rest[:n])
+			if n == len(rest) {
 				live = append(live[:li], live[li+1:]...)
 				continue
 			}
+			live[li] = rest[n:]
 			li++
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -93,10 +93,19 @@ func TestPointerChaseVisitsAllNodes(t *testing.T) {
 	}
 }
 
+// roundRobin collects Interleave's runs into one trace.
+func roundRobin(quantum uint64, ts ...*trace.Trace) (*trace.Trace, error) {
+	out := &trace.Trace{Name: "rr"}
+	err := Interleave(quantum, ts, func(run []trace.Event) {
+		out.Events = append(out.Events, run...)
+	})
+	return out, err
+}
+
 func TestRoundRobinQuantum(t *testing.T) {
 	a := Sequential(trace.Read, 0x1000, 6, 4, 4, 0)  // 1 instr/event
 	b := Sequential(trace.Write, 0x2000, 6, 4, 4, 0) // 1 instr/event
-	out, err := RoundRobin("rr", 2, a, b)
+	out, err := roundRobin(2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +125,14 @@ func TestRoundRobinLongEventRuns(t *testing.T) {
 	// An event longer than the quantum still runs (quantum is a minimum
 	// grant), and empty traces are skipped.
 	a := &trace.Trace{Events: []trace.Event{{Addr: 0, Size: 4, Gap: 10, Kind: trace.Read}}}
-	out, err := RoundRobin("rr", 2, a, &trace.Trace{})
+	out, err := roundRobin(2, a, &trace.Trace{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 1 {
 		t.Fatalf("len = %d", out.Len())
 	}
-	if _, err := RoundRobin("rr", 0, a); err == nil {
+	if _, err := roundRobin(0, a); err == nil {
 		t.Error("zero quantum accepted")
 	}
 }
@@ -132,7 +141,7 @@ func TestRoundRobinPreservesAllEvents(t *testing.T) {
 	a := Sequential(trace.Read, 0x1000, 37, 4, 4, 1)
 	b := Sequential(trace.Write, 0x2000, 11, 4, 4, 3)
 	c := Sequential(trace.Read, 0x3000, 23, 8, 8, 0)
-	out, err := RoundRobin("rr", 13, a, b, c)
+	out, err := roundRobin(13, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,19 +150,38 @@ func TestRoundRobinPreservesAllEvents(t *testing.T) {
 	}
 }
 
-// TestRoundRobinExactAllocation: the output is allocated once at its
-// exact length, the sum of the inputs', and never regrown.
+// TestRoundRobinExactAllocation: the schedule is streamed, never
+// built. Each run Interleave hands out aliases the next unrun events of
+// an input trace, the runs cover every event exactly once, and the
+// whole schedule allocates only its list of live traces.
 func TestRoundRobinExactAllocation(t *testing.T) {
 	a := Sequential(trace.Read, 0x1000, 1000, 4, 4, 1)
 	b := Sequential(trace.Write, 0x2000, 333, 4, 4, 3)
 	c := Sequential(trace.Read, 0x3000, 517, 8, 8, 0)
-	out, err := RoundRobin("rr", 7, a, b, &trace.Trace{}, c)
+	ts := []*trace.Trace{a, b, {}, c}
+	next := make([]int, len(ts)) // each trace's first unrun event
+	err := Interleave(7, ts, func(run []trace.Event) {
+		for i, tr := range ts {
+			if next[i] < tr.Len() && &run[0] == &tr.Events[next[i]] {
+				next[i] += len(run)
+				return
+			}
+		}
+		t.Errorf("a run of %d events does not alias the next events of an input trace", len(run))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const sum = 1000 + 333 + 517
-	if out.Len() != sum || cap(out.Events) != sum {
-		t.Errorf("len %d cap %d, want both %d", out.Len(), cap(out.Events), sum)
+	for i, tr := range ts {
+		if next[i] != tr.Len() {
+			t.Errorf("trace %d: runs cover %d of %d events", i, next[i], tr.Len())
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		_ = Interleave(7, ts, func([]trace.Event) {})
+	})
+	if allocs > 1 {
+		t.Errorf("Interleave allocates %.0f times per schedule, want at most 1", allocs)
 	}
 }
 

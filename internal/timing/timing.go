@@ -30,6 +30,9 @@
 //     pipeline (IF RF ALU MEM WB); see Organization. A gap
 //     (non-memory) instruction or any line fetch clears the pipeline's
 //     store state.
+//
+// Evaluate runs its own L1; Replay reads the L1's traffic from a
+// recorded pass (cache.Log), so several models can share one L1 pass.
 package timing
 
 import (
@@ -173,7 +176,7 @@ func (s Stats) StoreCost() float64 {
 }
 
 // outcome is a counting cache.Backside: the back-side traffic of the
-// access in flight. Evaluate resets it before each Access.
+// access in flight.
 type outcome struct {
 	fetches, writebacks, wtWords uint64
 }
@@ -192,76 +195,119 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	var out outcome
-	c.SetBackside(&out)
+	m := newModel(cfg)
+	c.SetBackside(&m.out)
+	for _, e := range t.Events {
+		c.Access(e)
+		m.step(e)
+	}
+	return m.finish(c.Stats()), nil
+}
 
-	var s Stats
-	var now uint64
-	wb := writebuffer.NewQueue(cfg.WriteBufferEntries, uint64(cfg.WriteRetire))
-	vb := writebuffer.NewQueue(cfg.VictimBufferEntries, uint64(cfg.WritebackCycles))
+// Replay runs the timing model over a recorded pass of cfg.L1 (see
+// cache.Log) instead of a live cache. The result equals
+// Evaluate(cfg, log.Trace()).
+func Replay(cfg Config, log *cache.Log) (Stats, error) {
+	if err := cfg.Validate(); err != nil {
+		return Stats{}, err
+	}
+	if log.Config() != cfg.L1 {
+		return Stats{}, fmt.Errorf("timing: log of %s replayed as %s", log.Config(), cfg.L1)
+	}
+	m := newModel(cfg)
+	p := log.Replayer(&m.out)
+	for _, e := range log.Trace().Events {
+		p.Next()
+		m.step(e)
+	}
+	return m.finish(log.Stats()), nil
+}
+
+// model is the timing model behind the L1. It learns each event's
+// back-side traffic through out, from a live cache (Evaluate) or a
+// replayed log (Replay).
+type model struct {
+	cfg    Config
+	out    outcome
+	s      Stats
+	now    uint64
+	wb, vb writebuffer.Queue
 	// Store-pipeline state: the previous instruction was a store, and
 	// the delayed-write register holds a write.
-	afterStore, pending := false, false
+	afterStore, pending bool
+}
 
-	for _, e := range t.Events {
-		now += e.Instructions()
-		out = outcome{}
-		c.Access(e)
+func newModel(cfg Config) *model {
+	return &model{
+		cfg: cfg,
+		wb:  writebuffer.NewQueue(cfg.WriteBufferEntries, uint64(cfg.WriteRetire)),
+		vb:  writebuffer.NewQueue(cfg.VictimBufferEntries, uint64(cfg.WritebackCycles)),
+	}
+}
 
-		// Dirty victims queue into the victim buffer; the CPU only waits
-		// when the buffer is full (it must, or the victim's data would be
-		// lost to the refill).
-		for i := uint64(0); i < out.writebacks; i++ {
-			stall, t2 := vb.Push(now)
-			s.VictimStalls += stall
-			now = t2
-		}
+// step charges event e, whose back-side traffic is in m.out, and
+// clears m.out for the next event.
+func (m *model) step(e trace.Event) {
+	m.now += e.Instructions()
+	out := m.out
+	m.out = outcome{}
 
-		// Gap instructions are non-memory: they break any store/load
-		// adjacency and give the delayed write a free slot to retire.
-		if e.Gap > 0 {
-			afterStore, pending = false, false
-		}
-		if e.Kind == trace.Write {
-			afterStore, pending = true, cfg.Org == DelayedWriteBack
-		} else {
-			if afterStore && cfg.Org == SimpleWriteBack {
-				// The store's WB-stage data write collides with this
-				// load's MEM-stage data read.
-				s.InterlockStalls++
-				now++
-			}
-			if pending && out.fetches > 0 {
-				// The refill must wait for the deferred write to drain.
-				s.DrainStalls++
-				now++
-			}
-			afterStore = false
-		}
-
-		// Fetches stall the CPU directly, and a refill empties the
-		// pipeline's write-side state.
-		if out.fetches > 0 {
-			stall := out.fetches * uint64(cfg.FetchLatency)
-			if e.Kind == trace.Write {
-				s.WriteMissStalls += stall
-			} else {
-				s.ReadMissStalls += stall
-			}
-			now += stall
-			afterStore, pending = false, false
-		}
-
-		// Write-through words enter the write buffer.
-		for i := uint64(0); i < out.wtWords; i++ {
-			stall, t2 := wb.Push(now)
-			s.WriteBufferStalls += stall
-			now = t2
-		}
+	// Dirty victims queue into the victim buffer; the CPU only waits
+	// when the buffer is full (it must, or the victim's data would be
+	// lost to the refill).
+	for i := uint64(0); i < out.writebacks; i++ {
+		stall, t2 := m.vb.Push(m.now)
+		m.s.VictimStalls += stall
+		m.now = t2
 	}
 
-	s.Cache = c.Stats()
-	s.Instructions = s.Cache.Instructions
-	s.Cycles = now
-	return s, nil
+	// Gap instructions are non-memory: they break any store/load
+	// adjacency and give the delayed write a free slot to retire.
+	if e.Gap > 0 {
+		m.afterStore, m.pending = false, false
+	}
+	if e.Kind == trace.Write {
+		m.afterStore, m.pending = true, m.cfg.Org == DelayedWriteBack
+	} else {
+		if m.afterStore && m.cfg.Org == SimpleWriteBack {
+			// The store's WB-stage data write collides with this
+			// load's MEM-stage data read.
+			m.s.InterlockStalls++
+			m.now++
+		}
+		if m.pending && out.fetches > 0 {
+			// The refill must wait for the deferred write to drain.
+			m.s.DrainStalls++
+			m.now++
+		}
+		m.afterStore = false
+	}
+
+	// Fetches stall the CPU directly, and a refill empties the
+	// pipeline's write-side state.
+	if out.fetches > 0 {
+		stall := out.fetches * uint64(m.cfg.FetchLatency)
+		if e.Kind == trace.Write {
+			m.s.WriteMissStalls += stall
+		} else {
+			m.s.ReadMissStalls += stall
+		}
+		m.now += stall
+		m.afterStore, m.pending = false, false
+	}
+
+	// Write-through words enter the write buffer.
+	for i := uint64(0); i < out.wtWords; i++ {
+		stall, t2 := m.wb.Push(m.now)
+		m.s.WriteBufferStalls += stall
+		m.now = t2
+	}
+}
+
+// finish returns the cycle breakdown, given the cache's statistics.
+func (m *model) finish(cs cache.Stats) Stats {
+	m.s.Cache = cs
+	m.s.Instructions = cs.Instructions
+	m.s.Cycles = m.now
+	return m.s
 }

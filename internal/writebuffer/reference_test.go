@@ -32,7 +32,6 @@ func (b *slidingBuffer) Step(e trace.Event) {
 func (b *slidingBuffer) write(addr uint32) {
 	b.stats.Writes++
 	if b.cfg.RetireInterval == 0 {
-		b.stats.Retired++
 		return
 	}
 	b.drainUpTo(b.now)
@@ -63,7 +62,6 @@ func (b *slidingBuffer) drainUpTo(t uint64) {
 
 func (b *slidingBuffer) retireOne() {
 	b.fifo = b.fifo[1:]
-	b.stats.Retired++
 	b.ret += uint64(b.cfg.RetireInterval)
 }
 

@@ -144,7 +144,6 @@ type Stats struct {
 	Instructions uint64 // cycles of useful work (1 per instruction)
 	Writes       uint64 // write events offered to the buffer
 	Merged       uint64 // writes that coalesced into a buffered entry
-	Retired      uint64 // entries written to the next level
 	StallCycles  uint64 // cycles the CPU waited on a full buffer
 }
 
@@ -191,11 +190,7 @@ func newBuffer(cfg Config) (Buffer, error) {
 }
 
 // Stats returns a copy of the accumulated counters.
-func (b *Buffer) Stats() Stats {
-	s := b.stats
-	s.Retired = s.Writes - s.Merged - uint64(b.q.n)
-	return s
-}
+func (b *Buffer) Stats() Stats { return b.stats }
 
 // Run simulates the full trace: every event advances time by its
 // instruction count; write events enter the buffer.

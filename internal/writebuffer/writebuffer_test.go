@@ -47,8 +47,8 @@ func TestZeroRetireInterval(t *testing.T) {
 	if s.Merged != 0 {
 		t.Errorf("merged %d with instant retirement", s.Merged)
 	}
-	if s.Retired != 3 || s.StallCycles != 0 {
-		t.Errorf("retired=%d stalls=%d", s.Retired, s.StallCycles)
+	if s.StallCycles != 0 {
+		t.Errorf("stalls = %d", s.StallCycles)
 	}
 	if b.q.n != 0 {
 		t.Errorf("pending = %d", b.q.n)
@@ -76,9 +76,6 @@ func TestNoMergeAfterRetirement(t *testing.T) {
 	s := b.Stats()
 	if s.Merged != 0 {
 		t.Errorf("merged = %d, want 0 (entry already retired)", s.Merged)
-	}
-	if s.Retired < 1 {
-		t.Errorf("retired = %d, want >= 1", s.Retired)
 	}
 }
 
@@ -108,9 +105,6 @@ func TestExactStallScenario(t *testing.T) {
 	s := b.Stats()
 	if s.StallCycles != 9 {
 		t.Errorf("stall = %d cycles, want 9", s.StallCycles)
-	}
-	if s.Retired != 1 {
-		t.Errorf("retired = %d, want 1", s.Retired)
 	}
 }
 
