@@ -4,9 +4,9 @@
 // their base addresses so every core touches them at the same place —
 // true sharing with deterministic, address-hashed selection. The
 // per-core streams carry stagger offsets and are merged by instruction
-// time, either once per workload into the issue order System.Run
-// replays (coherent replay) or via trace.InterleaveOffset (a
-// single-cache baseline stream).
+// time by trace.MergeByTime, either once per workload into the issue
+// order System.Run replays (coherent replay) or via
+// trace.InterleaveOffset (a single-cache baseline stream).
 package coherence
 
 import (
@@ -166,45 +166,18 @@ func (w *Workload) schedule() []uint8 {
 }
 
 // mergeOrder merges the per-core streams by global instruction time
-// (each core's offset applied), ties resolving lowest-core-first for
-// determinism, and returns the core id of each event in issue order.
+// (each core's offset applied, ties lowest-core-first; see
+// trace.MergeByTime) and returns the core id of each event in issue
+// order.
 func mergeOrder(perCore []*trace.Trace, offsets []uint64) []uint8 {
-	type cursor struct {
-		c    uint8
-		i    int
-		when uint64
-	}
 	n := 0
-	cs := make([]cursor, 0, len(perCore))
-	for c, t := range perCore {
+	for _, t := range perCore {
 		n += t.Len()
-		if t.Len() == 0 {
-			continue
-		}
-		var off uint64
-		if c < len(offsets) {
-			off = offsets[c]
-		}
-		cs = append(cs, cursor{c: uint8(c), when: off + t.Events[0].Instructions()})
 	}
 	order := make([]uint8, 0, n)
-	for len(cs) > 0 {
-		best := 0
-		for i := 1; i < len(cs); i++ {
-			if cs[i].when < cs[best].when {
-				best = i
-			}
-		}
-		cu := &cs[best]
-		order = append(order, cu.c)
-		t := perCore[cu.c]
-		cu.i++
-		if cu.i >= t.Len() {
-			cs = append(cs[:best], cs[best+1:]...)
-			continue
-		}
-		cu.when += t.Events[cu.i].Instructions()
-	}
+	trace.MergeByTime(offsets, perCore, func(c int, _ trace.Event, _ uint64) {
+		order = append(order, uint8(c))
+	})
 	return order
 }
 

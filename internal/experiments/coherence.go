@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/coherence"
@@ -52,45 +50,15 @@ type cohRun struct {
 
 // cohKey identifies one coherent simulation: a trace replicated across
 // a sharing degree, under one L1 write-miss policy and one coherence
-// scheme.
+// scheme. The Env simulates each key once, so ext-coh-traffic reads the
+// runs ext-coh-miss made and ext-coh-schemes adds only the schemes the
+// sweeps do not run.
 type cohKey struct {
 	ti     int
 	cores  int
 	policy cache.WriteMissPolicy
 	scheme coherence.Scheme
 }
-
-// cohEntry is one memoized coherent run; like memoEntry, the once gate
-// computes it exactly once however many callers race on the key.
-type cohEntry struct {
-	once sync.Once
-	run  cohRun
-	err  error
-}
-
-// densePrefix is one trace's compacted prefix (see Env.cohDense).
-type densePrefix struct {
-	once  sync.Once
-	trace *trace.Trace
-	err   error
-}
-
-// cohMemo memoizes the ext-coh-* work on an Env: each trace is
-// compacted once, and each cohKey is simulated once, so ext-coh-traffic
-// reads the runs ext-coh-miss made and ext-coh-schemes adds only the
-// schemes the sweeps do not run. The lock guards only the maps, never
-// a computation.
-type cohMemo struct {
-	mu    sync.Mutex
-	dense map[int]*densePrefix
-	runs  map[cohKey]*cohEntry
-
-	compactions atomic.Uint64 // CompactRegions calls, for the compute-once tests
-	simulations atomic.Uint64 // coherent runs, for the compute-once tests
-}
-
-func (m *cohMemo) prefix(ti int) *densePrefix { return lazyEntry(&m.mu, &m.dense, ti) }
-func (m *cohMemo) entry(k cohKey) *cohEntry   { return lazyEntry(&m.mu, &m.runs, k) }
 
 // cohDense returns trace ti region-compacted and cut to its first
 // cohMaxEvents events, computed once per trace. The paper traces have
@@ -101,9 +69,8 @@ func (m *cohMemo) entry(k cohKey) *cohEntry   { return lazyEntry(&m.mu, &m.runs,
 // the default 128MB stride fits all degrees. The prefix is copied so
 // the multi-megabyte compacted image can be collected.
 func (e *Env) cohDense(ti int) (*trace.Trace, error) {
-	ent := e.coh.prefix(ti)
-	ent.once.Do(func() {
-		e.coh.compactions.Add(1)
+	return e.dense.get(ti, func() (*trace.Trace, error) {
+		e.compactions.Add(1)
 		t := e.Traces[ti]
 		// Compact the full trace, never just the prefix: a superblock's
 		// slot is its rank among every superblock the trace touches, so
@@ -111,13 +78,11 @@ func (e *Env) cohDense(ti int) (*trace.Trace, error) {
 		// (and with them the shared-granule choices) of the prefix.
 		dense, err := trace.CompactRegions(t, 24)
 		if err != nil {
-			ent.err = fmt.Errorf("experiments: %s: %w", t.Name, err)
-			return
+			return nil, fmt.Errorf("experiments: %s: %w", t.Name, err)
 		}
 		n := min(dense.Len(), cohMaxEvents)
-		ent.trace = &trace.Trace{Name: t.Name, Events: slices.Clone(dense.Events[:n])}
+		return &trace.Trace{Name: t.Name, Events: slices.Clone(dense.Events[:n])}, nil
 	})
-	return ent.trace, ent.err
 }
 
 // cohWorkload builds the N-core workload of trace ti from its dense
@@ -190,40 +155,49 @@ func (e *Env) cohRuns(keys []cohKey) (map[cohKey]cohRun, error) {
 
 	runs := make(map[cohKey]cohRun, len(keys))
 	for _, k := range keys {
-		// Every entry's once has returned in a job, which fanout.Run
-		// orders before these reads.
-		ent := e.coh.entry(k)
-		if ent.err != nil {
-			return nil, ent.err
+		// Every key was computed in a job, which fanout.Run orders
+		// before these reads, so no workload is built here.
+		r, err := e.cohRun(k, func() (*coherence.Workload, error) { return e.cohWorkload(k.ti, k.cores) })
+		if err != nil {
+			return nil, err
 		}
-		runs[k] = ent.run
+		runs[k] = r
 	}
 	return runs, nil
 }
 
-// cohGroupRun computes g's missing keys on one shared workload. A
-// workload error is memoized for every key that needed it.
+// cohGroupRun computes g's missing keys on one shared workload, built
+// only if a key is missing. A workload error is memoized for every key
+// that needed it.
 func (e *Env) cohGroupRun(g *cohGroup) {
 	var (
 		w     *coherence.Workload
-		werr  error
+		err   error
 		built bool
 	)
-	for _, k := range g.keys {
-		ent := e.coh.entry(k)
-		ent.once.Do(func() {
-			if !built {
-				w, werr = e.cohWorkload(g.ti, g.cores)
-				built = true
-			}
-			if werr != nil {
-				ent.err = werr
-				return
-			}
-			e.coh.simulations.Add(1)
-			ent.run, ent.err = cohSimulate(e.Traces[g.ti].Name, w, k)
-		})
+	workload := func() (*coherence.Workload, error) {
+		if !built {
+			w, err = e.cohWorkload(g.ti, g.cores)
+			built = true
+		}
+		return w, err
 	}
+	for _, k := range g.keys {
+		e.cohRun(k, workload)
+	}
+}
+
+// cohRun returns k's run, simulating it on the workload that workload
+// returns if it is missing.
+func (e *Env) cohRun(k cohKey, workload func() (*coherence.Workload, error)) (cohRun, error) {
+	return e.coh.get(k, func() (cohRun, error) {
+		w, err := workload()
+		if err != nil {
+			return cohRun{}, err
+		}
+		e.simulations.Add(1)
+		return cohSimulate(e.Traces[k.ti].Name, w, k)
+	})
 }
 
 // cohSweepChart renders one metric of the sharing-degree sweep (MSI

@@ -57,10 +57,10 @@ func TestCohRunsComputedOnce(t *testing.T) {
 	}
 	for _, s := range steps {
 		got := renderID(t, env, s.id)
-		if sims := env.coh.simulations.Load(); sims != s.wantTotal {
+		if sims := env.simulations.Load(); sims != s.wantTotal {
 			t.Errorf("after %s: %d coherent simulations, want %d", s.id, sims, s.wantTotal)
 		}
-		if c := env.coh.compactions.Load(); c != n {
+		if c := env.compactions.Load(); c != n {
 			t.Errorf("after %s: %d compactions for %d traces", s.id, c, n)
 		}
 		if want := renderID(t, syntheticEnv(), s.id); got != want {
@@ -98,10 +98,10 @@ func TestCohRunsConcurrent(t *testing.T) {
 			t.Errorf("%s raced on a shared Env renders differently from a fresh Env", id)
 		}
 	}
-	if sims := env.coh.simulations.Load(); sims != sweepRuns(env) {
+	if sims := env.simulations.Load(); sims != sweepRuns(env) {
 		t.Errorf("%d coherent simulations, want %d", sims, sweepRuns(env))
 	}
-	if c := env.coh.compactions.Load(); c != uint64(len(env.Traces)) {
+	if c := env.compactions.Load(); c != uint64(len(env.Traces)) {
 		t.Errorf("%d compactions for %d traces", c, len(env.Traces))
 	}
 }
@@ -128,7 +128,7 @@ func TestCohWindowCollisionError(t *testing.T) {
 	if !strings.Contains(err.Error(), "wide x2:") {
 		t.Errorf("error %q is not the first failing key's (2 cores)", err)
 	}
-	sims := env.coh.simulations.Load()
+	sims := env.simulations.Load()
 	if want := uint64(len(cache.WriteMissPolicies())); sims != want {
 		t.Errorf("%d coherent simulations, want %d (only the 1-core runs fit)", sims, want)
 	}
@@ -137,8 +137,8 @@ func TestCohWindowCollisionError(t *testing.T) {
 	if !errors.Is(again, err) {
 		t.Errorf("second call returned %v, want the memoized %v", again, err)
 	}
-	if env.coh.simulations.Load() != sims || env.coh.compactions.Load() != 1 {
-		t.Errorf("second call recomputed: %d simulations, %d compactions", env.coh.simulations.Load(), env.coh.compactions.Load())
+	if env.simulations.Load() != sims || env.compactions.Load() != 1 {
+		t.Errorf("second call recomputed: %d simulations, %d compactions", env.simulations.Load(), env.compactions.Load())
 	}
 
 	// Workers call wg.Done as their last act, so they may still be

@@ -1,8 +1,11 @@
 // Package experiments contains one runner per figure and table of the
 // paper's evaluation. Each runner takes an Env (the six benchmark
-// traces plus a memoized simulation cache) and produces a stats.Chart
-// or stats.Table whose series correspond one-to-one with the paper's
-// plot.
+// traces plus the simulations the figures share) and produces a
+// stats.Chart or stats.Table whose series correspond one-to-one with
+// the paper's plot. The Env keeps each shared result in a memo, one
+// generic compute-once map per kind of result: cache statistics per
+// (trace, config), recorded L1 passes, Fig 5's write-buffer runs,
+// write-cache curves, dense trace prefixes and coherent runs.
 package experiments
 
 import (
@@ -12,9 +15,11 @@ import (
 	"sync/atomic"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/reuse"
 	"cachewrite/internal/sweep"
 	"cachewrite/internal/trace"
 	"cachewrite/internal/workload"
+	"cachewrite/internal/writebuffer"
 )
 
 // Paper sweep axes.
@@ -40,38 +45,71 @@ type memoKey struct {
 	cfg cache.Config
 }
 
-// memoEntry is one simulation result. The once gate gives exact
-// compute-once semantics under concurrent CacheStats calls for the
-// same key without holding the memo lock during the simulation.
-type memoEntry struct {
-	once  sync.Once
-	stats cache.Stats
-	err   error
+// memo computes each key's value once, however many callers race on
+// it, and remembers an error as it would a value. The lock guards only
+// the map, never a computation: callers of one key wait on its cell's
+// once gate while callers of other keys go on.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoCell[V]
 }
 
-// logEntry is one recorded L1 pass, gated like memoEntry.
-type logEntry struct {
+// memoCell is one key's value or error, set once under its gate.
+type memoCell[V any] struct {
 	once sync.Once
-	log  *cache.Log
+	v    V
 	err  error
 }
 
-// Env holds the benchmark traces and memoizes cache simulations so the
-// many figures sharing a configuration pay for it once. One mutex
-// guards the memo map and the log map, held only for the lookup, never
-// for a simulation; each key is computed exactly once even when raced.
-// The multi-core experiments and the write-cache curves keep their own
-// memos beside it (see cohMemo and curveMemo), built the same way.
+// cell returns k's cell, creating the map and the cell if needed.
+func (m *memo[K, V]) cell(k K) *memoCell[V] {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.m == nil {
+		m.m = make(map[K]*memoCell[V])
+	}
+	c := m.m[k]
+	if c == nil {
+		c = new(memoCell[V])
+		m.m[k] = c
+	}
+	return c
+}
+
+// get returns k's value, running compute for it if no caller has.
+func (m *memo[K, V]) get(k K, compute func() (V, error)) (V, error) {
+	c := m.cell(k)
+	c.once.Do(func() { c.v, c.err = compute() })
+	return c.v, c.err
+}
+
+// put stores v for k unless k already has a value, set or computed,
+// which then wins.
+func (m *memo[K, V]) put(k K, v V) {
+	c := m.cell(k)
+	c.once.Do(func() { c.v = v })
+}
+
+// Env holds the benchmark traces and memoizes the simulations the
+// figures share, so each is paid for once however many figures race on
+// it. The counters beside the memos count the work actually done, for
+// the compute-once tests.
 type Env struct {
 	Traces []*trace.Trace
 
-	mu         sync.Mutex
-	memo       map[memoKey]*memoEntry
-	computes   atomic.Uint64
-	logs       map[memoKey]*logEntry
-	recordings atomic.Uint64
-	coh        cohMemo
-	curves     curveMemo
+	stats  memo[memoKey, cache.Stats]
+	logs   memo[memoKey, *cache.Log]
+	bufs   memo[bufKey, writebuffer.Stats]
+	curves memo[curveKey, *reuse.Curve]
+	dense  memo[int, *trace.Trace]
+	coh    memo[cohKey, cohRun]
+
+	computes       atomic.Uint64 // cache simulations (stats misses)
+	recordings     atomic.Uint64 // L1 passes recorded
+	bufferRuns     atomic.Uint64 // write-buffer runs
+	curvesComputed atomic.Uint64 // write-cache curves
+	compactions    atomic.Uint64 // CompactRegions calls
+	simulations    atomic.Uint64 // coherent runs
 }
 
 // NewEnvCached generates the six paper benchmarks at the given scale,
@@ -91,79 +129,57 @@ func NewEnvFromTraces(ts []*trace.Trace) *Env {
 	return &Env{Traces: ts}
 }
 
-// entry returns the memo entry for k, creating it if needed.
-func (e *Env) entry(k memoKey) *memoEntry {
-	return lazyEntry(&e.mu, &e.memo, k)
-}
-
-// lazyEntry returns (*m)[k], creating the map and the entry if needed,
-// under mu.
-func lazyEntry[K comparable, V any](mu *sync.Mutex, m *map[K]*V, k K) *V {
-	mu.Lock()
-	defer mu.Unlock()
-	if *m == nil {
-		*m = make(map[K]*V)
-	}
-	v := (*m)[k]
-	if v == nil {
-		v = new(V)
-		(*m)[k] = v
-	}
-	return v
-}
-
 // CacheStats runs trace index ti through the configuration (with a
 // final flush) and memoizes the result. Concurrent callers asking for
 // the same key compute it exactly once; callers with different keys
 // never serialize on each other's simulations.
 func (e *Env) CacheStats(ti int, cfg cache.Config) (cache.Stats, error) {
-	ent := e.entry(memoKey{ti, cfg})
-	ent.once.Do(func() {
-		ent.stats, ent.err = e.compute(ti, cfg)
+	return e.stats.get(memoKey{ti, cfg}, func() (cache.Stats, error) {
+		e.computes.Add(1)
+		c, err := cache.New(cfg)
+		if err != nil {
+			return cache.Stats{}, fmt.Errorf("experiments: %s on %s: %w", cfg, e.Traces[ti].Name, err)
+		}
+		c.AccessEvents(e.Traces[ti].Events)
+		c.Flush()
+		return c.Stats(), nil
 	})
-	return ent.stats, ent.err
-}
-
-// compute performs one uncached simulation.
-func (e *Env) compute(ti int, cfg cache.Config) (cache.Stats, error) {
-	e.computes.Add(1)
-	c, err := cache.New(cfg)
-	if err != nil {
-		return cache.Stats{}, fmt.Errorf("experiments: %s on %s: %w", cfg, e.Traces[ti].Name, err)
-	}
-	c.AccessTrace(e.Traces[ti])
-	c.Flush()
-	return c.Stats(), nil
-}
-
-// store seeds the memo with an externally computed result (the gang
-// precompute path). If the key was already computed the existing value
-// wins; gang and sequential results are bit-identical, so the outcome
-// is the same either way.
-func (e *Env) store(k memoKey, s cache.Stats) {
-	ent := e.entry(k)
-	ent.once.Do(func() { ent.stats = s })
 }
 
 // l1Log returns the recorded pass of trace ti through cfg, then a
 // flush (see cache.Log), recording it on first use. The extension ids
 // that put a model behind the standard L1 (ext-cpi, ext-burst,
 // ext-victim, ext-perf, ext-l2policy) replay these logs instead of
-// simulating the L1 again. Like CacheStats, concurrent callers for one
-// key record it once. The recording's flushed statistics also answer
-// CacheStats for the key.
+// simulating the L1 again. The recording's flushed statistics also
+// answer CacheStats for the key.
 func (e *Env) l1Log(ti int, cfg cache.Config) (*cache.Log, error) {
-	ent := lazyEntry(&e.mu, &e.logs, memoKey{ti, cfg})
-	ent.once.Do(func() {
+	return e.logs.get(memoKey{ti, cfg}, func() (*cache.Log, error) {
 		e.recordings.Add(1)
-		ent.log, ent.err = cache.NewLog(cfg, e.Traces[ti])
-		if ent.err != nil {
-			ent.err = fmt.Errorf("experiments: %s on %s: %w", cfg, e.Traces[ti].Name, ent.err)
-			return
+		log, err := cache.NewLog(cfg, e.Traces[ti])
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s on %s: %w", cfg, e.Traces[ti].Name, err)
 		}
-		e.store(memoKey{ti, cfg}, ent.log.FlushedStats())
+		e.stats.put(memoKey{ti, cfg}, log.FlushedStats())
+		return log, nil
 	})
-	return ent.log, ent.err
+}
+
+// bufKey identifies one write-buffer run: a trace at a retire interval.
+type bufKey struct{ ti, interval int }
+
+// bufferRun returns Fig 5's coalescing write buffer, 8 entries of 16B
+// retiring one entry every interval cycles, run on trace ti. ext-cpi
+// reads Fig 5's interval-8 runs from here.
+func (e *Env) bufferRun(ti, interval int) (writebuffer.Stats, error) {
+	return e.bufs.get(bufKey{ti, interval}, func() (writebuffer.Stats, error) {
+		e.bufferRuns.Add(1)
+		b, err := writebuffer.New(writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: interval})
+		if err != nil {
+			return writebuffer.Stats{}, err
+		}
+		b.Run(e.Traces[ti])
+		return b.Stats(), nil
+	})
 }
 
 // Computes reports how many simulations the environment has actually
@@ -238,7 +254,7 @@ func (e *Env) PrecomputeSweep(ctx context.Context, opt sweep.Options) error {
 	}
 	return sweep.RunUnits(ctx, units, opt, func(u sweep.Unit, stats []cache.Stats) {
 		for i, s := range stats {
-			e.store(memoKey{u.TraceIndex, u.Cfgs[i]}, s)
+			e.stats.put(memoKey{u.TraceIndex, u.Cfgs[i]}, s)
 		}
 	})
 }

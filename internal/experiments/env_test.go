@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cachewrite/internal/cache"
@@ -160,7 +162,7 @@ func TestL1PassRecordedOncePerTrace(t *testing.T) {
 		}
 		for ti := range ts {
 			for _, cfg := range []cache.Config{wb, wt} {
-				if env.logs[memoKey{ti, cfg}] == nil {
+				if env.logs.m[memoKey{ti, cfg}] == nil {
 					t.Errorf("%s: trace %d has no recorded pass of %s", when, ti, cfg)
 				}
 			}
@@ -195,4 +197,95 @@ func TestL1PassRecordedOncePerTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(raced, "racing ids")
+}
+
+// TestMemo pins the memo's contract: racing gets compute a key once and
+// all see its value, an error is remembered like a value, and put
+// stores a value only for a key that has none (the gang precompute
+// seeds CacheStats this way, and so does an L1 recording, possibly
+// after the key was simulated).
+func TestMemo(t *testing.T) {
+	t.Run("racing gets compute once", func(t *testing.T) {
+		var m memo[int, int]
+		var computes atomic.Int32
+		const goroutines = 16
+		got := make([]int, goroutines)
+		var wg, arrived sync.WaitGroup
+		arrived.Add(goroutines)
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				arrived.Done()
+				got[g], _ = m.get(7, func() (int, error) {
+					// A compute starts only once every get is under way.
+					arrived.Wait()
+					computes.Add(1)
+					return 42, nil
+				})
+			}()
+		}
+		wg.Wait()
+		if n := computes.Load(); n != 1 {
+			t.Errorf("%d racing gets computed %d times, want 1", goroutines, n)
+		}
+		for g, v := range got {
+			if v != 42 {
+				t.Errorf("get %d returned %d, want 42", g, v)
+			}
+		}
+	})
+	t.Run("error memoized", func(t *testing.T) {
+		var m memo[string, int]
+		bad := errors.New("bad")
+		if _, err := m.get("k", func() (int, error) { return 0, bad }); err != bad {
+			t.Fatalf("first get = %v, want %v", err, bad)
+		}
+		v, err := m.get("k", func() (int, error) { return 1, nil })
+		if err != bad || v != 0 {
+			t.Errorf("second get = %d, %v; want the memoized error", v, err)
+		}
+	})
+	t.Run("put before get skips the compute", func(t *testing.T) {
+		var m memo[int, int]
+		m.put(1, 5)
+		v, err := m.get(1, func() (int, error) {
+			t.Error("get computed a key that put had set")
+			return 9, nil
+		})
+		if v != 5 || err != nil {
+			t.Errorf("get = %d, %v; want 5, nil", v, err)
+		}
+	})
+	t.Run("put after get keeps the computed value", func(t *testing.T) {
+		var m memo[int, int]
+		if _, err := m.get(1, func() (int, error) { return 3, nil }); err != nil {
+			t.Fatal(err)
+		}
+		m.put(1, 8)
+		if v, _ := m.get(1, nil); v != 3 {
+			t.Errorf("get after put = %d, want the computed 3", v)
+		}
+	})
+}
+
+// TestBufferRunsShared: ext-cpi's write-through rows read Fig 5's
+// interval-8 write-buffer runs, one per trace, so after fig5 (13
+// retire intervals per trace) ext-cpi runs no buffer of its own, and
+// renders as it does alone.
+func TestBufferRunsShared(t *testing.T) {
+	alone := syntheticEnv()
+	want := renderID(t, alone, "ext-cpi")
+	n := uint64(len(alone.Traces))
+	if got := alone.bufferRuns.Load(); got != n {
+		t.Errorf("ext-cpi alone: %d buffer runs, want %d", got, n)
+	}
+	env := syntheticEnv()
+	renderID(t, env, "fig5")
+	if got := renderID(t, env, "ext-cpi"); got != want {
+		t.Error("ext-cpi after fig5 renders differently from ext-cpi alone")
+	}
+	if got := env.bufferRuns.Load(); got != 13*n {
+		t.Errorf("fig5 then ext-cpi: %d buffer runs, want %d", got, 13*n)
+	}
 }

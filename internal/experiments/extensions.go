@@ -13,7 +13,6 @@ import (
 	"cachewrite/internal/stats"
 	"cachewrite/internal/synth"
 	"cachewrite/internal/timing"
-	"cachewrite/internal/writebuffer"
 	"cachewrite/internal/writecache"
 )
 
@@ -38,7 +37,6 @@ func extCPI(e *Env) (Result, error) {
 		Title:   "Store pipeline organizations: CPI breakdown (miss penalty 10, write buffer 8x16B, retire 8)",
 		Columns: []string{"benchmark", "organization", "store cost (cyc/store)", "interlock CPI", "wbuf CPI", "miss CPI", "total CPI"},
 	}
-	wbuf := writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: 8}
 	orgs := timing.Organizations()
 	return fillTable(tbl, len(e.Traces)*len(orgs), func(i int) ([]string, error) {
 		ti, org := i/len(orgs), orgs[i%len(orgs)]
@@ -52,19 +50,17 @@ func extCPI(e *Env) (Result, error) {
 			return nil, err
 		}
 		if org == timing.DirectMappedWriteThrough {
-			// The wbuf column is Fig 5's coalescing buffer run as fig5
-			// runs it, on its own instruction clock, blind to miss
-			// stalls. That makes it an upper bound: on the cycle model's
-			// clock, where misses give the buffer time to drain, met and
-			// liver read 0.0000.
-			b, err := writebuffer.New(wbuf)
+			// The wbuf column is Fig 5's coalescing buffer, the very
+			// run fig5 makes at retire interval 8, on its own
+			// instruction clock, blind to miss stalls. That makes it an
+			// upper bound: on the cycle model's clock, where misses give
+			// the buffer time to drain, met and liver read 0.0000.
+			b, err := e.bufferRun(ti, 8)
 			if err != nil {
 				return nil, err
 			}
-			b.Run(t)
-			stall := b.Stats().StallCycles
-			s.WriteBufferStalls += stall
-			s.Cycles += stall
+			s.WriteBufferStalls += b.StallCycles
+			s.Cycles += b.StallCycles
 		}
 		inst := float64(s.Instructions)
 		return []string{t.Name, org.String(),

@@ -33,7 +33,7 @@ func TestWriteCacheCurvesComputedOnce(t *testing.T) {
 			t.Errorf("%s raced on a shared Env renders differently from a fresh Env", id)
 		}
 	}
-	if got, want := env.curves.computed.Load(), uint64(2*len(env.Traces)); got != want {
+	if got, want := env.curvesComputed.Load(), uint64(2*len(env.Traces)); got != want {
 		t.Errorf("%d write-cache curves computed, want %d", got, want)
 	}
 }

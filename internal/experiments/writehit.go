@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cachewrite/internal/fanout"
 	"cachewrite/internal/reuse"
@@ -68,35 +66,18 @@ func writesToDirtySweep(e *Env, id, title, xlabel string, xs []int, cfgOf func(x
 const wcMaxEntries = 16
 
 // curveKey identifies one write-cache curve: a trace at a line size.
+// The Env computes each curve once, so Figs 7-9 share the 8B curves and
+// Fig 5 computes only the 16B ones.
 type curveKey struct{ ti, lineSize int }
-
-// curveEntry is one memoized curve, computed once under its gate.
-type curveEntry struct {
-	once  sync.Once
-	curve *reuse.Curve
-	err   error
-}
-
-// curveMemo memoizes the write-cache curves on an Env, so Figs 7-9
-// share the 8B curves and Fig 5 computes only the 16B ones. The lock
-// guards only the map, never a computation.
-type curveMemo struct {
-	mu sync.Mutex
-	m  map[curveKey]*curveEntry
-
-	computed atomic.Uint64 // curves computed, for the compute-once tests
-}
 
 // writeCacheCurves returns every trace's 0..wcMaxEntries write-cache
 // curve at lineSize, in trace order, each computed once per Env.
 func (e *Env) writeCacheCurves(lineSize int) ([]*reuse.Curve, error) {
 	return fanout.Run(len(e.Traces), func(ti int) (*reuse.Curve, error) {
-		ent := lazyEntry(&e.curves.mu, &e.curves.m, curveKey{ti, lineSize})
-		ent.once.Do(func() {
-			e.curves.computed.Add(1)
-			ent.curve, ent.err = reuse.WriteCacheCurve(e.Traces[ti], lineSize, wcMaxEntries)
+		return e.curves.get(curveKey{ti, lineSize}, func() (*reuse.Curve, error) {
+			e.curvesComputed.Add(1)
+			return reuse.WriteCacheCurve(e.Traces[ti], lineSize, wcMaxEntries)
 		})
-		return ent.curve, ent.err
 	})
 }
 
@@ -116,12 +97,7 @@ func fig5(e *Env) (Result, error) {
 	}
 	nt := len(e.Traces)
 	runs, err := fanout.Run(len(intervals)*nt, func(i int) (writebuffer.Stats, error) {
-		b, err := writebuffer.New(writebuffer.Config{Entries: 8, LineSize: 16, RetireInterval: intervals[i/nt]})
-		if err != nil {
-			return writebuffer.Stats{}, err
-		}
-		b.Run(e.Traces[i%nt])
-		return b.Stats(), nil
+		return e.bufferRun(i%nt, intervals[i/nt])
 	})
 	if err != nil {
 		return Result{}, err

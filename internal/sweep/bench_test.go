@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -151,12 +152,16 @@ const minSpeedup = 1.2
 // simulation: over the 48 paper configs, the gang engine must beat one
 // cache.New and AccessTrace per config by minSpeedup with one worker
 // (the batch kernels' win alone) and, given two or more CPUs, with
-// GOMAXPROCS workers. Each engine keeps its fastest of five interleaved
-// runs. The one-worker ratio compares CPU time, which other processes
-// on a busy host (go test ./... runs packages side by side) inflate
-// far less than wall time; a parallel speedup shows only in wall time.
-// The race detector slows the kernels far more than the baseline, so
-// the test skips under it, and under -short.
+// GOMAXPROCS workers. The engines run in speedRounds rounds, each round
+// starting with the next engine in turn so none always runs first, and
+// each floor applies to the median of the rounds' ratios: engines
+// timed in one round share the host's load at that moment, and the
+// median discards the rounds a burst of it hit one engine only. The
+// one-worker ratio compares CPU time, which other processes on a busy
+// host (go test ./... runs packages side by side) inflate far less
+// than wall time; a parallel speedup shows only in wall time. The race
+// detector slows the kernels far more than the baseline, so the test
+// skips under it, and under -short.
 func TestGangSpeedupFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test; skipped under -short")
@@ -178,26 +183,26 @@ func TestGangSpeedupFloor(t *testing.T) {
 		}
 	}
 	engines := []func(){func() { sequentialSweep(t, ts, cfgs) }, gang(1), gang(procs)}
-	wall := make([]time.Duration, len(engines))
-	cpu := make([]time.Duration, len(engines))
-	for round := 0; round < 5; round++ {
-		for i, run := range engines {
+	const speedRounds = 11
+	var singles, alls []float64
+	for round := 0; round < speedRounds; round++ {
+		wall := make([]time.Duration, len(engines))
+		cpu := make([]time.Duration, len(engines))
+		for j := range engines {
+			i := (round + j) % len(engines)
 			runtime.GC() // so no run pays for garbage the one before it left
 			start, startCPU := time.Now(), cpuTime(t)
-			run()
-			w, c := time.Since(start), cpuTime(t)-startCPU
-			if round == 0 || w < wall[i] {
-				wall[i] = w
-			}
-			if round == 0 || c < cpu[i] {
-				cpu[i] = c
-			}
+			engines[i]()
+			wall[i], cpu[i] = time.Since(start), cpuTime(t)-startCPU
 		}
+		singles = append(singles, float64(cpu[0])/float64(cpu[1]))
+		alls = append(alls, float64(wall[0])/float64(wall[2]))
 	}
-	single := float64(cpu[0]) / float64(cpu[1])
-	all := float64(wall[0]) / float64(wall[2])
-	t.Logf("CPU time: sequential %v, gang at 1 worker %v (%.2fx); wall time: sequential %v, gang at %d workers %v (%.2fx)",
-		cpu[0], cpu[1], single, wall[0], procs, wall[2], all)
+	slices.Sort(singles)
+	slices.Sort(alls)
+	single, all := singles[speedRounds/2], alls[speedRounds/2]
+	t.Logf("median of %d rounds: gang at 1 worker %.2fx the sequential CPU time (rounds %.2f); gang at %d workers %.2fx its wall time (rounds %.2f)",
+		speedRounds, single, singles, procs, all, alls)
 	if single < minSpeedup {
 		t.Errorf("gang at 1 worker is %.2fx the sequential baseline, below the %.1fx floor", single, minSpeedup)
 	}

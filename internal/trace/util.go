@@ -25,6 +25,50 @@ type InterleaveStats struct {
 	LostInstructions uint64
 }
 
+// MergeByTime walks the events of ts in global instruction time order,
+// calling fn with each event, the index of its input and the
+// instruction time it is scheduled at. Input i begins at instruction
+// time offsets[i] (missing entries mean zero), and each event is
+// scheduled its Instructions() after the one before it in its input.
+// Ties at an instruction slot go to the lowest input, for determinism.
+func MergeByTime(offsets []uint64, ts []*Trace, fn func(input int, e Event, when uint64)) {
+	type cursor struct {
+		input int
+		i     int
+		when  uint64 // instruction time of the event at i
+	}
+	cs := make([]cursor, 0, len(ts))
+	for in, t := range ts {
+		if t.Len() == 0 {
+			continue
+		}
+		var off uint64
+		if in < len(offsets) {
+			off = offsets[in]
+		}
+		cs = append(cs, cursor{input: in, when: off + t.Events[0].Instructions()})
+	}
+	for len(cs) > 0 {
+		// Pick the earliest event; removing a cursor keeps the rest in
+		// input order, so the first of equal times is the lowest input.
+		best := 0
+		for i := 1; i < len(cs); i++ {
+			if cs[i].when < cs[best].when {
+				best = i
+			}
+		}
+		c := &cs[best]
+		events := ts[c.input].Events
+		fn(c.input, events[c.i], c.when)
+		c.i++
+		if c.i == len(events) {
+			cs = append(cs[:best], cs[best+1:]...)
+			continue
+		}
+		c.when += events[c.i].Instructions()
+	}
+}
+
 // InterleaveOffset merges traces by instruction time: events are
 // replayed in global instruction order, modelling independent phases
 // sharing one cache (coarse-grained multiprogramming without address
@@ -33,50 +77,28 @@ type InterleaveStats struct {
 // are recomputed so the merged trace's instruction positions match the
 // union schedule; gaps longer than the Gap field's capacity are split
 // across subsequent events, preserving total instruction time. Ties at
-// an instruction slot resolve by input order for determinism. The
-// returned stats describe how faithfully the schedule fit the Gap
-// field's capacity.
+// an instruction slot resolve by input order for determinism (see
+// MergeByTime). The returned stats describe how faithfully the schedule
+// fit the Gap field's capacity.
 func InterleaveOffset(name string, offsets []uint64, ts ...*Trace) (*Trace, InterleaveStats) {
-	type cursor struct {
-		t    *Trace
-		i    int
-		when uint64 // instruction time of the event at i
+	n := 0
+	for _, t := range ts {
+		n += t.Len()
 	}
-	cs := make([]*cursor, 0, len(ts))
-	for si, t := range ts {
-		if t.Len() == 0 {
-			continue
-		}
-		var off uint64
-		if si < len(offsets) {
-			off = offsets[si]
-		}
-		cs = append(cs, &cursor{t: t, when: off + t.Events[0].Instructions()})
-	}
-	out := &Trace{Name: name}
+	out := &Trace{Name: name, Events: make([]Event, 0, n)}
 	var st InterleaveStats
 	// emitted is the instruction time the output events represent so
 	// far (sum of gap+1); ideal is the same sum had gaps been unbounded.
 	// Their difference is the deficit an oversized gap left behind,
 	// absorbed by later events whose gaps are computed against emitted.
 	var emitted, ideal uint64
-	for len(cs) > 0 {
-		// Pick the earliest event; ties resolve by input order for
-		// determinism (cursor removal below preserves relative order).
-		best := 0
-		for i := 1; i < len(cs); i++ {
-			if cs[i].when < cs[best].when {
-				best = i
-			}
-		}
-		c := cs[best]
-		e := c.t.Events[c.i]
+	MergeByTime(offsets, ts, func(_ int, e Event, when uint64) {
 		gap := uint64(0)
-		if c.when > emitted {
-			gap = c.when - emitted - 1
+		if when > emitted {
+			gap = when - emitted - 1
 		}
-		if c.when > ideal {
-			ideal += c.when - ideal
+		if when > ideal {
+			ideal += when - ideal
 		} else {
 			ideal++
 		}
@@ -90,14 +112,7 @@ func InterleaveOffset(name string, offsets []uint64, ts ...*Trace) (*Trace, Inte
 		if d := ideal - emitted; d > st.CarriedMax {
 			st.CarriedMax = d
 		}
-
-		c.i++
-		if c.i >= c.t.Len() {
-			cs = append(cs[:best], cs[best+1:]...)
-			continue
-		}
-		c.when += c.t.Events[c.i].Instructions()
-	}
+	})
 	st.LostInstructions = ideal - emitted
 	return out, st
 }
