@@ -94,15 +94,11 @@ func main() {
 		Workers:      *workers,
 		Checkpoint:   *checkpoint,
 		SoftDeadline: 2 * time.Minute,
-		Retries:      1,
 		OnEvent: func(e sweep.Event) {
 			switch e.Kind {
 			case sweep.UnitStalled:
 				fmt.Fprintf(os.Stderr, "cachesweep: warning: unit %s has made no progress for %s\n",
 					e.Unit, e.Idle.Round(time.Second))
-			case sweep.UnitRetried:
-				fmt.Fprintf(os.Stderr, "cachesweep: warning: unit %s attempt %d failed, retrying: %v\n",
-					e.Unit, e.Attempt, e.Err)
 			case sweep.JournalFallback:
 				fmt.Fprintf(os.Stderr, "cachesweep: warning: checkpoint: %v\n", e.Err)
 			}

@@ -359,13 +359,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			opt := sweep.Options{
 				Workers:      *workers,
 				SoftDeadline: 2 * time.Minute,
-				Retries:      1,
 				OnEvent: func(e sweep.Event) {
 					switch e.Kind {
 					case sweep.UnitStalled:
 						s.progressf("warning: sweep unit %s has made no progress for %s", e.Unit, e.Idle.Round(time.Second))
-					case sweep.UnitRetried:
-						s.progressf("warning: sweep unit %s attempt %d failed, retrying: %v", e.Unit, e.Attempt, e.Err)
 					case sweep.JournalFallback:
 						s.progressf("warning: sweep checkpoint: %v", e.Err)
 					}

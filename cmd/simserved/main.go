@@ -53,7 +53,6 @@ func main() {
 		maxEvents   = flag.Int("max-events", 2_000_000, "per-trace event cap applied to every job (<0 = unlimited)")
 		deadline    = flag.Duration("deadline", 5*time.Minute, "default per-job execution deadline")
 		maxDeadline = flag.Duration("deadline-max", 10*time.Minute, "cap on client-requested deadlines")
-		retries     = flag.Int("retries", 1, "per-unit retry budget inside each sweep (<0 disables)")
 		drainGrace  = flag.Duration("drain-grace", 5*time.Second, "how long SIGTERM waits for running jobs before checkpointing them")
 		tcache      = flag.String("tracecache", "auto", "on-disk trace cache dir ('auto' = user cache dir, 'off' = disable)")
 		traceMem    = flag.Int("trace-mem", 16, "decoded traces shared in memory across sessions")
@@ -90,7 +89,6 @@ func main() {
 		MaxEvents:       *maxEvents,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		Retries:         *retries,
 		DrainGrace:      *drainGrace,
 		TraceDir:        workload.ResolveCacheDir(*tcache),
 		TraceMem:        *traceMem,

@@ -1,8 +1,10 @@
 // Package resilience is the shared crash-safety layer for every
 // long-running path in the repository: a generic checkpoint journal
 // (atomic snapshots with a versioned, checksummed header and fallback
-// to the previous good snapshot), a heartbeat watchdog for worker
-// pools, and bounded retry-with-backoff for failed units of work.
+// to the previous good snapshot) and a heartbeat watchdog for worker
+// pools. There is no retry layer: every unit of work in this
+// repository is a deterministic simulation, so a failed unit fails the
+// same way on every attempt.
 //
 // The journal generalizes the checkpoint discipline internal/campaign
 // proved out: snapshots are written to a temporary file in the target

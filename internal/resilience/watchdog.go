@@ -1,9 +1,6 @@
 package resilience
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,73 +145,4 @@ func (w *Watchdog) monitor() {
 			}
 		}
 	}
-}
-
-// RetryConfig bounds re-execution of a failed unit of work.
-type RetryConfig struct {
-	// Attempts is the total number of tries (default 1, i.e. no
-	// retries).
-	Attempts int
-	// Backoff is the wait before the first retry, doubling on each
-	// subsequent one (default 10ms). The wait honors ctx.
-	Backoff time.Duration
-}
-
-// UnitError reports a unit of work that still failed after its retry
-// budget was exhausted. It unwraps to the final attempt's error.
-type UnitError struct {
-	// Unit names the failed unit (e.g. "ccom/cfgs[24:32]").
-	Unit string
-	// Attempts is how many times the unit was tried.
-	Attempts int
-	// Err is the final attempt's error.
-	Err error
-}
-
-func (e *UnitError) Error() string {
-	if e.Attempts > 1 {
-		return fmt.Sprintf("resilience: unit %s failed after %d attempts: %v", e.Unit, e.Attempts, e.Err)
-	}
-	return fmt.Sprintf("resilience: unit %s failed: %v", e.Unit, e.Err)
-}
-
-func (e *UnitError) Unwrap() error { return e.Err }
-
-// Retry runs f up to cfg.Attempts times, sleeping an exponentially
-// growing backoff between tries, and wraps the final failure in a
-// *UnitError. Context cancellation — of ctx itself, or an f error that
-// is a context error — stops retrying immediately: cancellation is a
-// decision, not a transient fault. onRetry (may be nil) is told about
-// each failed attempt that will be retried.
-func Retry(ctx context.Context, unit string, cfg RetryConfig, f func() error, onRetry func(attempt int, err error)) error {
-	attempts := cfg.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := cfg.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	var err error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if err = f(); err == nil {
-			return nil
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		if attempt == attempts {
-			break
-		}
-		if onRetry != nil {
-			onRetry(attempt, err)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
-	return &UnitError{Unit: unit, Attempts: attempts, Err: err}
 }

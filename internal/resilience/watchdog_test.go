@@ -1,8 +1,6 @@
 package resilience
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,64 +109,5 @@ func TestWatchdogInertWhenDisabled(t *testing.T) {
 	w.Stop() // must not hang: no monitor goroutine exists
 	if sc.n.Load() != 0 {
 		t.Fatal("inert watchdog reported stalls")
-	}
-}
-
-func TestRetrySucceedsWithinBudget(t *testing.T) {
-	calls := 0
-	var retries []int
-	err := Retry(context.Background(), "u", RetryConfig{Attempts: 3, Backoff: time.Millisecond},
-		func() error {
-			calls++
-			if calls < 3 {
-				return errors.New("transient")
-			}
-			return nil
-		},
-		func(attempt int, err error) { retries = append(retries, attempt) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 || len(retries) != 2 {
-		t.Fatalf("calls = %d, retries = %v", calls, retries)
-	}
-}
-
-func TestRetryExhaustionIsStructured(t *testing.T) {
-	boom := errors.New("boom")
-	err := Retry(context.Background(), "ccom/cfgs[0:8]", RetryConfig{Attempts: 2, Backoff: time.Millisecond},
-		func() error { return boom }, nil)
-	var ue *UnitError
-	if !errors.As(err, &ue) {
-		t.Fatalf("err = %v (%T), want *UnitError", err, err)
-	}
-	if ue.Unit != "ccom/cfgs[0:8]" || ue.Attempts != 2 || !errors.Is(err, boom) {
-		t.Fatalf("UnitError = %+v", ue)
-	}
-}
-
-// TestRetryStopsOnCancellation: cancellation is never retried — it is
-// a decision, not a transient fault.
-func TestRetryStopsOnCancellation(t *testing.T) {
-	calls := 0
-	err := Retry(context.Background(), "u", RetryConfig{Attempts: 5, Backoff: time.Millisecond},
-		func() error { calls++; return context.Canceled }, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("cancelled unit was tried %d times", calls)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls = 0
-	err = Retry(ctx, "u", RetryConfig{Attempts: 5, Backoff: time.Minute},
-		func() error { calls++; return errors.New("transient") }, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want ctx error from backoff wait", err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (backoff wait must honor ctx)", calls)
 	}
 }

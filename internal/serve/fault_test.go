@@ -272,10 +272,10 @@ func TestStatuszSurfacesStoreDegraded(t *testing.T) {
 	}
 }
 
-// TestRemoveCkptsSparesPoisonedJobs: a terminal job with quarantined
-// units keeps its sweep checkpoints (the poison set must survive for
-// resubmits to skip), while a clean terminal job's are reaped.
-func TestRemoveCkptsSparesPoisonedJobs(t *testing.T) {
+// TestRemoveCkptsReapsTerminalJobs: a terminal job's sweep
+// checkpoints are reaped, whether its workloads succeeded or failed —
+// no later job reads them, since a resubmission gets a new id.
+func TestRemoveCkptsReapsTerminalJobs(t *testing.T) {
 	mem := vfs.NewMem()
 	s := newTestServer(t, func(c *Config) {
 		c.StateDir = "/state"
@@ -297,20 +297,16 @@ func TestRemoveCkptsSparesPoisonedJobs(t *testing.T) {
 	exists := func(p string) bool { _, err := mem.Stat(p); return err == nil }
 
 	clean := &job{ID: "j000001", Spec: testSpec("tenant-a", "")}
-	poisoned := &job{
+	failed := &job{
 		ID:       "j000002",
 		Spec:     testSpec("tenant-a", ""),
-		Failures: []Failure{{Workload: "liver", Poisoned: []string{"liver/shard0"}}},
+		Failures: []Failure{{Workload: "liver", Error: "sweep: unit liver#0/cfgs[0:8]: boom"}},
 	}
-	plant(clean)
-	plant(poisoned)
-
-	s.removeCkpts(clean)
-	if exists(s.ckptPath(clean.ID, 0)) {
-		t.Errorf("clean job's checkpoint should be reaped")
-	}
-	s.removeCkpts(poisoned)
-	if !exists(s.ckptPath(poisoned.ID, 0)) {
-		t.Errorf("poisoned job's checkpoint must survive for resubmits to skip the quarantine")
+	for _, j := range []*job{clean, failed} {
+		plant(j)
+		s.removeCkpts(j)
+		if exists(s.ckptPath(j.ID, 0)) {
+			t.Errorf("job %s: checkpoint should be reaped", j.ID)
+		}
 	}
 }

@@ -47,12 +47,13 @@ type JobSpec struct {
 	RequestID string `json:"request_id,omitempty"`
 	// Workloads names the benchmark traces to sweep (no duplicates).
 	Workloads []string `json:"workloads"`
-	// Scale is the workload scale factor (default 1).
+	// Scale is the workload scale factor (default 1, at most maxScale).
 	Scale int `json:"scale,omitempty"`
 	// Events caps each trace to its first N events (0 = full trace;
 	// silently clamped to the server's MaxEvents).
 	Events int `json:"events,omitempty"`
-	// Sizes are the cache sizes in bytes (required).
+	// Sizes are the cache sizes in bytes (required; at most
+	// maxLinesPerConfig lines at each line size).
 	Sizes []int `json:"sizes"`
 	// Lines are the line sizes in bytes (default [16]).
 	Lines []int `json:"lines,omitempty"`
@@ -134,12 +135,21 @@ func (s *JobSpec) validate(maxConfigs int) error {
 	if s.DeadlineMs < 0 {
 		return fmt.Errorf("deadline_ms must be >= 0")
 	}
+	if s.Scale > maxScale {
+		return fmt.Errorf("scale %d exceeds the server cap of %d", s.Scale, maxScale)
+	}
 	cfgs, err := s.Configs()
 	if err != nil {
 		return err
 	}
 	if len(cfgs) == 0 {
 		return fmt.Errorf("no valid cache configuration in the sweep grid")
+	}
+	for _, cfg := range cfgs {
+		if lines := cfg.Size / cfg.LineSize; lines > maxLinesPerConfig {
+			return fmt.Errorf("size %d at %d B lines is %d lines, server cap is %d",
+				cfg.Size, cfg.LineSize, lines, maxLinesPerConfig)
+		}
 	}
 	if maxConfigs > 0 && len(cfgs) > maxConfigs {
 		return fmt.Errorf("sweep grid has %d configurations, server cap is %d", len(cfgs), maxConfigs)
@@ -251,16 +261,15 @@ type WorkloadResult struct {
 // plus a machine-readable account of what is missing and why.
 type Failure struct {
 	Workload string `json:"workload"`
-	Unit     string `json:"unit,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error"`
+	// Error says why the workload has no result; a sweep unit's failure
+	// reads "sweep: unit <key>: ...". Records from builds that also
+	// wrote unit, attempts or poisoned still load: decoding ignores
+	// the unknown fields.
+	Error string `json:"error"`
 	// Storage marks failures classified as storage faults
 	// (vfs.IsStorageFault): injected faults, ENOSPC, EIO. These feed
 	// the tenant's circuit breaker.
 	Storage bool `json:"storage,omitempty"`
-	// Poisoned lists sweep units quarantined after exhausting their
-	// retry budget; resubmitting the job skips them.
-	Poisoned []string `json:"poisoned,omitempty"`
 }
 
 // JobStatus is the client-visible snapshot of a job.
@@ -294,17 +303,6 @@ type job struct {
 	// unsaved marks a job whose last record save failed, so the drain
 	// flush re-saves it (unexported: never journaled).
 	unsaved bool
-}
-
-// poisoned reports whether any of the job's failures carry quarantined
-// units (their sweep checkpoints must outlive the job).
-func (j *job) poisoned() bool {
-	for _, f := range j.Failures {
-		if len(f.Poisoned) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // status snapshots the job. Caller holds the server mutex. brief drops

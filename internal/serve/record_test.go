@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"cachewrite/internal/resilience"
 	"cachewrite/internal/vfs"
 )
 
@@ -250,6 +252,54 @@ func TestRestoreOrdersByNumericID(t *testing.T) {
 	}
 	if next := mustSubmit(t, s2, testSpec("tenant-b", "")); next.ID != "j1000001" {
 		t.Errorf("next id = %s, want j1000001", next.ID)
+	}
+}
+
+// TestRecordLoadsRetryEraFailures: a job record written while sweep
+// units were still retried and quarantined — failures carrying unit,
+// attempts and poisoned — loads unchanged under the same schema
+// version; decoding drops the retired fields.
+func TestRecordLoadsRetryEraFailures(t *testing.T) {
+	type retryEraFailure struct {
+		Workload string   `json:"workload"`
+		Unit     string   `json:"unit,omitempty"`
+		Attempts int      `json:"attempts,omitempty"`
+		Error    string   `json:"error"`
+		Storage  bool     `json:"storage,omitempty"`
+		Poisoned []string `json:"poisoned,omitempty"`
+	}
+	type retryEraJob struct {
+		job
+		Failures []retryEraFailure // shadows job.Failures in the encoding
+	}
+	mem := vfs.NewMem()
+	cfg := testConfig(t)
+	cfg.StateDir = "/state"
+	cfg.FS = mem
+	spec := testSpec("tenant-a", "req-old")
+	spec.normalize()
+	cause := "resilience: unit liver#0/cfgs[0:8] failed after 2 attempts: boom"
+	old := retryEraJob{
+		job: job{ID: "j000001", Tenant: spec.Tenant, RequestID: spec.RequestID, Spec: spec, State: StateFailed},
+		Failures: []retryEraFailure{{Workload: "liver", Unit: "liver#0/cfgs[0:8]", Attempts: 2,
+			Error: cause, Poisoned: []string{"liver#0/cfgs[0:8]"}}},
+	}
+	path := filepath.Join("/state", "jobs", old.ID+recordSuffix)
+	if err := resilience.NewJournalFS[retryEraJob](mem, path, "simserved-job", 2).Save(old); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	st, ok := s.Job(old.ID)
+	if !ok {
+		t.Fatal("retry-era job record did not load")
+	}
+	want := []Failure{{Workload: "liver", Error: cause}}
+	if st.State != StateFailed || !reflect.DeepEqual(st.Failures, want) {
+		t.Errorf("loaded state %s failures %+v, want %s %+v", st.State, st.Failures, StateFailed, want)
 	}
 }
 

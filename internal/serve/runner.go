@@ -3,12 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
 	"cachewrite/internal/cache"
-	"cachewrite/internal/resilience"
 	"cachewrite/internal/sweep"
 	"cachewrite/internal/vfs"
 )
@@ -227,10 +225,8 @@ func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name str
 	opt := sweep.Options{
 		Workers:      s.cfg.SweepWorkers,
 		Checkpoint:   s.ckptPath(j.ID, ti),
-		Retries:      s.cfg.Retries,
 		SoftDeadline: stallWarn,
 		FS:           s.fs,
-		Quarantine:   true,
 		OnEvent: func(e sweep.Event) {
 			// Called under the sweep's collect lock; counter updates take
 			// the server lock briefly.
@@ -242,12 +238,8 @@ func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name str
 			case sweep.UnitRestored:
 				s.metrics.UnitsRestored++
 				j.UnitsDone++
-			case sweep.UnitRetried:
-				s.metrics.UnitsRetried++
 			case sweep.UnitStalled:
 				s.metrics.UnitStalls++
-			case sweep.UnitPoisoned:
-				s.metrics.UnitsPoisoned++
 			case sweep.JournalDegraded:
 				s.metrics.CheckpointDegraded++
 			}
@@ -266,21 +258,7 @@ func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name str
 	if errors.Is(err, context.DeadlineExceeded) {
 		return nil, &Failure{Workload: name, Error: "deadline exceeded"}, false
 	}
-	f := &Failure{Workload: name, Error: err.Error(), Storage: vfs.IsStorageFault(err)}
-	var ue *resilience.UnitError
-	if errors.As(err, &ue) {
-		f.Unit = ue.Unit
-		f.Attempts = ue.Attempts
-	}
-	var pe *sweep.PoisonedError
-	if errors.As(err, &pe) {
-		// Quarantined units: name them so the client knows exactly what
-		// is missing from the results and will be skipped on resubmit.
-		//simlint:allow determinism keys are sorted before use
-		for unit := range pe.Units {
-			f.Poisoned = append(f.Poisoned, unit)
-		}
-		sort.Strings(f.Poisoned)
-	}
-	return nil, f, false
+	// A unit error reads "sweep: unit <key>: ...", so Error names the
+	// unit that failed.
+	return nil, &Failure{Workload: name, Error: err.Error(), Storage: vfs.IsStorageFault(err)}, false
 }

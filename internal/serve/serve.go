@@ -77,7 +77,9 @@ type Config struct {
 	// GOMAXPROCS; with several JobWorkers, a smaller value avoids
 	// oversubscription).
 	SweepWorkers int
-	// MaxConfigs caps one job's configuration grid (default 4096).
+	// MaxConfigs caps one job's configuration grid (default 4096). The
+	// size of each configuration and the workload scale have fixed caps
+	// (maxLinesPerConfig, maxScale).
 	MaxConfigs int
 	// MaxEvents clamps each trace's per-job event cap (default
 	// 2,000,000; 0 keeps the default — use a negative value for
@@ -88,9 +90,6 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps client-requested deadlines (default 10m).
 	MaxDeadline time.Duration
-	// Retries is the per-unit retry budget inside each sweep
-	// (default 1; negative disables retries).
-	Retries int
 	// DrainGrace is how long Run waits for running jobs after ctx is
 	// cancelled before cancelling them into their checkpoints
 	// (default 5s).
@@ -115,6 +114,17 @@ type Config struct {
 	// Logf receives operational log lines (default os.Stderr).
 	Logf func(format string, args ...any)
 }
+
+// maxLinesPerConfig caps size/line for every configuration in a
+// submitted grid, so a client cannot size server memory: each line
+// costs about 40 B of simulator state, and a sweep unit holds up to
+// sweep.DefaultShard configurations at once. The paper's largest L1,
+// 128 KB at 4 B lines, is 1<<15 lines.
+const maxLinesPerConfig = 1 << 16
+
+// maxScale caps a job's workload scale factor, which multiplies the
+// generated trace length (and its memory) linearly.
+const maxScale = 8
 
 // stallWarn is the per-unit soft deadline for the sweep watchdog;
 // stalls are surfaced in statusz counters.
@@ -145,11 +155,11 @@ type Metrics struct {
 	JobsResumed   int64 `json:"jobs_resumed"`
 	UnitsDone     int64 `json:"units_done"`
 	UnitsRestored int64 `json:"units_restored"`
-	UnitsRetried  int64 `json:"units_retried"`
-	UnitStalls    int64 `json:"unit_stalls"`
-	// UnitsPoisoned counts sweep units journaled as poisoned after
-	// exhausting their retry budget (skipped, not retried forever).
-	UnitsPoisoned int64 `json:"units_poisoned"`
+	// UnitsRetried is always 0: a failed sweep unit is never retried,
+	// since the same trace and config fail the same way every time.
+	// It stays in statusz for readers that still decode it.
+	UnitsRetried int64 `json:"units_retried"` //simlint:allow statsound kept for the statusz wire format; the benchmark module (perfbench/serve.go) still reads units_retried
+	UnitStalls   int64 `json:"unit_stalls"`
 	// CheckpointDegraded counts sweep checkpoint snapshots or cleanups
 	// that failed and were degraded (the run continued).
 	CheckpointDegraded int64 `json:"checkpoint_degraded"`
@@ -211,11 +221,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxDeadline <= 0 {
 		cfg.MaxDeadline = 10 * time.Minute
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = 1
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
@@ -366,13 +371,10 @@ func (s *Server) ckptPath(jobID string, ti int) string {
 }
 
 // removeCkpts clears a terminal job's sweep checkpoints (successful
-// sweeps already removed their own; this reaps the failed ones). A
-// poisoned job keeps its checkpoints: the poison set must survive so a
-// resubmission of the same job skips the quarantined units.
+// sweeps already removed their own; this reaps the failed ones). No
+// later job reads them: a resubmission gets a new id, and with it new
+// checkpoint paths.
 func (s *Server) removeCkpts(j *job) {
-	if j.poisoned() {
-		return
-	}
 	for ti := range j.Spec.Workloads {
 		p := s.ckptPath(j.ID, ti)
 		_ = s.fs.Remove(p)           //simlint:allow errflow best-effort reap: successful sweeps already removed their checkpoint, so a missing file is the common case

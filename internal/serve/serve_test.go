@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -176,6 +177,46 @@ func TestConfigGridCap(t *testing.T) {
 	_, _, err := s.Submit(testSpec("tenant-a", "")) // 4 configs > cap 2
 	if err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("want grid-cap error, got %v", err)
+	}
+}
+
+// TestOversizedSpecRejected: a client cannot size server memory. A
+// grid config with more than maxLinesPerConfig lines, or a scale above
+// maxScale, is a 400 at submit, while the load harness's mix (4-32 KB,
+// 16 and 32 B lines, scale 1) is still admitted.
+func TestOversizedSpecRejected(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	huge := testSpec("tenant-a", "")
+	huge.Sizes, huge.Lines = []int{1 << 30}, []int{4}
+	long := testSpec("tenant-a", "")
+	long.Scale = 1_000_000
+	for _, spec := range []JobSpec{huge, long} {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "server cap") {
+			t.Errorf("sizes=%v lines=%v scale=%d: status %d body %q, want 400 naming the cap",
+				spec.Sizes, spec.Lines, spec.Scale, resp.StatusCode, msg)
+		}
+	}
+
+	mix := testSpec("tenant-a", "")
+	mix.Sizes, mix.Lines, mix.Scale = []int{4096, 8192, 16384, 32768}, []int{16, 32}, 1
+	if _, rej, err := s.Submit(mix); err != nil || rej != nil {
+		t.Fatalf("load-harness spec refused: err=%v rej=%v", err, rej)
+	}
+	if got := s.MetricsSnapshot().Accepted; got != 1 {
+		t.Fatalf("Accepted = %d, want 1 (only the load-harness spec)", got)
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/resilience"
 	"cachewrite/internal/vfs"
 )
 
@@ -56,9 +58,17 @@ func TestSweepCompletesUnderCheckpointFaults(t *testing.T) {
 	}
 }
 
-// poisonFixture: two good single-config units around one unit whose
-// config cache.New always rejects, so every attempt on it fails.
-func poisonFixture() ([]Unit, string) {
+// badUnitRun is a three-unit sweep whose middle unit holds a config
+// cache.New always rejects, checkpointed to a per-test journal.
+type badUnitRun struct {
+	units   []Unit
+	badKey  string
+	invalid error
+	ckpt    string
+}
+
+func newBadUnitRun(t *testing.T) badUnitRun {
+	t.Helper()
 	tr := testTrace(500)
 	good := cache.Config{Size: 1 << 10, LineSize: 16, Assoc: 1,
 		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
@@ -71,97 +81,104 @@ func poisonFixture() ([]Unit, string) {
 		{TraceIndex: 0, Trace: tr, Cfgs: []cache.Config{bad}, Base: 1},
 		{TraceIndex: 0, Trace: tr, Cfgs: []cache.Config{good2}, Base: 2},
 	}
-	return units, units[1].Key()
+	return badUnitRun{
+		units:   units,
+		badKey:  units[1].Key(),
+		invalid: bad.Validate(),
+		ckpt:    filepath.Join(t.TempDir(), "bad.ckpt"),
+	}
 }
 
-// TestPoisonUnitQuarantine: with Quarantine set, a unit that exhausts
-// its retry budget is journaled as poisoned and the sweep completes the
-// rest, returning *PoisonedError instead of wedging.
-func TestPoisonUnitQuarantine(t *testing.T) {
-	units, badKey := poisonFixture()
-	ckpt := filepath.Join(t.TempDir(), "poison.ckpt")
-	var poisoned, retried, collected atomic.Int64
-	err := RunUnits(context.Background(), units, Options{
-		Workers: 1, Retries: 1,
-		Checkpoint: ckpt,
-		Quarantine: true,
+// run sweeps the units on one worker, so they run in order, and
+// reports which units were simulated and which restored.
+func (b badUnitRun) run() (done, restored []string, err error) {
+	err = RunUnits(context.Background(), b.units, Options{
+		Workers: 1, Checkpoint: b.ckpt,
 		OnEvent: func(e Event) {
 			switch e.Kind {
-			case UnitPoisoned:
-				poisoned.Add(1)
-				if e.Unit != badKey {
-					t.Errorf("poisoned unit %q, want %q", e.Unit, badKey)
-				}
-			case UnitRetried:
-				retried.Add(1)
+			case UnitDone:
+				done = append(done, e.Unit)
+			case UnitRestored:
+				restored = append(restored, e.Unit)
 			}
 		},
-	}, func(Unit, []cache.Stats) { collected.Add(1) })
+	}, nil)
+	return done, restored, err
+}
 
-	var pe *PoisonedError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v (%T), want *PoisonedError", err, err)
+// checkErr asserts err is the bad unit's failure: it names the unit and
+// wraps cache's validation error.
+func (b badUnitRun) checkErr(t *testing.T, label string, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("%s: RunUnits accepted an invalid config", label)
 	}
-	if len(pe.Units) != 1 || pe.Units[badKey] == "" {
-		t.Fatalf("PoisonedError.Units = %v, want cause under %q", pe.Units, badKey)
+	if want := "sweep: unit " + b.badKey + ": "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("%s: err = %q, want prefix %q", label, err, want)
 	}
-	if poisoned.Load() != 1 || retried.Load() != 1 {
-		t.Fatalf("poisoned=%d retried=%d, want 1 and 1", poisoned.Load(), retried.Load())
+	wrapped := false
+	for e := err; e != nil; e = errors.Unwrap(e) {
+		wrapped = wrapped || e.Error() == b.invalid.Error()
 	}
-	if collected.Load() != 2 {
-		t.Fatalf("collected %d good units, want 2", collected.Load())
-	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("poisoned sweep must keep its journal for resume: %v", err)
+	if !wrapped {
+		t.Errorf("%s: err = %q does not wrap the validation error %q", label, err, b.invalid)
 	}
 }
 
-// TestPoisonSkippedOnResume: a resumed (or resubmitted) sweep must skip
-// journaled poison without a single new attempt, and restore the good
-// units' results from the journal.
+// TestRunUnitsRetriesFailedUnit: a failed unit is not retried.
+// Simulation is deterministic, so a unit whose config cache.New rejects
+// fails RunUnits on its first attempt, with an error that names the
+// unit and wraps the validation error, and the unit queued after it is
+// never simulated.
+func TestRunUnitsRetriesFailedUnit(t *testing.T) {
+	b := newBadUnitRun(t)
+	done, restored, err := b.run()
+	b.checkErr(t, "first run", err)
+	if !reflect.DeepEqual(done, []string{b.units[0].Key()}) || len(restored) != 0 {
+		t.Fatalf("done=%v restored=%v, want only %s done", done, restored, b.units[0].Key())
+	}
+}
+
+// TestPoisonUnitQuarantine: a failed unit is not quarantined. The
+// failed sweep keeps its journal of the units completed before the
+// failure, and the journal records no poisoned unit.
+func TestPoisonUnitQuarantine(t *testing.T) {
+	type poisonEraState struct {
+		Done     map[string][]cache.Stats `json:"done"`
+		Poisoned map[string]string        `json:"poisoned,omitempty"`
+	}
+	b := newBadUnitRun(t)
+	_, _, err := b.run()
+	b.checkErr(t, "first run", err)
+	if _, serr := os.Stat(b.ckpt); serr != nil {
+		t.Fatalf("failed sweep must keep its journal of completed units: %v", serr)
+	}
+	st, _, lerr := resilience.NewJournal[poisonEraState](b.ckpt, "sweep", journalVersion).Load()
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	if len(st.Done) != 1 || st.Done[b.units[0].Key()] == nil {
+		t.Errorf("journaled units %v, want only %s", st.Done, b.units[0].Key())
+	}
+	if len(st.Poisoned) != 0 {
+		t.Errorf("journal quarantined %v; a failed unit must not be recorded as poisoned", st.Poisoned)
+	}
+}
+
+// TestPoisonSkippedOnResume: a failed unit is not skipped on resume. A
+// rerun restores the unit completed before the failure instead of
+// recomputing it, then tries the failed unit again and fails with the
+// same error.
 func TestPoisonSkippedOnResume(t *testing.T) {
-	units, badKey := poisonFixture()
-	ckpt := filepath.Join(t.TempDir(), "poison.ckpt")
-	opts := func(onEvent func(Event)) Options {
-		return Options{
-			Workers: 1, Retries: 1,
-			Checkpoint: ckpt, Quarantine: true, OnEvent: onEvent,
-		}
-	}
-	if err := RunUnits(context.Background(), units, opts(nil), nil); err == nil {
-		t.Fatal("setup run reported no poison")
-	}
+	b := newBadUnitRun(t)
+	_, _, err := b.run()
+	b.checkErr(t, "first run", err)
 
-	var poisoned, retried, restored, fresh atomic.Int64
-	err := RunUnits(context.Background(), units, opts(func(e Event) {
-		switch e.Kind {
-		case UnitPoisoned:
-			poisoned.Add(1)
-			if e.Worker != -1 {
-				t.Errorf("resume poisoned worker = %d, want -1 (skipped, not re-run)", e.Worker)
-			}
-		case UnitRetried:
-			retried.Add(1)
-		case UnitRestored:
-			restored.Add(1)
-		case UnitDone:
-			fresh.Add(1)
-		}
-	}), nil)
-
-	var pe *PoisonedError
-	if !errors.As(err, &pe) {
-		t.Fatalf("resume err = %v (%T), want *PoisonedError", err, err)
-	}
-	if pe.Units[badKey] == "" {
-		t.Fatalf("resume lost the poison cause: %v", pe.Units)
-	}
-	if retried.Load() != 0 || fresh.Load() != 0 {
-		t.Fatalf("resume re-attempted work: retried=%d fresh=%d, want 0 and 0",
-			retried.Load(), fresh.Load())
-	}
-	if poisoned.Load() != 1 || restored.Load() != 2 {
-		t.Fatalf("poisoned=%d restored=%d, want 1 and 2", poisoned.Load(), restored.Load())
+	done, restored, err := b.run()
+	b.checkErr(t, "rerun", err)
+	if len(done) != 0 || !reflect.DeepEqual(restored, []string{b.units[0].Key()}) {
+		t.Fatalf("rerun: done=%v restored=%v, want %s restored and nothing recomputed",
+			done, restored, b.units[0].Key())
 	}
 }
 

@@ -192,36 +192,51 @@ func TestSweepResumeStaleJournal(t *testing.T) {
 	}
 }
 
-// TestRunUnitsRetriesFailedUnit: transient unit failures are retried
-// with backoff and surface nothing; exhaustion surfaces a structured
-// *resilience.UnitError naming the unit.
-func TestRunUnitsRetriesFailedUnit(t *testing.T) {
-	tr := testTrace(500)
-	good := cache.Config{Size: 1 << 10, LineSize: 16, Assoc: 1,
-		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
-	bad := cache.Config{Size: 3, LineSize: 16} // invalid: cache.New always fails
-	units := []Unit{
-		{TraceIndex: 0, Trace: tr, Cfgs: []cache.Config{good}, Base: 0},
-		{TraceIndex: 0, Trace: tr, Cfgs: []cache.Config{bad}, Base: 1},
+// TestJournalLoadsPoisonedState: a checkpoint written while failed
+// units were still quarantined carries a "poisoned" map. It loads under
+// the same schema version, and its completed units are restored.
+func TestJournalLoadsPoisonedState(t *testing.T) {
+	type poisonEraState struct {
+		Fingerprint string                   `json:"fingerprint"`
+		Done        map[string][]cache.Stats `json:"done"`
+		Poisoned    map[string]string        `json:"poisoned,omitempty"`
 	}
-	var retried atomic.Int64
-	err := RunUnits(context.Background(), units, Options{
-		Workers: 1, Retries: 2,
+	traces, cfgs, ckpt := resumeFixture(t)
+	want, err := Sweep(context.Background(), traces, cfgs, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []Unit
+	for ti, tr := range traces {
+		units = append(units, Shard(ti, tr, cfgs)...)
+	}
+	first := units[0]
+	old := poisonEraState{
+		Fingerprint: fingerprint(units),
+		Done:        map[string][]cache.Stats{first.Key(): want[first.TraceIndex][first.Base : first.Base+len(first.Cfgs)]},
+		Poisoned:    map[string]string{units[1].Key(): "sweep: cache: size 3 is not a positive power of two"},
+	}
+	if err := resilience.NewJournal[poisonEraState](ckpt, "sweep", 2).Save(old); err != nil {
+		t.Fatal(err)
+	}
+
+	var restored []string
+	got, err := Sweep(context.Background(), traces, cfgs, Options{
+		Workers: 2, Checkpoint: ckpt,
 		OnEvent: func(e Event) {
-			if e.Kind == UnitRetried {
-				retried.Add(1)
+			if e.Kind == UnitRestored {
+				restored = append(restored, e.Unit)
 			}
 		},
-	}, nil)
-	var ue *resilience.UnitError
-	if !errors.As(err, &ue) {
-		t.Fatalf("err = %v (%T), want *resilience.UnitError", err, err)
+	})
+	if err != nil {
+		t.Fatalf("resume from a poison-era checkpoint: %v", err)
 	}
-	if ue.Attempts != 3 || ue.Unit != units[1].Key() {
-		t.Fatalf("UnitError = %+v", ue)
+	if len(restored) != 1 || restored[0] != first.Key() {
+		t.Errorf("restored %v, want [%s]", restored, first.Key())
 	}
-	if retried.Load() != 2 {
-		t.Fatalf("retried %d times, want 2", retried.Load())
+	if !reflect.DeepEqual(got, want) {
+		t.Error("results after a poison-era checkpoint differ from a fresh sweep")
 	}
 }
 

@@ -20,19 +20,18 @@
 // internal/resilience, so a killed run re-invoked with the same sweep
 // resumes mid-gang and finishes with byte-identical results
 // (resume_test.go pins this). A heartbeat watchdog reports workers
-// stalled past a soft deadline, and failed units are retried with
-// backoff before the sweep surfaces a structured error.
+// stalled past a soft deadline. A unit either finishes or is
+// cancelled: simulation is deterministic, so a failed unit (a config
+// cache.New rejects) fails the sweep on its first attempt instead of
+// being retried into the same failure.
 package sweep
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,8 +193,6 @@ const (
 	// UnitRestored: a unit's results were recovered from the checkpoint
 	// journal instead of being recomputed.
 	UnitRestored
-	// UnitRetried: a unit attempt failed and will be retried.
-	UnitRetried
 	// UnitStalled: the watchdog saw no heartbeat from a unit for longer
 	// than the soft deadline.
 	UnitStalled
@@ -207,10 +204,6 @@ const (
 	// costs recomputation, never correctness — but the degradation is
 	// surfaced so operators see the disk misbehaving.
 	JournalDegraded
-	// UnitPoisoned: a unit exhausted its retry budget and was journaled
-	// as poisoned (Options.Quarantine); the sweep skips it now and on
-	// every resume instead of wedging the job on it forever.
-	UnitPoisoned
 )
 
 // Event is one structured scheduler observation, delivered through
@@ -220,17 +213,15 @@ type Event struct {
 	Kind EventKind
 	// Unit is the affected unit's Key (empty for journal-level events).
 	Unit string
-	// Attempt is the failed attempt number for UnitRetried.
-	Attempt int
 	// Idle is the no-progress duration for UnitStalled.
 	Idle time.Duration
-	// Err carries the failure for UnitRetried, or context for
-	// JournalFallback.
+	// Err carries context for JournalFallback and the failure for
+	// JournalDegraded.
 	Err error
-	// Worker is the scheduler pool index that produced a UnitDone or
-	// UnitRetried event (-1 for events with no owning worker, e.g.
-	// UnitRestored and journal events), so progress reports can show
-	// what each worker ran and when.
+	// Worker is the scheduler pool index that produced a UnitDone event
+	// (-1 for events with no owning worker, e.g. UnitRestored and
+	// journal-level events), so progress reports can show what each
+	// worker ran and when.
 	Worker int
 }
 
@@ -252,11 +243,6 @@ type Options struct {
 	// watchdog: a unit making no progress for this long is reported via
 	// OnEvent (UnitStalled). Zero disables the watchdog.
 	SoftDeadline time.Duration
-	// Retries is how many times a failed unit is re-attempted (with
-	// exponential backoff from 10ms) before the sweep fails with a
-	// structured *resilience.UnitError. Zero means fail on the first
-	// error.
-	Retries int
 	// OnEvent, when non-nil, receives structured progress events. It is
 	// called under the scheduler's collect lock — keep it fast.
 	OnEvent func(Event)
@@ -264,33 +250,6 @@ type Options struct {
 	// means the real one. Fault-injection tests and the chaos harness
 	// pass a vfs.Faulty to prove sweeps survive storage failures.
 	FS vfs.FS
-	// Quarantine enables poison-unit handling: a unit that exhausts its
-	// retry budget is journaled as poisoned and skipped — now and on
-	// resume — instead of failing the sweep. The sweep then completes
-	// the remaining units and returns a *PoisonedError naming the
-	// skipped units, keeping the checkpoint journal so a resubmission
-	// does not re-grind the poison.
-	Quarantine bool
-}
-
-// PoisonedError reports units journaled as poisoned: every other unit
-// completed, but the named units exhausted their retry budget and their
-// results are missing.
-type PoisonedError struct {
-	// Units maps each poisoned unit's Key to the failure that poisoned
-	// it.
-	Units map[string]string
-}
-
-func (e *PoisonedError) Error() string {
-	keys := make([]string, 0, len(e.Units))
-	//simlint:allow determinism keys are sorted before use
-	for k := range e.Units {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return fmt.Sprintf("sweep: %d unit(s) poisoned after exhausting retries: %s",
-		len(keys), strings.Join(keys, ", "))
 }
 
 // journalVersion is the sweep checkpoint schema version; bump it when
@@ -298,14 +257,12 @@ func (e *PoisonedError) Error() string {
 const journalVersion = 2
 
 // journalState is the persisted progress of a sweep: the fingerprint
-// binding it to one exact (traces, configs, sharding) request, the
-// completed units' results, and the units quarantined as poisoned.
+// binding it to one exact (traces, configs, sharding) request and the
+// completed units' results. Journals from builds that also recorded a
+// "poisoned" map still load: decoding ignores the unknown field.
 type journalState struct {
 	Fingerprint string                   `json:"fingerprint"`
 	Done        map[string][]cache.Stats `json:"done"`
-	// Poisoned maps unit keys to the failure that exhausted their retry
-	// budget; resumed runs skip them instead of re-grinding.
-	Poisoned map[string]string `json:"poisoned,omitempty"`
 }
 
 // fingerprint binds a journal to the exact sweep that wrote it: trace
@@ -326,12 +283,12 @@ func fingerprint(units []Unit) string {
 
 // RunUnits executes the units on a bounded worker pool and reports each
 // unit's gang results through collect (which may be nil). On the first
-// error — or when ctx is cancelled — the remaining units are abandoned
-// and RunUnits returns promptly with that error. opt adds
-// checkpoint/resume through the resilience journal, stall detection,
-// and bounded retry. collect is called serially, in completion order;
-// restored units are delivered through it before any fresh simulation
-// starts.
+// unit error — returned as "sweep: unit <key>: <err>" — or when ctx is
+// cancelled, the remaining units are abandoned and RunUnits returns
+// promptly with that error. opt adds checkpoint/resume through the
+// resilience journal and stall detection. collect is called serially,
+// in completion order; restored units are delivered through it before
+// any fresh simulation starts.
 func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit, []cache.Stats)) error {
 	var mu sync.Mutex // serializes collect, state updates and OnEvent
 	emit := func(e Event) {
@@ -367,17 +324,8 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 		}
 		state.Fingerprint = fp
 	}
-	if state.Poisoned == nil {
-		state.Poisoned = map[string]string{}
-	}
 	var pending []Unit
 	for _, u := range units {
-		if cause, bad := state.Poisoned[u.Key()]; bad && opt.Quarantine {
-			// Journaled poison: skip without re-attempting.
-			emit(Event{Kind: UnitPoisoned, Unit: u.Key(), Worker: -1,
-				Err: fmt.Errorf("poisoned by earlier run: %s", cause)})
-			continue
-		}
 		if stats, ok := state.Done[u.Key()]; ok && len(stats) == len(u.Cfgs) {
 			if collect != nil {
 				mu.Lock()
@@ -442,38 +390,14 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 				u := pending[i]
 				key := u.Key()
 				task := watchdog.Begin(key)
-				var stats []cache.Stats
-				err := resilience.Retry(gctx, key,
-					resilience.RetryConfig{Attempts: opt.Retries + 1},
-					func() error {
-						var gerr error
-						stats, gerr = gang(gctx, u.Trace, u.Cfgs, task)
-						return gerr
-					},
-					func(attempt int, err error) {
-						emit(Event{Kind: UnitRetried, Unit: key, Attempt: attempt, Err: err, Worker: w})
-					})
+				stats, err := gang(gctx, u.Trace, u.Cfgs, task)
 				watchdog.End(task)
 				if err != nil {
-					if opt.Quarantine && gctx.Err() == nil &&
-						!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-						// Retry budget exhausted: quarantine the unit instead
-						// of wedging the whole sweep on it. The poison is
-						// journaled immediately so a crash right after cannot
-						// re-grind the unit on resume.
-						var degraded error
-						mu.Lock()
-						state.Poisoned[key] = err.Error()
-						if journal != nil {
-							//simlint:allow lockheld the poison entry must be journaled from an atomic snapshot of state; contenders only add units, they never block on this save
-							degraded = journal.Save(state)
-						}
-						mu.Unlock()
-						emit(Event{Kind: UnitPoisoned, Unit: key, Err: err, Worker: w})
-						if degraded != nil {
-							emit(Event{Kind: JournalDegraded, Unit: key, Err: degraded, Worker: w})
-						}
-						continue
+					if gctx.Err() == nil {
+						// A cancelled unit returns the bare context error;
+						// anything else is the unit's own, deterministic
+						// failure, and a rerun would only repeat it.
+						err = fmt.Errorf("sweep: unit %s: %w", key, err)
 					}
 					fail(err)
 					return
@@ -509,10 +433,6 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 	if err == nil {
 		err = ctx.Err()
 	}
-	var poisonErr error
-	if len(state.Poisoned) > 0 {
-		poisonErr = &PoisonedError{Units: state.Poisoned}
-	}
 	if journal != nil {
 		if err != nil {
 			// Flush a final snapshot so the interrupted (or failed) run
@@ -523,14 +443,6 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 			}
 			return err
 		}
-		if poisonErr != nil {
-			// Keep the journal: the poison set and the completed results
-			// must survive so a resubmission skips both.
-			if serr := journal.Save(state); serr != nil {
-				emit(Event{Kind: JournalDegraded, Err: serr, Worker: -1})
-			}
-			return poisonErr
-		}
 		if rerr := journal.Remove(); rerr != nil {
 			// Cleanup failure costs a leftover file, not correctness: a
 			// rerun of the same sweep restores from it instantly, any
@@ -539,9 +451,6 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 		}
 		return nil
 	}
-	if err == nil {
-		err = poisonErr
-	}
 	return err
 }
 
@@ -549,7 +458,7 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 // on a bounded worker pool and returns stats indexed [trace][config],
 // matching the input slices. It is the single-call form of
 // Shard + RunUnits for full cartesian sweeps, including the
-// checkpoint/resume, watchdog and retry behaviour of Options.
+// checkpoint/resume and watchdog behaviour of Options.
 func Sweep(ctx context.Context, traces []*trace.Trace, cfgs []cache.Config, opt Options) ([][]cache.Stats, error) {
 	out := make([][]cache.Stats, len(traces))
 	var units []Unit
