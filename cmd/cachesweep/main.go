@@ -30,7 +30,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/resilience"
@@ -91,15 +90,10 @@ func main() {
 		fail(err)
 	}
 	opt := sweep.Options{
-		Workers:      *workers,
-		Checkpoint:   *checkpoint,
-		SoftDeadline: 2 * time.Minute,
+		Workers:    *workers,
+		Checkpoint: *checkpoint,
 		OnEvent: func(e sweep.Event) {
-			switch e.Kind {
-			case sweep.UnitStalled:
-				fmt.Fprintf(os.Stderr, "cachesweep: warning: unit %s has made no progress for %s\n",
-					e.Unit, e.Idle.Round(time.Second))
-			case sweep.JournalFallback:
+			if e.Kind == sweep.JournalFallback {
 				fmt.Fprintf(os.Stderr, "cachesweep: warning: checkpoint: %v\n", e.Err)
 			}
 		},

@@ -46,6 +46,7 @@ import (
 	"cachewrite/internal/resilience"
 	"cachewrite/internal/sweep"
 	"cachewrite/internal/textplot"
+	"cachewrite/internal/vfs"
 	"cachewrite/internal/workload"
 )
 
@@ -92,6 +93,7 @@ type session struct {
 	stdout  io.Writer
 	stderr  io.Writer
 	scale   int
+	fs      vfs.FS // the failures manifest is written through it
 	journal *resilience.Journal[resultsState]
 	state   resultsState
 
@@ -133,7 +135,8 @@ func (s *session) fail(id string, err error) {
 }
 
 // writeManifest atomically writes (or, when the run was clean, clears)
-// the failures manifest.
+// the failures manifest: temp file, Sync, then rename, so a crash
+// leaves the old manifest or the whole new one, never an empty file.
 func (s *session) writeManifest(path string) error {
 	if path == "" {
 		return nil
@@ -141,7 +144,7 @@ func (s *session) writeManifest(path string) error {
 	if len(s.failures) == 0 {
 		// A stale manifest from a previous bad run must not outlive a
 		// clean one.
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		if err := s.fs.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 		return nil
@@ -152,19 +155,23 @@ func (s *session) writeManifest(path string) error {
 		return err
 	}
 	data = append(data, '\n')
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".failures-*")
+	tmp, err := s.fs.CreateTemp(filepath.Dir(path), ".failures-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
+	defer s.fs.Remove(tmp.Name())
 	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	return s.fs.Rename(tmp.Name(), path)
 }
 
 // writeReport renders every experiment (and the organization diagrams)
@@ -281,6 +288,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		stdout: stdout,
 		stderr: stderr,
 		scale:  *scale,
+		fs:     vfs.OS{},
 		state:  resultsState{Scale: *scale, GeneratorVersion: workload.GeneratorVersion, Results: map[string]experiments.Result{}},
 	}
 
@@ -357,13 +365,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			// so a killed run resumes mid-sweep.
 			start = time.Now()
 			opt := sweep.Options{
-				Workers:      *workers,
-				SoftDeadline: 2 * time.Minute,
+				Workers: *workers,
 				OnEvent: func(e sweep.Event) {
-					switch e.Kind {
-					case sweep.UnitStalled:
-						s.progressf("warning: sweep unit %s has made no progress for %s", e.Unit, e.Idle.Round(time.Second))
-					case sweep.JournalFallback:
+					if e.Kind == sweep.JournalFallback {
 						s.progressf("warning: sweep checkpoint: %v", e.Err)
 					}
 				},

@@ -14,6 +14,7 @@ import (
 	"cachewrite/internal/experiments"
 	"cachewrite/internal/resilience"
 	"cachewrite/internal/trace"
+	"cachewrite/internal/vfs"
 	"cachewrite/internal/workload"
 )
 
@@ -121,6 +122,30 @@ func TestRunFailingExperimentDegrades(t *testing.T) {
 	}
 	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
 		t.Fatalf("stale manifest survived a clean run (stat err %v)", err)
+	}
+}
+
+// TestManifestSurvivesCrash writes the failures manifest on a Mem
+// filesystem, where renames are durable at once but file data only up
+// to its last Sync, and cuts the power: the manifest must still decode.
+// Without the Sync before the rename it reads back empty.
+func TestManifestSurvivesCrash(t *testing.T) {
+	mem := vfs.NewMem()
+	s := &session{fs: mem, scale: 2, failures: []manifestEntry{{ID: "fig14", Error: "injected fault"}}}
+	if err := s.writeManifest("failures.json"); err != nil {
+		t.Fatal(err)
+	}
+	mem.Crash()
+	data, err := mem.ReadFile("failures.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m failureManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("manifest after crash does not decode: %v (%d bytes)", err, len(data))
+	}
+	if m.Tool != "paperfigs" || m.Scale != 2 || len(m.Failures) != 1 || m.Failures[0].ID != "fig14" {
+		t.Fatalf("manifest after crash: %+v", m)
 	}
 }
 

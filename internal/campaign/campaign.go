@@ -161,9 +161,6 @@ type Config struct {
 	// TraceEvents is the synthetic trace length per trial (default
 	// 30000).
 	TraceEvents int
-	// WritePct is the synthetic trace's store percentage (default 40,
-	// roughly the paper's integer-workload store share).
-	WritePct int
 	// CheckpointPath, when non-empty, persists progress so an
 	// interrupted campaign can resume. Written atomically.
 	CheckpointPath string
@@ -196,8 +193,8 @@ func (c Config) Validate() error {
 	if c.Trials <= 0 {
 		return fmt.Errorf("campaign: Trials must be positive")
 	}
-	if c.TraceEvents < 0 || c.WritePct < 0 || c.WritePct > 100 {
-		return fmt.Errorf("campaign: bad trace parameters")
+	if c.TraceEvents < 0 {
+		return fmt.Errorf("campaign: TraceEvents must be non-negative")
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("campaign: CheckpointEvery must be non-negative")
@@ -241,17 +238,22 @@ func traceSeed(master uint64, trial int) uint64 {
 	return splitmix64(master ^ uint64(trial)<<1)
 }
 
+// writePct is every trial trace's store percentage, roughly the
+// paper's integer-workload store share.
+const writePct = 40
+
 // injectSeed derives one arm's injection seed for a trial.
 func injectSeed(master uint64, trial, arm int) uint64 {
 	return splitmix64(splitmix64(master^uint64(trial)<<1) + uint64(arm) + 1)
 }
 
-// checkpoint is the persisted progress of a campaign.
+// checkpoint is the persisted progress of a campaign. Checkpoints from
+// builds that also recorded "writePct" (always 40, today's writePct)
+// still resume: decoding ignores the unknown field.
 type checkpoint struct {
 	Seed        uint64                   `json:"seed"`
 	Trials      int                      `json:"trials"`
 	TraceEvents int                      `json:"traceEvents"`
-	WritePct    int                      `json:"writePct"`
 	ArmNames    []string                 `json:"armNames"`
 	Done        int                      `json:"done"`
 	Reports     []faults.HierarchyReport `json:"reports"`
@@ -260,7 +262,7 @@ type checkpoint struct {
 // matches reports whether the checkpoint belongs to this configuration.
 func (ck *checkpoint) matches(cfg Config) error {
 	if ck.Seed != cfg.Seed || ck.Trials != cfg.Trials ||
-		ck.TraceEvents != cfg.TraceEvents || ck.WritePct != cfg.WritePct {
+		ck.TraceEvents != cfg.TraceEvents {
 		return fmt.Errorf("campaign: checkpoint parameters (seed %d, %d trials) do not match the requested campaign (seed %d, %d trials)",
 			ck.Seed, ck.Trials, cfg.Seed, cfg.Trials)
 	}
@@ -339,9 +341,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.TraceEvents == 0 {
 		cfg.TraceEvents = 30000
 	}
-	if cfg.WritePct == 0 {
-		cfg.WritePct = 40
-	}
 	ckEvery := cfg.CheckpointEvery
 	if ckEvery == 0 {
 		ckEvery = 16
@@ -351,7 +350,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		Seed:        cfg.Seed,
 		Trials:      cfg.Trials,
 		TraceEvents: cfg.TraceEvents,
-		WritePct:    cfg.WritePct,
 		Reports:     make([]faults.HierarchyReport, len(cfg.Arms)),
 	}
 	for _, a := range cfg.Arms {
@@ -386,7 +384,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		}
 		// One trace per trial, shared by every arm (paired trials).
 		tr, err := synth.HotCold(traceSeed(cfg.Seed, trial), cfg.TraceEvents,
-			64, 16, 1<<20, 80, cfg.WritePct)
+			64, 16, 1<<20, 80, writePct)
 		if err != nil {
 			return result(), fmt.Errorf("campaign: trial %d: %w", trial, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cachewrite/internal/faults"
+	"cachewrite/internal/resilience"
 )
 
 func testConfig(t *testing.T, trials int) Config {
@@ -178,7 +179,6 @@ func TestRunCheckpointMidway(t *testing.T) {
 		Seed:        cfg.Seed,
 		Trials:      cfg.Trials,
 		TraceEvents: cfg.TraceEvents,
-		WritePct:    40, // Run's default, recorded by its checkpoints
 		Done:        3,
 	}
 	for _, a := range pres.Arms {
@@ -196,6 +196,54 @@ func TestRunCheckpointMidway(t *testing.T) {
 	}
 	if !bytes.Equal(mustJSON(t, res), mustJSON(t, want)) {
 		t.Fatalf("resume from trial 3 differs from uninterrupted run:\n%s\n----\n%s",
+			mustJSON(t, res), mustJSON(t, want))
+	}
+}
+
+// TestCheckpointWithWritePctResumes: checkpoints written when the
+// store percentage was a Config field carry "writePct": 40. Decoding
+// ignores that field, so such a checkpoint still resumes under the same
+// journal version and finishes byte-identical to an uninterrupted run.
+func TestCheckpointWithWritePctResumes(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "camp.ckpt")
+	cfg := testConfig(t, 4)
+	want, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := cfg
+	prefix.Trials = 2
+	pres, err := Run(context.Background(), prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type oldCheckpoint struct {
+		checkpoint
+		WritePct int `json:"writePct"`
+	}
+	old := oldCheckpoint{checkpoint{Seed: cfg.Seed, Trials: cfg.Trials, TraceEvents: cfg.TraceEvents, Done: 2}, writePct}
+	for _, a := range pres.Arms {
+		old.ArmNames = append(old.ArmNames, a.Name)
+		old.Reports = append(old.Reports, a.Report)
+	}
+	if err := resilience.NewJournal[oldCheckpoint](ckpt, "campaign", checkpointVersion).Save(old); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(ckpt); err != nil || !bytes.Contains(data, []byte(`"writePct":40`)) {
+		t.Fatalf("old-format checkpoint lacks writePct (err %v)", err)
+	}
+
+	ck, err := loadCheckpoint(ckpt, cfg, nil)
+	if err != nil || ck == nil || ck.Done != 2 {
+		t.Fatalf("checkpoint carrying writePct not resumed: %+v, %v", ck, err)
+	}
+	cfg.CheckpointPath = ckpt
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, res), mustJSON(t, want)) {
+		t.Fatalf("resume from a checkpoint carrying writePct differs from an uninterrupted run:\n%s\n----\n%s",
 			mustJSON(t, res), mustJSON(t, want))
 	}
 }
@@ -224,7 +272,7 @@ func TestCheckpointCorruptFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		ck := &checkpoint{Seed: cfg.Seed, Trials: cfg.Trials, TraceEvents: cfg.TraceEvents,
-			WritePct: 40, Done: done}
+			Done: done}
 		for _, a := range pres.Arms {
 			ck.ArmNames = append(ck.ArmNames, a.Name)
 			ck.Reports = append(ck.Reports, a.Report)
@@ -281,7 +329,7 @@ func TestCheckpointMismatch(t *testing.T) {
 	ckpt := filepath.Join(dir, "camp.ckpt")
 	cfg := testConfig(t, 4)
 	ck := checkpoint{Seed: cfg.Seed + 1, Trials: cfg.Trials, TraceEvents: cfg.TraceEvents,
-		WritePct: 40, ArmNames: []string{"wt+parity", "wb+ecc", "wb+parity"}, Done: 1,
+		ArmNames: []string{"wt+parity", "wb+ecc", "wb+parity"}, Done: 1,
 		Reports: make([]faults.HierarchyReport, 3)}
 	if err := saveCheckpoint(ckpt, &ck); err != nil {
 		t.Fatal(err)

@@ -20,11 +20,14 @@ import (
 // the choice is stable across line sizes up to the cache maximum.
 const SharedGranule = 64
 
-// DefaultStride is the default private-window spacing. The paper
-// workloads place their footprints near 0x10000000 (heap) and
-// 0x7fffffff (stack); 128MB steps keep up to MaxCores per-core images
-// of both regions disjoint within the 32-bit space, and BuildWorkload
-// verifies disjointness exactly rather than trusting the layout.
+// DefaultStride is the default private-window spacing: 128MB, so the
+// 32-bit space holds 2^32/2^27 = 32 windows, and BuildWorkload rejects
+// a 33rd core even for a footprint at the bottom of memory. A higher
+// footprint leaves room for fewer (one at 0x7ffffff0 fits 17 cores),
+// well short of MaxCores. The experiments compact a trace's regions
+// first and use at most 8 cores; tests that need more cores than fit
+// pass a smaller Stride. BuildWorkload verifies disjointness and range
+// exactly rather than trusting the layout.
 const DefaultStride = 1 << 27
 
 // WorkloadConfig describes how to turn one benchmark trace into an

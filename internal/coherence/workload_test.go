@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"cachewrite/internal/trace"
@@ -119,6 +120,25 @@ func TestBuildWorkloadValidation(t *testing.T) {
 	top := &trace.Trace{Events: []trace.Event{{Addr: 0xfffffff0, Size: 4, Kind: trace.Read}}}
 	if _, err := BuildWorkload(top, WorkloadConfig{Cores: 2, SharedFraction: 0}); err == nil {
 		t.Error("address-space overflow not detected")
+	}
+}
+
+// TestDefaultStrideCoreLimit pins what DefaultStride's 128MB windows
+// hold: 32 cores for a footprint at the bottom of memory, 17 for one
+// just below 0x80000000.
+func TestDefaultStrideCoreLimit(t *testing.T) {
+	for _, c := range []struct {
+		addr     uint32
+		maxCores int
+	}{{0x1000, 32}, {0x7ffffff0, 17}} {
+		base := &trace.Trace{Name: "one", Events: []trace.Event{{Addr: c.addr, Size: 4, Kind: trace.Read}}}
+		if _, err := BuildWorkload(base, WorkloadConfig{Cores: c.maxCores}); err != nil {
+			t.Errorf("%#x: %d cores rejected: %v", c.addr, c.maxCores, err)
+		}
+		_, err := BuildWorkload(base, WorkloadConfig{Cores: c.maxCores + 1})
+		if err == nil || !strings.Contains(err.Error(), "leaves the address space") {
+			t.Errorf("%#x: %d cores: err = %v, want the address space overflow", c.addr, c.maxCores+1, err)
+		}
 	}
 }
 

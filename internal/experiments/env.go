@@ -243,8 +243,7 @@ func SweepConfigs() []cache.Config {
 // (opt.Workers < 1 means GOMAXPROCS) that abandons remaining work on
 // the first error or cancellation. A non-empty opt.Checkpoint makes
 // the sweep crash-safe (completed units are journaled and a re-run
-// resumes instead of recomputing) and opt.SoftDeadline arms the worker
-// watchdog.
+// resumes instead of recomputing).
 // paperfigs uses this to survive SIGKILL mid-sweep.
 func (e *Env) PrecomputeSweep(ctx context.Context, opt sweep.Options) error {
 	cfgs := SweepConfigs()

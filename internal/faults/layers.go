@@ -226,15 +226,17 @@ type HierarchyConfig struct {
 	// uncorrectable double.
 	ScrubInterval int
 	// XactFaultEvery, when positive, injects one transient back-side
-	// transaction fault per this many transactions.
+	// transaction fault per this many transactions. A faulted
+	// transaction is retried up to xactRetryLimit times, each retry
+	// succeeding with probability xactRetrySuccessPct percent.
 	XactFaultEvery int
-	// RetryLimit bounds retries of a faulted transaction (default 3
-	// when transaction faults are enabled).
-	RetryLimit int
-	// RetrySuccessPct is the per-retry success probability in percent
-	// (default 90).
-	RetrySuccessPct int
 }
+
+// Retry model of a faulted back-side transaction.
+const (
+	xactRetryLimit      = 3
+	xactRetrySuccessPct = 90
+)
 
 // Validate reports whether the configuration is usable.
 func (c HierarchyConfig) Validate() error {
@@ -265,12 +267,6 @@ func (c HierarchyConfig) Validate() error {
 	}
 	if c.XactFaultEvery < 0 {
 		return fmt.Errorf("faults: XactFaultEvery must be non-negative")
-	}
-	if c.RetryLimit < 0 {
-		return fmt.Errorf("faults: RetryLimit must be non-negative")
-	}
-	if c.RetrySuccessPct < 0 || c.RetrySuccessPct > 100 {
-		return fmt.Errorf("faults: RetrySuccessPct must be in [0,100]")
 	}
 	return nil
 }
@@ -529,18 +525,10 @@ func (in *injector) checkXactFaults() {
 			continue
 		}
 		in.rep.Xact.Faults++
-		limit := in.cfg.RetryLimit
-		if limit == 0 {
-			limit = 3
-		}
-		pct := in.cfg.RetrySuccessPct
-		if pct == 0 {
-			pct = 90
-		}
 		recovered := false
-		for r := 0; r < limit; r++ {
+		for r := 0; r < xactRetryLimit; r++ {
 			in.rep.Xact.Retries++
-			if in.next()%100 < uint64(pct) {
+			if in.next()%100 < xactRetrySuccessPct {
 				recovered = true
 				break
 			}

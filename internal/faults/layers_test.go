@@ -185,9 +185,7 @@ func TestInjectHierarchyScrub(t *testing.T) {
 // faults are injected, retried, and fully accounted.
 func TestInjectHierarchyXactRetry(t *testing.T) {
 	cfg := wbConfig(WordSECECC)
-	cfg.XactFaultEvery = 100
-	cfg.RetryLimit = 2
-	cfg.RetrySuccessPct = 50
+	cfg.XactFaultEvery = 1 // every transaction faults, so 3 retries at 90% still exhaust
 	rep, err := InjectHierarchy(cfg, testTrace(t))
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +201,7 @@ func TestInjectHierarchyXactRetry(t *testing.T) {
 		t.Errorf("every fault should retry at least once: %d retries, %d faults", x.Retries, x.Faults)
 	}
 	if x.DUE == 0 {
-		t.Errorf("retry limit 2 at 50%% should exhaust sometimes: %+v", x)
+		t.Errorf("every transaction faulting should exhaust the retries sometimes: %+v", x)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package resilience is the shared crash-safety layer for every
 // long-running path in the repository: a generic checkpoint journal
 // (atomic snapshots with a versioned, checksummed header and fallback
-// to the previous good snapshot) and a heartbeat watchdog for worker
-// pools. There is no retry layer: every unit of work in this
-// repository is a deterministic simulation, so a failed unit fails the
-// same way on every attempt.
+// to the previous good snapshot) and the exit code an interrupted run
+// reports. Every unit of work in this repository is a deterministic
+// simulation, so a failed unit is not retried (it would fail the same
+// way on every attempt), and a slow one is stopped only by cancelling
+// its context.
 //
 // The journal generalizes the checkpoint discipline internal/campaign
 // proved out: snapshots are written to a temporary file in the target

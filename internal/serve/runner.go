@@ -223,10 +223,9 @@ func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name str
 	units := sweep.Shard(ti, t, cfgs)
 	stats := make([]cache.Stats, len(cfgs))
 	opt := sweep.Options{
-		Workers:      s.cfg.SweepWorkers,
-		Checkpoint:   s.ckptPath(j.ID, ti),
-		SoftDeadline: stallWarn,
-		FS:           s.fs,
+		Workers:    s.cfg.SweepWorkers,
+		Checkpoint: s.ckptPath(j.ID, ti),
+		FS:         s.fs,
 		OnEvent: func(e sweep.Event) {
 			// Called under the sweep's collect lock; counter updates take
 			// the server lock briefly.
@@ -238,8 +237,6 @@ func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name str
 			case sweep.UnitRestored:
 				s.metrics.UnitsRestored++
 				j.UnitsDone++
-			case sweep.UnitStalled:
-				s.metrics.UnitStalls++
 			case sweep.JournalDegraded:
 				s.metrics.CheckpointDegraded++
 			}

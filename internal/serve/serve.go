@@ -126,10 +126,6 @@ const maxLinesPerConfig = 1 << 16
 // generated trace length (and its memory) linearly.
 const maxScale = 8
 
-// stallWarn is the per-unit soft deadline for the sweep watchdog;
-// stalls are surfaced in statusz counters.
-const stallWarn = 30 * time.Second
-
 // journalVersion is the job-record schema version; bump when job or
 // JobSpec changes shape. Version 1 was one whole-table jobs.journal.
 const journalVersion = 2
@@ -159,7 +155,6 @@ type Metrics struct {
 	// since the same trace and config fail the same way every time.
 	// It stays in statusz for readers that still decode it.
 	UnitsRetried int64 `json:"units_retried"` //simlint:allow statsound kept for the statusz wire format; the benchmark module (perfbench/serve.go) still reads units_retried
-	UnitStalls   int64 `json:"unit_stalls"`
 	// CheckpointDegraded counts sweep checkpoint snapshots or cleanups
 	// that failed and were degraded (the run continued).
 	CheckpointDegraded int64 `json:"checkpoint_degraded"`

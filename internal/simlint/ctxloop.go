@@ -61,7 +61,8 @@ func checkWorkerLoop(pass *Pass, loop ast.Node, body *ast.BlockStmt) {
 			}
 		case *ast.SelectStmt:
 			// A select with a receive case is the done-channel variant of
-			// the contract (e.g. the watchdog's <-w.done).
+			// the contract (e.g. serve's runner waiting on <-ctx.Done()
+			// or <-s.wake).
 			for _, clause := range n.Body.List {
 				cc, ok := clause.(*ast.CommClause)
 				if !ok || cc.Comm == nil {

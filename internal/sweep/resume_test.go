@@ -240,11 +240,11 @@ func TestJournalLoadsPoisonedState(t *testing.T) {
 	}
 }
 
-// TestRunUnitsWatchdogCancellationRace drives cancellation into a
-// watchdogged sweep from a racing goroutine. Run under -race (make
-// check), it pins that the watchdog monitor, the workers' heartbeats
-// and the cancellation path share no unsynchronized state.
-func TestRunUnitsWatchdogCancellationRace(t *testing.T) {
+// TestRunUnitsCancellationRace drives cancellation into a
+// checkpointed sweep from a racing goroutine. Run under -race (make
+// check), it pins that the workers, the checkpoint flushes and the
+// cancellation path share no unsynchronized state.
+func TestRunUnitsCancellationRace(t *testing.T) {
 	traces := []*trace.Trace{testTrace(20000)}
 	cfgs := policyConfigs()
 	for i := 0; i < 5; i++ {
@@ -254,10 +254,9 @@ func TestRunUnitsWatchdogCancellationRace(t *testing.T) {
 			cancel()
 		}()
 		_, err := Sweep(ctx, traces, cfgs, Options{
-			Workers:      4,
-			SoftDeadline: time.Millisecond, // hair-trigger: stall events race completion
-			Checkpoint:   filepath.Join(t.TempDir(), "race.ckpt"),
-			OnEvent:      func(Event) {},
+			Workers:    4,
+			Checkpoint: filepath.Join(t.TempDir(), "race.ckpt"),
+			OnEvent:    func(Event) {},
 		})
 		if err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatal(err)

@@ -19,11 +19,11 @@
 // (trace, config-shard) units are journaled through
 // internal/resilience, so a killed run re-invoked with the same sweep
 // resumes mid-gang and finishes with byte-identical results
-// (resume_test.go pins this). A heartbeat watchdog reports workers
-// stalled past a soft deadline. A unit either finishes or is
-// cancelled: simulation is deterministic, so a failed unit (a config
-// cache.New rejects) fails the sweep on its first attempt instead of
-// being retried into the same failure.
+// (resume_test.go pins this). A unit either finishes or is cancelled:
+// simulation is deterministic, so a failed unit (a config cache.New
+// rejects) fails the sweep on its first attempt instead of being
+// retried into the same failure. A cancelled context stops a unit
+// part-way through, at its next pulse.
 package sweep
 
 import (
@@ -34,7 +34,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/resilience"
@@ -54,19 +53,18 @@ const DefaultShard = 8
 // use). It returns one Stats per configuration, in input order. The
 // results are bit-identical to running each configuration alone.
 func Gang(t *trace.Trace, cfgs []cache.Config) ([]cache.Stats, error) {
-	return gang(context.Background(), t, cfgs, nil)
+	return gang(context.Background(), t, cfgs)
 }
 
 // pulseStride is how many trace events a gang processes between
-// watchdog heartbeats and cancellation checks. Small enough for
-// sub-second stall resolution, large enough to stay invisible in the
-// hot loop.
+// cancellation checks, and the size of its pre-decode window. Small
+// enough that cancellation lands well inside a second, large enough to
+// stay invisible in the hot loop.
 const pulseStride = 8192
 
-// gang is Gang with a heartbeat: every pulseStride events it beats the
-// watchdog task (when non-nil) and polls ctx so cancellation lands
-// mid-unit instead of only between units.
-func gang(ctx context.Context, t *trace.Trace, cfgs []cache.Config, task *resilience.Task) ([]cache.Stats, error) {
+// gang is Gang under a context: every pulseStride events it polls ctx,
+// so cancellation lands mid-unit instead of only between units.
+func gang(ctx context.Context, t *trace.Trace, cfgs []cache.Config) ([]cache.Stats, error) {
 	caches := make([]*cache.Cache, len(cfgs))
 	for i, cfg := range cfgs {
 		c, err := cache.New(cfg)
@@ -88,9 +86,6 @@ func gang(ctx context.Context, t *trace.Trace, cfgs []cache.Config, task *resili
 			end = len(events)
 		}
 		fanout(events[start:end], groups, dec)
-		if task != nil {
-			task.Beat()
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -193,9 +188,6 @@ const (
 	// UnitRestored: a unit's results were recovered from the checkpoint
 	// journal instead of being recomputed.
 	UnitRestored
-	// UnitStalled: the watchdog saw no heartbeat from a unit for longer
-	// than the soft deadline.
-	UnitStalled
 	// JournalFallback: the checkpoint journal was corrupt or stale and
 	// was (partially) discarded.
 	JournalFallback
@@ -213,8 +205,6 @@ type Event struct {
 	Kind EventKind
 	// Unit is the affected unit's Key (empty for journal-level events).
 	Unit string
-	// Idle is the no-progress duration for UnitStalled.
-	Idle time.Duration
 	// Err carries context for JournalFallback and the failure for
 	// JournalDegraded.
 	Err error
@@ -239,10 +229,6 @@ type Options struct {
 	// completed units (default 4). Cancellation always flushes a final
 	// snapshot regardless.
 	CheckpointEvery int
-	// SoftDeadline is the per-unit stall threshold for the worker-pool
-	// watchdog: a unit making no progress for this long is reported via
-	// OnEvent (UnitStalled). Zero disables the watchdog.
-	SoftDeadline time.Duration
 	// OnEvent, when non-nil, receives structured progress events. It is
 	// called under the scheduler's collect lock — keep it fast.
 	OnEvent func(Event)
@@ -286,7 +272,7 @@ func fingerprint(units []Unit) string {
 // unit error — returned as "sweep: unit <key>: <err>" — or when ctx is
 // cancelled, the remaining units are abandoned and RunUnits returns
 // promptly with that error. opt adds checkpoint/resume through the
-// resilience journal and stall detection. collect is called serially,
+// resilience journal. collect is called serially,
 // in completion order; restored units are delivered through it before
 // any fresh simulation starts.
 func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit, []cache.Stats)) error {
@@ -352,14 +338,6 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	watchdog := resilience.NewWatchdog(resilience.WatchdogConfig{
-		SoftDeadline: opt.SoftDeadline,
-		OnStall: func(s resilience.Stall) {
-			emit(Event{Kind: UnitStalled, Unit: s.Task, Idle: s.Idle, Worker: -1})
-		},
-	})
-	defer watchdog.Stop()
-
 	var (
 		errOnce   sync.Once
 		firstErr  error
@@ -389,9 +367,7 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 				}
 				u := pending[i]
 				key := u.Key()
-				task := watchdog.Begin(key)
-				stats, err := gang(gctx, u.Trace, u.Cfgs, task)
-				watchdog.End(task)
+				stats, err := gang(gctx, u.Trace, u.Cfgs)
 				if err != nil {
 					if gctx.Err() == nil {
 						// A cancelled unit returns the bare context error;
@@ -458,7 +434,7 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 // on a bounded worker pool and returns stats indexed [trace][config],
 // matching the input slices. It is the single-call form of
 // Shard + RunUnits for full cartesian sweeps, including the
-// checkpoint/resume and watchdog behaviour of Options.
+// checkpoint/resume behaviour of Options.
 func Sweep(ctx context.Context, traces []*trace.Trace, cfgs []cache.Config, opt Options) ([][]cache.Stats, error) {
 	out := make([][]cache.Stats, len(traces))
 	var units []Unit
