@@ -37,10 +37,11 @@ lint: require-go
 # internal/workload), a short fuzz smoke over the trace decoders (each
 # alone, and the windowed decoder against its byte-at-a-time
 # reference), the coherence snoop filter, the write-buffer queue
-# (against the drain queue and the sliding-slice buffer it replaced)
-# and the recorded L1 pass (replayed into timing, burst and hierarchy
-# against a live L1),
-# a single-iteration smoke
+# (against the drain queue and the sliding-slice buffer it replaced),
+# the reuse stack (its write cache curve and reuse profile against the
+# write cache and a naive LRU list) and the recorded L1 pass (replayed
+# into timing, burst and hierarchy against a live L1), a
+# single-iteration smoke
 # of the sweep-engine benchmarks, the gang engine's speedup floor
 # (TestGangSpeedupFloor: at least 1.2x over one cache pass per config,
 # at one worker and at GOMAXPROCS; the race suite skips it), the
@@ -69,9 +70,9 @@ check: build
 # FuzzDecodeMatchesReference seeds streams longer than one 64 KiB
 # decode window; minimizing a new input grown from one would spend the
 # whole 5 s, so its new inputs are kept as found. FuzzReadBinaryLenient,
-# FuzzJournalRecover, FuzzWriteCacheCurve and FuzzQueueMatchesReferences
-# keep theirs as found too: minimizing one froze each at 0 execs/s from
-# about 3 s to the end of the run. So does FuzzReplayMatchesLive, each
+# FuzzJournalRecover, FuzzWriteCacheCurve, FuzzAnalyzeMatchesNaive and
+# FuzzQueueMatchesReferences keep theirs as found too: minimizing one
+# froze each at 0 execs/s from about 3 s to the end of the run. So does FuzzReplayMatchesLive, each
 # of whose inputs runs some sixty model replays beside their live twins.
 fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
@@ -79,20 +80,22 @@ fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecodeMatchesReference$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzWriteCacheCurve$$' -fuzztime 5s -fuzzminimizetime 1x
+	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzAnalyzeMatchesNaive$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzSnoopFilter$$' -fuzztime 5s
 	$(GO) test ./internal/writebuffer -run '^$$' -fuzz '^FuzzQueueMatchesReferences$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzReplayMatchesLive$$' -fuzztime 5s -fuzzminimizetime 1x
 
 # bench-smoke compiles and runs every sweep benchmark, the trace
 # decoder benchmark, the multi-core extension benchmarks, the figures
-# that fan their runs out over cores, the ids the timing cycle model
-# serves (ext-cpi, ext-perf, ext-burst) and simserved's admission commit (at 0 and 1000 jobs of history) for
-# one iteration — fast enough for the gate, enough to catch bit-rot.
+# that fan their runs out over cores, the ids that replay recorded L1
+# passes (ext-cpi, ext-perf, ext-burst, ext-victim, ext-l2policy), the
+# reuse-stack id (ext-reuse) and simserved's admission commit (at 0
+# and 1000 jobs of history) for one iteration — fast enough for the gate, enough to catch bit-rot.
 bench-smoke: require-go
 	$(GO) test ./internal/sweep -run '^$$' -bench 'BenchmarkSweep|BenchmarkGang' -benchtime 1x -benchmem
 	$(GO) test ./internal/trace -run '^$$' -bench '^BenchmarkReadBinary$$' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkExtCoh' -benchtime 1x -benchmem
-	$(GO) test . -run '^$$' -bench '^Benchmark(Fig5|Fig7|Fig8|Fig9|ExtCPI|ExtPerf|ExtBurst|ExtSwitch|ExtL2Policy)$$' -benchtime 1x -benchmem
+	$(GO) test . -run '^$$' -bench '^Benchmark(Fig5|Fig7|Fig8|Fig9|ExtCPI|ExtPerf|ExtBurst|ExtVictim|ExtReuse|ExtSwitch|ExtL2Policy)$$' -benchtime 1x -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench '^BenchmarkSubmit$$' -benchtime 1x -benchmem
 
 # resilience-smoke SIGKILLs a checkpointed sweep mid-flight three

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -93,7 +94,7 @@ type session struct {
 	stdout  io.Writer
 	stderr  io.Writer
 	scale   int
-	fs      vfs.FS // the failures manifest is written through it
+	fs      vfs.FS // the failures manifest and the report are written through it
 	journal *resilience.Journal[resultsState]
 	state   resultsState
 
@@ -154,8 +155,14 @@ func (s *session) writeManifest(path string) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp, err := s.fs.CreateTemp(filepath.Dir(path), ".failures-*")
+	return s.writeFile(path, append(data, '\n'))
+}
+
+// writeFile replaces path with data through s.fs: temp file beside it,
+// Sync, then rename, so a crash or an interrupt leaves the old file or
+// the whole new one, never a prefix of it.
+func (s *session) writeFile(path string, data []byte) error {
+	tmp, err := s.fs.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
@@ -175,16 +182,14 @@ func (s *session) writeManifest(path string) error {
 }
 
 // writeReport renders every experiment (and the organization diagrams)
-// into one Markdown document. Failed experiments become a note in the
-// report and a manifest entry instead of aborting the document.
+// into one Markdown document, then writes it with writeFile, so an
+// interrupted run leaves the previous report whole. Failed experiments
+// become a note in the report and a manifest entry instead of aborting
+// the document.
 func (s *session) writeReport(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "# Cache Write Policies and Performance — full reproduction report\n\n")
-	fmt.Fprintf(f, "Generated by `paperfigs -report` at workload scale %d.\n\n", s.scale)
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# Cache Write Policies and Performance — full reproduction report\n\n")
+	fmt.Fprintf(&buf, "Generated by `paperfigs -report` at workload scale %d.\n\n", s.scale)
 	ids := experiments.IDs()
 	for i, id := range ids {
 		if err := s.ctx.Err(); err != nil {
@@ -192,18 +197,18 @@ func (s *session) writeReport(path string) error {
 		}
 		desc, _ := experiments.Describe(id)
 		start := time.Now()
-		fmt.Fprintf(f, "## %s — %s\n\n", id, desc)
+		fmt.Fprintf(&buf, "## %s — %s\n\n", id, desc)
 		res, restored, err := s.result(id)
 		if err != nil {
 			s.fail(id, err)
-			fmt.Fprintf(f, "*Experiment failed: %v*\n\n", err)
+			fmt.Fprintf(&buf, "*Experiment failed: %v*\n\n", err)
 			continue
 		}
 		if res.Chart != nil {
-			fmt.Fprintln(f, textplot.RenderChartMarkdown(res.Chart))
+			fmt.Fprintln(&buf, textplot.RenderChartMarkdown(res.Chart))
 		}
 		if res.Table != nil {
-			fmt.Fprintln(f, textplot.RenderTableMarkdown(res.Table))
+			fmt.Fprintln(&buf, textplot.RenderTableMarkdown(res.Table))
 		}
 		note := ""
 		if restored {
@@ -212,11 +217,11 @@ func (s *session) writeReport(path string) error {
 		s.progressf("[%d/%d] %s — %s (%s%s)", i+1, len(ids), id, desc,
 			time.Since(start).Round(time.Millisecond), note)
 	}
-	fmt.Fprintf(f, "## Organization diagrams\n\n")
+	fmt.Fprintf(&buf, "## Organization diagrams\n\n")
 	for _, d := range []string{"fig3", "fig4", "fig6", "fig12"} {
-		fmt.Fprintf(f, "```\n%s\n```\n\n", experiments.Diagram(d))
+		fmt.Fprintf(&buf, "```\n%s\n```\n\n", experiments.Diagram(d))
 	}
-	return nil
+	return s.writeFile(path, buf.Bytes())
 }
 
 // renderOne writes one experiment's chart/table to stdout in the

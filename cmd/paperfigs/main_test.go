@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -146,6 +147,68 @@ func TestManifestSurvivesCrash(t *testing.T) {
 	}
 	if m.Tool != "paperfigs" || m.Scale != 2 || len(m.Failures) != 1 || m.Failures[0].ID != "fig14" {
 		t.Fatalf("manifest after crash: %+v", m)
+	}
+}
+
+// TestInterruptedReportKeepsOldReport cancels a -report run part-way:
+// the report from an earlier run must be left byte-identical, with no
+// temp file beside it.
+func TestInterruptedReportKeepsOldReport(t *testing.T) {
+	fastEnv(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	prevRun := runExperiment
+	runExperiment = func(env *experiments.Env, id string) (experiments.Result, error) {
+		if id == "fig13" {
+			cancel()
+		}
+		return prevRun(env, id)
+	}
+	t.Cleanup(func() { runExperiment = prevRun })
+
+	dir := t.TempDir()
+	report := filepath.Join(dir, "report.md")
+	old := []byte("# an earlier report\n")
+	if err := os.WriteFile(report, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code := run(ctx, []string{"-report", report, "-tracecache", "off", "-failures", ""}, &out, &errb)
+	if code != resilience.ExitInterrupted {
+		t.Fatalf("exit %d, want %d; stderr:\n%s", code, resilience.ExitInterrupted, errb.String())
+	}
+	if data, err := os.ReadFile(report); err != nil || !bytes.Equal(data, old) {
+		t.Fatalf("report after an interrupted run: %q, %v; want %q", data, err, old)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("directory holds %v (%v), want the report alone", ents, err)
+	}
+}
+
+// TestReportSurvivesCrash writes the report on a Mem filesystem and
+// cuts the power, as TestManifestSurvivesCrash does for the manifest:
+// the report must read back whole.
+func TestReportSurvivesCrash(t *testing.T) {
+	prevRun := runExperiment
+	runExperiment = func(*experiments.Env, string) (experiments.Result, error) {
+		return experiments.Result{}, nil
+	}
+	t.Cleanup(func() { runExperiment = prevRun })
+
+	mem := vfs.NewMem()
+	s := &session{ctx: context.Background(), fs: mem, stderr: io.Discard, scale: 2,
+		state: resultsState{Results: map[string]experiments.Result{}}}
+	if err := s.writeReport("report.md"); err != nil {
+		t.Fatal(err)
+	}
+	mem.Crash()
+	data, err := mem.ReadFile("report.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "# Cache Write Policies") ||
+		!strings.HasSuffix(string(data), experiments.Diagram("fig12")+"\n```\n\n") {
+		t.Fatalf("report after crash is not whole (%d bytes):\n%s", len(data), data)
 	}
 }
 

@@ -68,34 +68,87 @@ func (p *Profile) PredictDirtyFraction(capacityLines int) float64 {
 // its previous access, or -1 on its first. A fully-associative LRU
 // cache of n lines holds the line at that access exactly when
 // depth < n (stack inclusion), so one pass answers every capacity.
+//
+// It holds O(footprint), not O(accesses): each line gets a dense id on
+// its first access, and positions live in a Fenwick window of at least
+// four slots per line seen. A full window is packed (every line's most
+// recent position renumbered 1..lines, in order) and grown
+// geometrically; depths depend only on the order of positions, so
+// packing changes none of them, and the packs cost O(1) amortized per
+// access because at least three quarters of each window is fresh.
+// Ids and positions are int32, so a stack holds under 2^29 lines.
 type stack struct {
-	// tree is a Fenwick tree over access positions (1-based): 1 at the
+	// ids maps line -> dense id, in order of first access.
+	ids map[uint32]int32
+	// last[id] is the line's most recent position in the window.
+	last []int32
+	// tree is a Fenwick tree over window positions (1-based): 1 at the
 	// most recent position of each line seen so far.
 	tree []int32
-	// last maps line -> its most recent access position.
-	last map[uint32]int32
-	pos  int32
+	// owner[p] is the id accessed at position p.
+	owner []int32
+	pos   int32
 }
 
-// newStack sizes a stack for exactly accesses calls to access. Positions
-// are int32, halving the tree, so a pass holds under 2^31 accesses.
-func newStack(accesses int) *stack {
-	return &stack{tree: make([]int32, accesses+1), last: make(map[uint32]int32)}
+// minWindow is the smallest window a stack starts with.
+const minWindow = 1 << 12
+
+// newStack returns an empty stack over a window of window positions.
+func newStack(window int) *stack {
+	return &stack{ids: make(map[uint32]int32), tree: make([]int32, window+1), owner: make([]int32, window+1)}
 }
 
-func (s *stack) access(ln uint32) int {
+// access records an access to line ln and returns its id and depth.
+func (s *stack) access(ln uint32) (id int32, depth int) {
+	if int(s.pos)+1 == len(s.tree) {
+		s.pack()
+	}
 	s.pos++
-	depth := -1
-	if lp, ok := s.last[ln]; ok {
+	id, ok := s.ids[ln]
+	if ok {
 		// Every line seen has exactly one 1, at or before pos-1, so
 		// the lines accessed strictly after lp number len(last)
 		// minus the prefix sum up to lp.
+		lp := s.last[id]
 		depth = len(s.last) - s.sum(lp)
 		s.add(lp, -1)
+		s.last[id] = s.pos
+	} else {
+		id, depth = int32(len(s.last)), -1
+		s.ids[ln] = id
+		s.last = append(s.last, s.pos)
 	}
 	s.add(s.pos, 1)
-	s.last[ln] = s.pos
-	return depth
+	s.owner[s.pos] = id
+	return id, depth
+}
+
+// pack renumbers each line's most recent position 1..lines, keeping
+// their order, in one scan of owner, and grows the window to at least
+// four slots per line.
+func (s *stack) pack() {
+	n := int32(0)
+	for p := int32(1); p <= s.pos; p++ {
+		if id := s.owner[p]; s.last[id] == p {
+			n++
+			s.owner[n], s.last[id] = id, n
+		}
+	}
+	size := len(s.tree) - 1
+	for size < 4*len(s.last) {
+		size *= 2
+	}
+	if size+1 > len(s.tree) {
+		owner := make([]int32, size+1)
+		copy(owner, s.owner[:n+1])
+		s.owner, s.tree = owner, make([]int32, size+1)
+	}
+	// A Fenwick tree of ones at 1..n: node i counts the ones in
+	// (i - i&-i, i].
+	for i := int32(1); i < int32(len(s.tree)); i++ {
+		s.tree[i] = max(0, min(i, n)-(i-i&-i))
+	}
+	s.pos = n
 }
 
 func (s *stack) add(i, v int32) {
@@ -118,22 +171,6 @@ func lineSpan(e trace.Event, lineShift uint) (first, last uint32) {
 	return e.Addr >> lineShift, (e.Addr + uint32(e.Size) - 1) >> lineShift
 }
 
-// lineAccesses counts the line accesses a pass over t's events makes
-// (writes only when writesOnly): one per line each event touches, so
-// accesses spanning lines count more than once.
-func lineAccesses(t *trace.Trace, lineShift uint, writesOnly bool) int {
-	n := 0
-	for _, e := range t.Events {
-		if writesOnly && e.Kind != trace.Write {
-			continue
-		}
-		if first, last := lineSpan(e, lineShift); last >= first {
-			n += int(last-first) + 1
-		}
-	}
-	return n
-}
-
 // lineShiftOf validates a line size and returns its log2.
 func lineShiftOf(lineSize int) (uint, error) {
 	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
@@ -145,45 +182,43 @@ func lineShiftOf(lineSize int) (uint, error) {
 // Analyze folds the trace to lineSize-granularity lines and returns the
 // write reuse profile.
 func Analyze(t *trace.Trace, lineSize int) (*Profile, error) {
+	return analyze(t, lineSize, minWindow)
+}
+
+// analyze is Analyze over a stack that starts with window positions.
+func analyze(t *trace.Trace, lineSize, window int) (*Profile, error) {
 	shift, err := lineShiftOf(lineSize)
 	if err != nil {
 		return nil, err
 	}
-	s := newStack(lineAccesses(t, shift, false))
-	// maxGap maps line -> maximum reuse depth observed since the last
+	s := newStack(window)
+	// maxGap[id] is the maximum reuse depth observed since the last
 	// write to the line (-1 encodes "no write yet").
-	maxGap := make(map[uint32]int)
+	var maxGap []int32
 
 	p := &Profile{LineSize: lineSize, Samples: make([]uint64, 33)}
 	for _, e := range t.Events {
 		first, last := lineSpan(e, shift)
 		for ln := first; ln <= last; ln++ {
-			depth := s.access(ln)
-
-			switch g, ok := maxGap[ln]; {
-			case !ok || depth < 0:
-				maxGap[ln] = -1 // unwritten or cold: infinite gap
-			case g < 0:
-				// No write epoch in progress; stays infinite.
-			case depth > g:
-				maxGap[ln] = depth
+			id, depth := s.access(ln)
+			if depth < 0 {
+				maxGap = append(maxGap, -1) // cold: infinite gap
+			} else if g := maxGap[id]; g >= 0 && int32(depth) > g {
+				maxGap[id] = int32(depth)
 			}
 
 			if e.Kind == trace.Write {
 				// Sample the max interim depth since the last write.
 				if ln == first {
 					p.Writes++
-				}
-				g := maxGap[ln]
-				if g < 0 {
-					if ln == first {
+					if g := maxGap[id]; g < 0 {
 						p.Cold++
+					} else {
+						p.Samples[bucketFor(int(g))]++
 					}
-				} else if ln == first {
-					p.Samples[bucketFor(g)]++
 				}
 				// New write epoch for this line.
-				maxGap[ln] = 0
+				maxGap[id] = 0
 			}
 		}
 	}

@@ -226,9 +226,10 @@ func naiveProfile(tr *trace.Trace, lineSize int) *Profile {
 }
 
 // TestAnalyzeLineSpanningAccesses: accesses wider than a line touch
-// several lines each, so the stack must be sized by line accesses, not
-// events (8B writes at the paper's 4B lines once indexed past the end
-// of the Fenwick tree), and the profile must match a naive LRU list.
+// several lines each, and each line they touch is one access to the
+// stack (8B writes at the paper's 4B lines once indexed past the end
+// of a Fenwick tree sized by events), so the profile must match a
+// naive LRU list.
 func TestAnalyzeLineSpanningAccesses(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := &trace.Trace{}
@@ -252,4 +253,99 @@ func TestAnalyzeLineSpanningAccesses(t *testing.T) {
 			t.Errorf("%dB lines: profile %+v, naive LRU list %+v", line, got, want)
 		}
 	}
+}
+
+// packTrace is a trace whose footprint at 4-16B lines is more than
+// minWindow/4 lines. Half its accesses go to 64 hot halfword-aligned
+// addresses, which span two lines at every line size; half go to the
+// first word of one of 1,100 16B blocks.
+func packTrace() *trace.Trace {
+	rng := rand.New(rand.NewSource(11))
+	tr := &trace.Trace{Name: "packs"}
+	hot := make([]uint32, 64)
+	for i := range hot {
+		hot[i] = uint32(rng.Intn(1100*16)) &^ 1
+	}
+	for i := 0; i < 200000; i++ {
+		addr := hot[rng.Intn(len(hot))]
+		if rng.Intn(2) == 0 {
+			addr = uint32(rng.Intn(1100)) * 16
+		}
+		k := trace.Read
+		if rng.Intn(3) > 0 {
+			k = trace.Write
+		}
+		tr.Append(trace.Event{Addr: addr, Size: 4, Kind: k})
+	}
+	return tr
+}
+
+// TestStackPacks: a footprint larger than the first window and a pass
+// many windows long make the stack pack and grow its window over and
+// over, which must change no depth: the profile matches a naive LRU
+// list and the write cache curve matches writecache.Cache.
+func TestStackPacks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("naive LRU list over a large footprint in -short mode")
+	}
+	tr := packTrace()
+	for _, line := range []int{4, 8, 16} {
+		shift, _ := lineShiftOf(line)
+		s, packs, lines := newStack(minWindow), 0, map[uint32]bool{}
+		for _, e := range tr.Events {
+			first, last := lineSpan(e, shift)
+			for ln := first; ln <= last; ln++ {
+				before := s.pos
+				s.access(ln)
+				lines[ln] = true
+				if s.pos <= before {
+					packs++
+				}
+			}
+		}
+		if len(lines) <= minWindow/4 || packs < 20 {
+			t.Fatalf("%dB lines: %d lines and %d packs, want over %d lines and at least 20 packs",
+				line, len(lines), packs, minWindow/4)
+		}
+		got, err := Analyze(tr, line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveProfile(tr, line); !reflect.DeepEqual(got, want) {
+			t.Errorf("%dB lines: profile %+v, naive LRU list %+v", line, got, want)
+		}
+		checkCurve(t, tr, line, 16)
+	}
+}
+
+// FuzzAnalyzeMatchesNaive compares the profile with a naive LRU list
+// on short random traces at line sizes 4-64, through a stack whose
+// window starts at 1-8 positions, so it packs and grows many times.
+// Each input byte triple is one event, as in FuzzWriteCacheCurve.
+func FuzzAnalyzeMatchesNaive(f *testing.F) {
+	f.Add([]byte{0, 0, 8, 4, 0, 8, 0, 0, 8}, uint8(0), uint8(0))
+	f.Add([]byte{7, 1, 15, 3, 2, 0x83, 12, 0, 16, 7, 1, 2, 9, 0x81, 4}, uint8(1), uint8(3))
+	f.Add([]byte{255, 255, 16, 250, 255, 0x89, 1, 2, 3}, uint8(4), uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, lineExp, window uint8) {
+		lineSize := 4 << (lineExp % 5)
+		tr := &trace.Trace{Name: "fuzz"}
+		for i := 0; i+2 < len(data) && tr.Len() < 512; i += 3 {
+			kind := trace.Write
+			if data[i+2]&0x80 != 0 {
+				kind = trace.Read
+			}
+			addr := uint32(data[i])<<2 | uint32(data[i+1]&3)
+			if data[i+1]&0x80 != 0 {
+				addr = ^addr
+			}
+			tr.Append(trace.Event{Addr: addr, Size: 1 + data[i+2]%16, Kind: kind})
+		}
+		got, err := analyze(tr, lineSize, 1+int(window%8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveProfile(tr, lineSize); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%dB lines: profile %+v, naive LRU list %+v", lineSize, got, want)
+		}
+	})
 }

@@ -43,7 +43,7 @@ func WriteCacheCurve(t *trace.Trace, lineSize, maxEntries int) (*Curve, error) {
 	if maxEntries < 0 {
 		return nil, fmt.Errorf("reuse: max entries %d must be non-negative", maxEntries)
 	}
-	s := newStack(lineAccesses(t, shift, true))
+	s := newStack(minWindow)
 	// need[k] counts the writes whose smallest merging cache has k
 	// entries.
 	need := make([]uint64, maxEntries+1)
@@ -56,7 +56,7 @@ func WriteCacheCurve(t *trace.Trace, lineSize, maxEntries int) (*Curve, error) {
 		k := 1
 		first, last := lineSpan(e, shift)
 		for ln := first; ln <= last; ln++ {
-			switch d := s.access(ln); {
+			switch _, d := s.access(ln); {
 			case d < 0:
 				k = math.MaxInt // cold: no cache size holds the line
 			case d >= k:

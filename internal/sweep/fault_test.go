@@ -125,12 +125,12 @@ func (b badUnitRun) checkErr(t *testing.T, label string, err error) {
 	}
 }
 
-// TestRunUnitsRetriesFailedUnit: a failed unit is not retried.
+// TestRunUnitsFailsOnFirstAttempt: a failed unit is not retried.
 // Simulation is deterministic, so a unit whose config cache.New rejects
 // fails RunUnits on its first attempt, with an error that names the
 // unit and wraps the validation error, and the unit queued after it is
 // never simulated.
-func TestRunUnitsRetriesFailedUnit(t *testing.T) {
+func TestRunUnitsFailsOnFirstAttempt(t *testing.T) {
 	b := newBadUnitRun(t)
 	done, restored, err := b.run()
 	b.checkErr(t, "first run", err)
@@ -139,10 +139,11 @@ func TestRunUnitsRetriesFailedUnit(t *testing.T) {
 	}
 }
 
-// TestPoisonUnitQuarantine: a failed unit is not quarantined. The
-// failed sweep keeps its journal of the units completed before the
-// failure, and the journal records no poisoned unit.
-func TestPoisonUnitQuarantine(t *testing.T) {
+// TestFailedSweepJournalsOnlyDoneUnits: a failed unit is not
+// quarantined. The failed sweep keeps its journal of the units
+// completed before the failure, and the journal records no poisoned
+// unit.
+func TestFailedSweepJournalsOnlyDoneUnits(t *testing.T) {
 	type poisonEraState struct {
 		Done     map[string][]cache.Stats `json:"done"`
 		Poisoned map[string]string        `json:"poisoned,omitempty"`
@@ -165,11 +166,11 @@ func TestPoisonUnitQuarantine(t *testing.T) {
 	}
 }
 
-// TestPoisonSkippedOnResume: a failed unit is not skipped on resume. A
-// rerun restores the unit completed before the failure instead of
-// recomputing it, then tries the failed unit again and fails with the
-// same error.
-func TestPoisonSkippedOnResume(t *testing.T) {
+// TestRerunRestoresDoneUnitsAndFailsAgain: a failed unit is not
+// skipped on resume. A rerun restores the unit completed before the
+// failure instead of recomputing it, then tries the failed unit again
+// and fails with the same error.
+func TestRerunRestoresDoneUnitsAndFailsAgain(t *testing.T) {
 	b := newBadUnitRun(t)
 	_, _, err := b.run()
 	b.checkErr(t, "first run", err)
