@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint require-go fuzz-smoke bench-smoke resilience-smoke serve-smoke faultfs-smoke bench-all
+.PHONY: build test check lint require-go fuzz-smoke bench-smoke examples-smoke resilience-smoke serve-smoke faultfs-smoke bench-all
 
 # require-go fails fast with a clear message when the Go toolchain is
 # missing or $(GO) points at a nonexistent binary, instead of letting
@@ -44,8 +44,8 @@ lint: require-go
 # single-iteration smoke
 # of the sweep-engine benchmarks, the gang engine's speedup floor
 # (TestGangSpeedupFloor: at least 1.2x over one cache pass per config,
-# at one worker and at GOMAXPROCS; the race suite skips it), the
-# SIGKILL/resume crash-safety smoke, and the
+# at one worker and at GOMAXPROCS; the race suite skips it), a run of
+# every example program, the SIGKILL/resume crash-safety smoke, and the
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,
 # graceful drain), and the storage-fault chaos smoke (the same plan
 # with torn writes/ENOSPC/failed renames injected under the state
@@ -62,10 +62,11 @@ check: build
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(GO) test ./internal/sweep -run '^TestGangSpeedupFloor$$' -count 1
+	$(MAKE) examples-smoke
 	$(MAKE) resilience-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) faultfs-smoke
-	@echo "check: gates passed: build lint vet race perfbench fuzz-smoke bench-smoke TestGangSpeedupFloor resilience-smoke serve-smoke faultfs-smoke"
+	@echo "check: gates passed: build lint vet race perfbench fuzz-smoke bench-smoke TestGangSpeedupFloor examples-smoke resilience-smoke serve-smoke faultfs-smoke"
 
 # FuzzDecodeMatchesReference seeds streams longer than one 64 KiB
 # decode window; minimizing a new input grown from one would spend the
@@ -97,6 +98,15 @@ bench-smoke: require-go
 	$(GO) test . -run '^$$' -bench 'BenchmarkExtCoh' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench '^Benchmark(Fig5|Fig7|Fig8|Fig9|ExtCPI|ExtPerf|ExtBurst|ExtVictim|ExtReuse|ExtSwitch|ExtL2Policy)$$' -benchtime 1x -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench '^BenchmarkSubmit$$' -benchtime 1x -benchmem
+
+# examples-smoke builds and runs every program under examples/ and
+# fails on the first that exits non-zero; the build and vet only
+# compile them. All seven take a few seconds.
+examples-smoke: require-go
+	@for d in examples/*/; do \
+		echo "examples-smoke: $$d"; \
+		$(GO) run "./$$d" >/dev/null || exit 1; \
+	done
 
 # resilience-smoke SIGKILLs a checkpointed sweep mid-flight three
 # times, resumes it, and requires the final CSV to be byte-identical

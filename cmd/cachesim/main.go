@@ -16,7 +16,7 @@ import (
 	"os"
 
 	"cachewrite/internal/cache"
-	"cachewrite/internal/core"
+	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/stats"
 	"cachewrite/internal/trace"
 	"cachewrite/internal/workload"
@@ -46,14 +46,14 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg core.Config
+	var cfg hierarchy.Config
 	var err error
 	if *confFile != "" {
 		f, err2 := os.Open(*confFile)
 		if err2 != nil {
 			fail(err2)
 		}
-		cfg, err = core.LoadConfig(f)
+		cfg, err = loadConfig(f)
 		f.Close()
 		if err != nil {
 			fail(err)
@@ -103,7 +103,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	res, err := core.Run(cfg, tr)
+	res, err := simulate(cfg, tr)
 	if err != nil {
 		fail(err)
 	}
@@ -118,16 +118,16 @@ func main() {
 	printResult(cfg, tr.Name, res)
 }
 
-func buildConfig(size, line, assoc int, hit, miss string, l2Size, l2Line, wcEntries int) (core.Config, error) {
+func buildConfig(size, line, assoc int, hit, miss string, l2Size, l2Line, wcEntries int) (hierarchy.Config, error) {
 	hitP, err := cache.ParseWriteHit(hit)
 	if err != nil {
-		return core.Config{}, err
+		return hierarchy.Config{}, err
 	}
 	missP, err := cache.ParseWriteMiss(miss)
 	if err != nil {
-		return core.Config{}, err
+		return hierarchy.Config{}, err
 	}
-	cfg := core.Config{L1: cache.Config{
+	cfg := hierarchy.Config{L1: cache.Config{
 		Size: size, LineSize: line, Assoc: assoc, WriteHit: hitP, WriteMiss: missP,
 	}}
 	if wcEntries > 0 {
@@ -140,7 +140,41 @@ func buildConfig(size, line, assoc int, hit, miss string, l2Size, l2Line, wcEntr
 	return cfg, nil
 }
 
-func printResult(cfg core.Config, name string, res core.Result) {
+// result bundles everything one simulation produces; -json prints it
+// as is, so its field names and order are the output format.
+type result struct {
+	// Trace summarises the input reference stream.
+	Trace trace.Stats
+	// L1 holds the first-level cache counters.
+	L1 cache.Stats
+	// L2 holds the second-level counters when an L2 was configured.
+	L2 cache.Stats
+	// Hierarchy holds the between-level traffic counters.
+	Hierarchy hierarchy.Stats
+}
+
+// simulate runs the trace through the configured hierarchy, flushes
+// dirty state (flush-stop accounting; cold-stop numbers remain in the
+// non-Flush counters), and returns all statistics.
+func simulate(cfg hierarchy.Config, t *trace.Trace) (result, error) {
+	h, err := hierarchy.New(cfg)
+	if err != nil {
+		return result{}, err
+	}
+	h.AccessTrace(t)
+	h.Flush()
+	res := result{
+		Trace:     t.Stats(),
+		L1:        h.L1().Stats(),
+		Hierarchy: h.Stats(),
+	}
+	if h.L2() != nil {
+		res.L2 = h.L2().Stats()
+	}
+	return res, nil
+}
+
+func printResult(cfg hierarchy.Config, name string, res result) {
 	fmt.Printf("trace      %s: %s instructions, %s reads, %s writes\n",
 		name, stats.FmtCount(res.Trace.Instructions),
 		stats.FmtCount(res.Trace.Reads), stats.FmtCount(res.Trace.Writes))

@@ -4,7 +4,6 @@
 //
 // The implementation lives in internal packages:
 //
-//   - internal/core — public façade: Config, Run, ComparePolicies.
 //   - internal/cache — the first-level data-cache simulator with the
 //     full write-hit (write-through/write-back) and write-miss
 //     (fetch-on-write / write-validate / write-around /

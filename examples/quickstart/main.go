@@ -9,7 +9,7 @@ import (
 	"log"
 
 	"cachewrite/internal/cache"
-	"cachewrite/internal/core"
+	"cachewrite/internal/sweep"
 	"cachewrite/internal/workload"
 )
 
@@ -32,31 +32,34 @@ func main() {
 		WriteHit: cache.WriteBack,
 	}
 
-	// 3. Compare the four write-miss policies on the same trace.
-	cmp, err := core.ComparePolicies(base, t)
+	// 3. Compare the four write-miss policies on the same trace: one
+	//    gang pass simulates every config, each flushed at the end.
+	policies := []cache.WriteMissPolicy{
+		cache.FetchOnWrite, cache.WriteInvalidate, cache.WriteAround, cache.WriteValidate,
+	}
+	cfgs := make([]cache.Config, len(policies))
+	for i, p := range policies {
+		cfgs[i] = base
+		cfgs[i].WriteMiss = p
+	}
+	res, err := sweep.Gang(t, cfgs)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fow := res[0].Misses()
 	fmt.Printf("%-18s %10s %10s %12s %22s\n",
 		"policy", "misses", "miss rate", "fetch traffic", "total miss reduction")
-	for _, p := range []cache.WriteMissPolicy{
-		cache.FetchOnWrite, cache.WriteInvalidate, cache.WriteAround, cache.WriteValidate,
-	} {
-		cs := cmp.ByPolicy[p]
+	for i, p := range policies {
+		cs := res[i]
 		fmt.Printf("%-18s %10d %9.2f%% %11dB %21.1f%%\n",
 			p, cs.Misses(), 100*cs.MissRate(), cs.FetchBytes,
-			100*cmp.TotalMissReduction(p))
+			100*(float64(fow)-float64(cs.Misses()))/float64(fow))
 	}
 
-	// 4. One full simulation with the winner, flush-stop accounted.
-	cfg := base
-	cfg.WriteMiss = cache.WriteValidate
-	res, err := core.Run(core.Config{L1: cfg}, t)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 4. The winner in detail, flush-stop accounted.
+	wv := res[3]
 	fmt.Printf("\nwith write-validate: %d eliminated write misses, %d partial-validity read misses\n",
-		res.L1.EliminatedWriteMisses, res.L1.PartialValidReadMisses)
+		wv.EliminatedWriteMisses, wv.PartialValidReadMisses)
 	fmt.Printf("back side: %d transactions, %d bytes\n",
-		res.L1.BacksideTransactions(), res.L1.BacksideBytes(false))
+		wv.BacksideTransactions(), wv.BacksideBytes(false))
 }

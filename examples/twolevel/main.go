@@ -12,7 +12,7 @@ import (
 	"log"
 
 	"cachewrite/internal/cache"
-	"cachewrite/internal/core"
+	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/workload"
 	"cachewrite/internal/writecache"
 )
@@ -28,11 +28,11 @@ func main() {
 
 	type org struct {
 		name string
-		cfg  core.Config
+		cfg  hierarchy.Config
 	}
-	mk := func(hit cache.WriteHitPolicy, miss cache.WriteMissPolicy, wc *writecache.Config) core.Config {
+	mk := func(hit cache.WriteHitPolicy, miss cache.WriteMissPolicy, wc *writecache.Config) hierarchy.Config {
 		l2c := l2
-		return core.Config{
+		return hierarchy.Config{
 			L1: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1,
 				WriteHit: hit, WriteMiss: miss},
 			WriteCache: wc,
@@ -54,14 +54,17 @@ func main() {
 		var tx, bytes, memTx uint64
 		var l2Miss float64
 		for _, t := range traces {
-			res, err := core.Run(o.cfg, t)
+			h, err := hierarchy.New(o.cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			tx += res.Hierarchy.L1ToL2Transactions
-			bytes += res.Hierarchy.L1ToL2Bytes
-			memTx += res.Hierarchy.L2ToMemTransactions
-			l2Miss += res.L2.MissRate()
+			h.AccessTrace(t)
+			h.Flush()
+			s := h.Stats()
+			tx += s.L1ToL2Transactions
+			bytes += s.L1ToL2Bytes
+			memTx += s.L2ToMemTransactions
+			l2Miss += h.L2().Stats().MissRate()
 		}
 		l2Miss /= float64(len(traces))
 		if i == 0 {

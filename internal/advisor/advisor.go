@@ -6,9 +6,11 @@
 //
 // The decision procedure follows the paper's §3.3 and §6 guidance:
 //
-//  1. Pick the write-miss policy by fetch-triggering misses (the
-//     latency-critical metric; Figs 13–16). Write-validate wins unless
-//     write-around saves additional read misses (the liver case).
+//  1. Pick the write-miss policy by estimated CPI, which charges each
+//     fetch-triggering miss (the latency-critical metric; Figs 13–16)
+//     beside write-buffer and victim-buffer stalls. Write-validate
+//     wins unless write-around saves additional read misses (the liver
+//     case).
 //  2. Pick write-back vs write-through by §3.3's criterion: prefer
 //     write-through + write cache (parity suffices) unless write-back
 //     at least halves the remaining write traffic.
@@ -20,7 +22,6 @@ import (
 	"strings"
 
 	"cachewrite/internal/cache"
-	"cachewrite/internal/core"
 	"cachewrite/internal/reuse"
 	"cachewrite/internal/timing"
 	"cachewrite/internal/trace"
@@ -71,18 +72,19 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 	var adv Advice
 	var why strings.Builder
 
-	// Step 1: write-miss policy by misses, tie-broken by estimated CPI.
-	cmp, err := core.ComparePolicies(geom, t)
-	if err != nil {
-		return Advice{}, err
-	}
+	// Step 1: write-miss policy by estimated CPI. Each policy runs with
+	// its paired write-hit policy; a configuration's fetch-triggering
+	// misses do not depend on its write-hit policy (§4), so these four
+	// runs also give the miss comparison.
 	adv.CPI = make(map[cache.WriteMissPolicy]float64, 4)
+	misses := make(map[cache.WriteMissPolicy]uint64, 4)
 	best := cache.FetchOnWrite
 	bestCPI := 0.0
 	for _, p := range cache.WriteMissPolicies() {
+		l1 := geom
+		l1.WriteHit, l1.WriteMiss = p.PairedWriteHit(), p
 		s, err := timing.Evaluate(timing.Config{
-			L1: cache.Config{Size: req.Size, LineSize: req.LineSize, Assoc: req.Assoc,
-				WriteHit: p.PairedWriteHit(), WriteMiss: p},
+			L1:                  l1,
 			FetchLatency:        req.FetchLatency,
 			WriteBufferEntries:  4,
 			WriteRetire:         req.FetchLatency / 2,
@@ -93,24 +95,24 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 			return Advice{}, err
 		}
 		adv.CPI[p] = s.CPI()
+		misses[p] = s.Cache.Misses()
+		if p == cache.FetchOnWrite {
+			// This run's L1 is geom, the write-back cache of step 2.
+			adv.WBTrafficCut = s.Cache.WritesToDirtyFraction()
+		}
 		if bestCPI == 0 || s.CPI() < bestCPI {
 			bestCPI = s.CPI()
 			best = p
 		}
 	}
 	adv.WriteMiss = best
-	adv.MissReduction = cmp.TotalMissReduction(best)
+	if fow := misses[cache.FetchOnWrite]; fow > 0 {
+		adv.MissReduction = (float64(fow) - float64(misses[best])) / float64(fow)
+	}
 	fmt.Fprintf(&why, "%s minimizes estimated CPI (%.3f vs %.3f for fetch-on-write), removing %.0f%% of fetch-triggering misses.\n",
 		best, adv.CPI[best], adv.CPI[cache.FetchOnWrite], 100*adv.MissReduction)
 
 	// Step 2: write-back vs write-through + write cache (§3.3).
-	wbCache, err := cache.New(geom)
-	if err != nil {
-		return Advice{}, err
-	}
-	wbCache.AccessTrace(t)
-	adv.WBTrafficCut = wbCache.Stats().WritesToDirtyFraction()
-
 	entries, wcCut, err := sizeWriteCache(t)
 	if err != nil {
 		return Advice{}, err

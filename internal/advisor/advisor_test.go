@@ -1,6 +1,8 @@
 package advisor
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -145,5 +147,91 @@ func TestSizeWriteCacheFloor(t *testing.T) {
 	}
 	if removed > 0.05 {
 		t.Errorf("removed = %v on streaming writes", removed)
+	}
+}
+
+// writeBackComparison is the reference the advisor's step 1 and 2
+// numbers must equal: every write-miss policy run under write-back
+// over the geometry, one flushed pass each, with the reduction in
+// fetch-triggering misses taken against fetch-on-write's (0 when it
+// has none) and the write-back traffic cut read off fetch-on-write's
+// pass.
+func writeBackComparison(t *testing.T, req Request, tr *trace.Trace, best cache.WriteMissPolicy) (missReduction, wbCut float64) {
+	t.Helper()
+	byPolicy := map[cache.WriteMissPolicy]cache.Stats{}
+	for _, p := range cache.WriteMissPolicies() {
+		c, err := cache.New(cache.Config{Size: req.Size, LineSize: req.LineSize, Assoc: req.Assoc,
+			WriteHit: cache.WriteBack, WriteMiss: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.AccessTrace(tr)
+		c.Flush()
+		byPolicy[p] = c.Stats()
+	}
+	fow := byPolicy[cache.FetchOnWrite]
+	if fow.Misses() > 0 {
+		missReduction = (float64(fow.Misses()) - float64(byPolicy[best].Misses())) / float64(fow.Misses())
+	}
+	return missReduction, fow.WritesToDirtyFraction()
+}
+
+// randomTrace is n reads and writes of 4 or 8 bytes, two in three to a
+// small hot set, so lines are re-referenced, evicted and re-written.
+func randomTrace(seed int64, n int) *trace.Trace {
+	r := rand.New(rand.NewSource(seed))
+	hot := make([]uint32, 64)
+	for i := range hot {
+		hot[i] = uint32(r.Intn(1 << 15))
+	}
+	tr := &trace.Trace{Name: fmt.Sprintf("random-%d", seed)}
+	for i := 0; i < n; i++ {
+		addr := uint32(r.Intn(1 << 20))
+		if r.Intn(3) > 0 {
+			addr = hot[r.Intn(len(hot))]
+		}
+		size := uint8(4 << r.Intn(2))
+		kind := trace.Read
+		if r.Intn(5) < 2 {
+			kind = trace.Write
+		}
+		tr.Append(trace.Event{Addr: addr &^ uint32(size-1), Size: size, Gap: uint16(r.Intn(4)), Kind: kind})
+	}
+	return tr
+}
+
+// TestRecommendMatchesWriteBackComparison: the advisor reads its miss
+// reduction and write-back traffic cut off the paired-policy timing
+// runs, whose L1s run write-around and write-invalidate write-through.
+// Both numbers must equal those of four flushed write-back passes,
+// exactly, at associativity 1, 2 and 4; a trace without
+// fetch-on-write misses reduces nothing.
+func TestRecommendMatchesWriteBackComparison(t *testing.T) {
+	traces := []*trace.Trace{randomTrace(1, 20000), randomTrace(2, 20000), randomTrace(3, 20000), {Name: "empty"}}
+	if !testing.Short() {
+		for _, name := range []string{"ccom", "liver"} {
+			tr, err := workload.Generate(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces = append(traces, tr)
+		}
+	}
+	for _, assoc := range []int{1, 2, 4} {
+		req := Request{Size: 4 << 10, LineSize: 16, Assoc: assoc, FetchLatency: 10}
+		for _, tr := range traces {
+			adv, err := Recommend(req, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			red, cut := writeBackComparison(t, req, tr, adv.WriteMiss)
+			if adv.MissReduction != red || adv.WBTrafficCut != cut {
+				t.Errorf("%s %d-way: %s reduction %v, write-back cut %v; write-back passes give %v, %v",
+					tr.Name, assoc, adv.WriteMiss, adv.MissReduction, adv.WBTrafficCut, red, cut)
+			}
+			if tr.Len() == 0 && adv.MissReduction != 0 {
+				t.Errorf("no fetch-on-write misses: reduction %v, want 0", adv.MissReduction)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"cachewrite/internal/cache"
 	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/synth"
+	"cachewrite/internal/trace"
 	"cachewrite/internal/writecache"
 )
 
@@ -38,4 +39,32 @@ func Example() {
 		100*(1-float64(cached)/float64(plain)))
 	// Output:
 	// write cache removes 31% of L1->L2 transactions
+}
+
+// Example_twoLevel runs a write-validate L1 over an L2 and flushes it:
+// every write miss is eliminated, and each dirty line reaches the L2
+// once, as a capacity or a flush write-back.
+func Example_twoLevel() {
+	t := &trace.Trace{}
+	for i := 0; i < 100; i++ {
+		t.Append(trace.Event{Addr: uint32(i * 16), Size: 4, Kind: trace.Write, Gap: 3})
+	}
+	l2 := cache.Config{Size: 64 << 10, LineSize: 64, Assoc: 4,
+		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
+	h, err := hierarchy.New(hierarchy.Config{
+		L1: cache.Config{Size: 1 << 10, LineSize: 16, Assoc: 1,
+			WriteHit: cache.WriteBack, WriteMiss: cache.WriteValidate},
+		L2: &l2,
+	})
+	if err != nil {
+		panic(err)
+	}
+	h.AccessTrace(t)
+	h.Flush()
+	fmt.Printf("eliminated write misses: %d\n", h.L1().Stats().EliminatedWriteMisses)
+	// 36 capacity write-backs during the run plus 64 flush write-backs.
+	fmt.Printf("L1->L2 transactions: %d\n", h.Stats().L1ToL2Transactions)
+	// Output:
+	// eliminated write misses: 100
+	// L1->L2 transactions: 100
 }

@@ -165,10 +165,18 @@ func (s *stack) sum(i int32) int {
 	return n
 }
 
-// lineSpan returns the first and last lineShift-granularity line an
-// access touches.
-func lineSpan(e trace.Event, lineShift uint) (first, last uint32) {
-	return e.Addr >> lineShift, (e.Addr + uint32(e.Size) - 1) >> lineShift
+// lineSpan returns the first lineShift-granularity line an access
+// touches and the line after its last, so a walk over the span is
+// for ln := first; ln != end; ln++. At 1B lines the last line may be
+// 0xFFFFFFFF, where ln <= last never fails; end wraps to 0 instead. An
+// access that wraps past address 0xFFFFFFFF touches no line.
+func lineSpan(e trace.Event, lineShift uint) (first, end uint32) {
+	first = e.Addr >> lineShift
+	last := (e.Addr + uint32(e.Size) - 1) >> lineShift
+	if last < first {
+		return first, first
+	}
+	return first, last + 1
 }
 
 // lineShiftOf validates a line size and returns its log2.
@@ -198,8 +206,8 @@ func analyze(t *trace.Trace, lineSize, window int) (*Profile, error) {
 
 	p := &Profile{LineSize: lineSize, Samples: make([]uint64, 33)}
 	for _, e := range t.Events {
-		first, last := lineSpan(e, shift)
-		for ln := first; ln <= last; ln++ {
+		first, end := lineSpan(e, shift)
+		for ln := first; ln != end; ln++ {
 			id, depth := s.access(ln)
 			if depth < 0 {
 				maxGap = append(maxGap, -1) // cold: infinite gap

@@ -220,6 +220,9 @@ func naiveProfile(tr *trace.Trace, lineSize int) *Profile {
 				}
 				maxGap[ln] = 0
 			}
+			if ln == last { // at 1B lines last may be 0xFFFFFFFF
+				break
+			}
 		}
 	}
 	return p
@@ -252,6 +255,35 @@ func TestAnalyzeLineSpanningAccesses(t *testing.T) {
 		if want := naiveProfile(tr, line); !reflect.DeepEqual(got, want) {
 			t.Errorf("%dB lines: profile %+v, naive LRU list %+v", line, got, want)
 		}
+	}
+}
+
+// TestSpansAtTopOfAddressSpace: at 1B and 2B lines an access ending at
+// 0xFFFFFFFF has last line 0xFFFFFFFF or 0x7FFFFFFF, and a walk that
+// tests ln <= last never ended at the former. The profile and the
+// write cache curve must finish and match the naive LRU list and
+// writecache.Cache; an access that wraps past 0xFFFFFFFF touches no
+// line in any of them.
+func TestSpansAtTopOfAddressSpace(t *testing.T) {
+	tr := &trace.Trace{Name: "top"}
+	for i := 0; i < 4; i++ {
+		tr.Append(trace.Event{Addr: 0xFFFFFFFC, Size: 4, Kind: trace.Write})
+		tr.Append(trace.Event{Addr: 0xFFFFFFFF, Size: 1, Kind: trace.Read})
+		tr.Append(trace.Event{Addr: 0x100 + uint32(i)*4, Size: 4, Kind: trace.Write})
+		tr.Append(trace.Event{Addr: 0xFFFFFFFE, Size: 2, Kind: trace.Write})
+		tr.Append(trace.Event{Addr: 0xFFFFFFF0, Size: 16, Kind: trace.Write})
+		tr.Append(trace.Event{Addr: 0xFFFFFFFD, Size: 8, Kind: trace.Write}) // wraps
+		tr.Append(trace.Event{Addr: 0xFFFFFFFF, Size: 1, Kind: trace.Write})
+	}
+	for _, line := range []int{1, 2} {
+		got, err := Analyze(tr, line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveProfile(tr, line); !reflect.DeepEqual(got, want) {
+			t.Errorf("%dB lines: profile %+v, naive LRU list %+v", line, got, want)
+		}
+		checkCurve(t, tr, line, 8)
 	}
 }
 
@@ -293,8 +325,8 @@ func TestStackPacks(t *testing.T) {
 		shift, _ := lineShiftOf(line)
 		s, packs, lines := newStack(minWindow), 0, map[uint32]bool{}
 		for _, e := range tr.Events {
-			first, last := lineSpan(e, shift)
-			for ln := first; ln <= last; ln++ {
+			first, end := lineSpan(e, shift)
+			for ln := first; ln != end; ln++ {
 				before := s.pos
 				s.access(ln)
 				lines[ln] = true

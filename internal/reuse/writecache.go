@@ -54,8 +54,8 @@ func WriteCacheCurve(t *trace.Trace, lineSize, maxEntries int) (*Curve, error) {
 		}
 		c.Writes++
 		k := 1
-		first, last := lineSpan(e, shift)
-		for ln := first; ln <= last; ln++ {
+		first, end := lineSpan(e, shift)
+		for ln := first; ln != end; ln++ {
 			switch _, d := s.access(ln); {
 			case d < 0:
 				k = math.MaxInt // cold: no cache size holds the line

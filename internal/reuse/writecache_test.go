@@ -73,7 +73,7 @@ func TestWriteCacheCurveSpanningWrites(t *testing.T) {
 	}
 	spans := 0
 	for _, e := range tr.Events {
-		if first, last := lineSpan(e, 3); e.Kind == trace.Write && last > first {
+		if first, end := lineSpan(e, 3); e.Kind == trace.Write && end-first > 1 {
 			spans++
 		}
 	}

@@ -97,6 +97,19 @@ func New(cfg Config) (*Cache, error) {
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// span returns the first line an access touches and the line after its
+// last. At 1B lines the last line may be 0xFFFFFFFF, where ln <= last
+// never fails; end wraps to 0 instead. An access that wraps past
+// address 0xFFFFFFFF touches no line.
+func (c *Cache) span(addr uint32, size uint8) (first, end uint32) {
+	first = addr / uint32(c.cfg.LineSize)
+	last := (addr + uint32(size) - 1) / uint32(c.cfg.LineSize)
+	if last < first {
+		return first, first
+	}
+	return first, last + 1
+}
+
 // Write offers a store of size bytes at addr. It returns the number of
 // entries evicted to the write buffer (0 when the write merged or the
 // cache had a free slot; writes spanning multiple lines may evict more
@@ -108,10 +121,9 @@ func (c *Cache) Write(addr uint32, size uint8) int {
 		return 1
 	}
 	evicted := 0
-	first := addr / uint32(c.cfg.LineSize)
-	last := (addr + uint32(size) - 1) / uint32(c.cfg.LineSize)
+	first, end := c.span(addr, size)
 	merged := true
-	for ln := first; ln <= last; ln++ {
+	for ln := first; ln != end; ln++ {
 		if !c.touchLine(ln, true) {
 			merged = false
 			evicted += c.allocLine(ln, true, false)
@@ -153,9 +165,8 @@ func (c *Cache) ProbeVictim(addr uint32, size uint8) bool {
 	if c.cfg.Entries == 0 {
 		return false
 	}
-	first := addr / uint32(c.cfg.LineSize)
-	last := (addr + uint32(size) - 1) / uint32(c.cfg.LineSize)
-	for ln := first; ln <= last; ln++ {
+	first, end := c.span(addr, size)
+	for ln := first; ln != end; ln++ {
 		found := false
 		for i := 0; i < c.used; i++ {
 			if c.entries[i].lineNum == ln && c.entries[i].full {
@@ -167,7 +178,7 @@ func (c *Cache) ProbeVictim(addr uint32, size uint8) bool {
 			return false
 		}
 	}
-	for ln := first; ln <= last; ln++ {
+	for ln := first; ln != end; ln++ {
 		c.touchLine(ln, false)
 	}
 	c.stats.ReadHits++
