@@ -37,7 +37,7 @@ var (
 func benchEnvTraces(b *testing.B) []*trace.Trace {
 	b.Helper()
 	benchOnce.Do(func() {
-		ts, err := workload.GenerateAll(1)
+		ts, err := workload.GenerateAllCached("", 1)
 		if err != nil {
 			benchErr = err
 			return

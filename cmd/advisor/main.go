@@ -36,12 +36,7 @@ func main() {
 	var err error
 	switch {
 	case *traceFile != "":
-		f, err2 := os.Open(*traceFile)
-		if err2 != nil {
-			fail(err2)
-		}
-		tr, err = trace.ReadAuto(f)
-		f.Close()
+		tr, _, err = trace.ReadFile(*traceFile, false)
 	case *wl != "":
 		tr, err = workload.Generate(*wl, *scale)
 	default:

@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		wl        = flag.String("workload", "", "workload name (ccom, grr, yacc, met, linpack, liver)")
-		traceFile = flag.String("trace", "", "binary trace file to simulate instead of a workload")
+		traceFile = flag.String("trace", "", "trace file (binary, compressed or text; binary only with -lenient) to simulate instead of a workload")
 		scale     = flag.Int("scale", 1, "workload scale factor")
 		size      = flag.Int("size", 8<<10, "L1 size in bytes")
 		line      = flag.Int("line", 16, "L1 line size in bytes")
@@ -76,22 +76,13 @@ func main() {
 	var tr *trace.Trace
 	switch {
 	case *traceFile != "":
-		f, err := os.Open(*traceFile)
+		var ds trace.DecodeStats
+		tr, ds, err = trace.ReadFile(*traceFile, *lenient)
 		if err != nil {
 			fail(err)
 		}
-		if *lenient {
-			var ds trace.DecodeStats
-			tr, ds, err = trace.ReadBinaryLenient(f)
-			if err == nil && ds.Damaged() {
-				fmt.Fprintf(os.Stderr, "cachesim: %s: %s\n", *traceFile, ds)
-			}
-		} else {
-			tr, err = trace.ReadBinary(f)
-		}
-		f.Close()
-		if err != nil {
-			fail(err)
+		if ds.Damaged() {
+			fmt.Fprintf(os.Stderr, "cachesim: %s: %s\n", *traceFile, ds)
 		}
 	case *wl != "":
 		tr, err = workload.Generate(*wl, *scale)

@@ -19,7 +19,7 @@
 // checkpoint completed units under -state/sweeps. A SIGKILLed server
 // re-invoked on the same -state resumes every unfinished job and
 // reports byte-identical results. SIGTERM/SIGINT drain gracefully:
-// admissions close, running jobs get -drain-grace to finish,
+// admissions close, running jobs get 5 seconds to finish,
 // stragglers are checkpointed, and any job record whose last save
 // failed is saved again.
 package main
@@ -43,21 +43,14 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8347", "listen address")
-		state       = flag.String("state", "simserved-state", "state directory (job records + sweep checkpoints)")
-		queue       = flag.Int("queue", 64, "max admitted-but-unfinished jobs across all tenants")
-		perTenant   = flag.Int("per-tenant", 8, "max admitted-but-unfinished jobs per tenant")
-		jobs        = flag.Int("jobs", 2, "concurrent job workers")
-		sweepW      = flag.Int("sweep-workers", 0, "gang worker pool per job (0 = all CPUs)")
-		maxConfigs  = flag.Int("max-configs", 4096, "per-job configuration-grid cap")
-		maxEvents   = flag.Int("max-events", 2_000_000, "per-trace event cap applied to every job (<0 = unlimited)")
-		deadline    = flag.Duration("deadline", 5*time.Minute, "default per-job execution deadline")
-		maxDeadline = flag.Duration("deadline-max", 10*time.Minute, "cap on client-requested deadlines")
-		drainGrace  = flag.Duration("drain-grace", 5*time.Second, "how long SIGTERM waits for running jobs before checkpointing them")
-		tcache      = flag.String("tracecache", "auto", "on-disk trace cache dir ('auto' = user cache dir, 'off' = disable)")
-		traceMem    = flag.Int("trace-mem", 16, "decoded traces shared in memory across sessions")
-		seed        = flag.Int64("seed", 1, "jitter RNG seed for Retry-After hints")
-		faultfs     = flag.String("faultfs", "", "storage fault plan for the state dir, e.g. seed=7,rate=0.02,kinds=torn+enospc+rename (chaos testing; see docs/faults.md)")
+		addr      = flag.String("addr", ":8347", "listen address")
+		state     = flag.String("state", "simserved-state", "state directory (job records + sweep checkpoints)")
+		queue     = flag.Int("queue", 64, "max admitted-but-unfinished jobs across all tenants")
+		perTenant = flag.Int("per-tenant", 8, "max admitted-but-unfinished jobs per tenant")
+		jobs      = flag.Int("jobs", 2, "concurrent job workers")
+		sweepW    = flag.Int("sweep-workers", 0, "gang worker pool per job (0 = all CPUs)")
+		tcache    = flag.String("tracecache", "auto", "on-disk trace cache dir ('auto' = user cache dir, 'off' = disable)")
+		faultfs   = flag.String("faultfs", "", "storage fault plan for the state dir, e.g. seed=7,rate=0.02,kinds=torn+enospc+rename (chaos testing; see docs/faults.md)")
 	)
 	flag.Parse()
 
@@ -80,21 +73,14 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		StateDir:        *state,
-		Queue:           *queue,
-		PerTenant:       *perTenant,
-		JobWorkers:      *jobs,
-		SweepWorkers:    *sweepW,
-		MaxConfigs:      *maxConfigs,
-		MaxEvents:       *maxEvents,
-		DefaultDeadline: *deadline,
-		MaxDeadline:     *maxDeadline,
-		DrainGrace:      *drainGrace,
-		TraceDir:        workload.ResolveCacheDir(*tcache),
-		TraceMem:        *traceMem,
-		Seed:            *seed,
-		FS:              fsys,
-		Now:             time.Now,
+		StateDir:     *state,
+		Queue:        *queue,
+		PerTenant:    *perTenant,
+		JobWorkers:   *jobs,
+		SweepWorkers: *sweepW,
+		TraceDir:     workload.ResolveCacheDir(*tcache),
+		FS:           fsys,
+		Now:          time.Now,
 	})
 	if err != nil {
 		fail(err)

@@ -29,7 +29,7 @@ const (
 )
 
 func main() {
-	traces, err := workload.GenerateAll(1)
+	traces, err := workload.GenerateAllCached("", 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	traces, err := workload.GenerateAll(1)
+	traces, err := workload.GenerateAllCached("", 1)
 	if err != nil {
 		log.Fatal(err)
 	}

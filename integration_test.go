@@ -29,7 +29,7 @@ func integrationEnv(t *testing.T) *experiments.Env {
 		t.Skip("integration suite skipped in -short mode")
 	}
 	intOnce.Do(func() {
-		ts, err := workload.GenerateAll(1)
+		ts, err := workload.GenerateAllCached("", 1)
 		if err != nil {
 			panic(err)
 		}

@@ -45,7 +45,7 @@ func TestWriteCacheCurveMatchesSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real workloads in -short mode")
 	}
-	ts, err := workload.GenerateAll(1)
+	ts, err := workload.GenerateAllCached("", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,15 +84,12 @@ func (s *Server) observeJobLocked(d time.Duration) {
 // SIGKILL the server and still find the job after restart.
 func (s *Server) Submit(spec JobSpec) (JobStatus, *Rejection, error) {
 	spec.normalize()
-	if err := spec.validate(s.cfg.MaxConfigs); err != nil {
-		return JobStatus{}, nil, err
-	}
-	if s.cfg.MaxEvents > 0 && (spec.Events == 0 || spec.Events > s.cfg.MaxEvents) {
-		spec.Events = s.cfg.MaxEvents
-	}
-	cfgs, err := spec.Configs()
+	cfgs, err := spec.validate()
 	if err != nil {
 		return JobStatus{}, nil, err
+	}
+	if spec.Events == 0 || spec.Events > maxEvents {
+		spec.Events = maxEvents
 	}
 
 	s.mu.Lock()
@@ -108,7 +105,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, *Rejection, error) {
 		s.metrics.RejectedDraining++
 		return JobStatus{}, &Rejection{
 			Reason:       "server is draining; resubmit after restart",
-			RetryAfterMs: s.retryAfterLocked(0) + s.cfg.DrainGrace.Milliseconds(),
+			RetryAfterMs: s.retryAfterLocked(0) + drainGrace.Milliseconds(),
 		}, nil
 	}
 	if wait, open := s.breakerWaitLocked(spec.Tenant); open {

@@ -13,7 +13,7 @@ import (
 
 // Run processes jobs until ctx is cancelled, then drains: admissions
 // close immediately (Submit starts shedding with a draining hint),
-// running jobs get up to DrainGrace to finish, stragglers are
+// running jobs get up to drainGrace to finish, stragglers are
 // cancelled into their sweep checkpoints, and every job whose last
 // record save failed is saved once more. Run returns nil on a clean
 // drain; a killed process skips all of this and relies on the journals
@@ -35,9 +35,9 @@ func (s *Server) Run(ctx context.Context) error {
 	s.draining = true
 	running := s.running
 	s.mu.Unlock()
-	s.logf("draining: admissions closed, %d job(s) running, grace %s", running, s.cfg.DrainGrace)
+	s.logf("draining: admissions closed, %d job(s) running, grace %s", running, drainGrace)
 
-	grace := time.NewTimer(s.cfg.DrainGrace)
+	grace := time.NewTimer(drainGrace)
 	defer grace.Stop()
 	tick := time.NewTicker(25 * time.Millisecond)
 	defer tick.Stop()
@@ -105,7 +105,7 @@ func (s *Server) runner(ctx context.Context) {
 // instead of failing the whole job.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	start := s.now()
-	jctx, cancel := context.WithTimeout(ctx, j.Spec.deadline(s.cfg.DefaultDeadline, s.cfg.MaxDeadline))
+	jctx, cancel := context.WithTimeout(ctx, j.Spec.deadline())
 	defer cancel()
 
 	cfgs, cfgErr := j.Spec.Configs()

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 
-	"cachewrite/internal/fanout"
 	"cachewrite/internal/memsim"
 	"cachewrite/internal/trace"
 )
@@ -88,14 +87,6 @@ func Generate(name string, scale int) (*trace.Trace, error) {
 		return m.Trace(), fmt.Errorf("workload %q: %w", name, err)
 	}
 	return m.Trace(), nil
-}
-
-// GenerateAll produces traces for the six paper benchmarks in paper
-// order, generating them in parallel. On failure it returns the error
-// of the first failing benchmark in paper order.
-func GenerateAll(scale int) ([]*trace.Trace, error) {
-	names := PaperOrder()
-	return fanout.Run(len(names), func(i int) (*trace.Trace, error) { return Generate(names[i], scale) })
 }
 
 // rng is a deterministic xorshift64* generator. We use our own instead

@@ -113,16 +113,15 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestGenerateAllOrder(t *testing.T) {
-	// Use tiny per-workload traces via Generate on the real scale only
-	// for liver (the cheapest); GenerateAll is exercised at full scale by
-	// the experiments tests. Here just check the order contract with one
-	// call.
-	ts, err := GenerateAll(1)
+	// GenerateAllCached with no cache directory generates in parallel;
+	// the experiments tests exercise it at full scale. Here just check
+	// the order contract with one call.
+	ts, err := GenerateAllCached("", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ts) != 6 {
-		t.Fatalf("GenerateAll returned %d traces", len(ts))
+		t.Fatalf("GenerateAllCached returned %d traces", len(ts))
 	}
 	for i, name := range PaperOrder() {
 		if ts[i].Name != name {
@@ -407,7 +406,7 @@ func TestGrrObstacleEndpoint(t *testing.T) {
 // benchmark's load:store ratio is within a plausible band and grr is
 // the largest trace, as in the paper.
 func TestWorkloadCharacteristics(t *testing.T) {
-	ts, err := GenerateAll(1)
+	ts, err := GenerateAllCached("", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
