@@ -82,7 +82,7 @@ fuzz-smoke: require-go
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzWriteCacheCurve$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/reuse -run '^$$' -fuzz '^FuzzAnalyzeMatchesNaive$$' -fuzztime 5s -fuzzminimizetime 1x
-	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzSnoopFilter$$' -fuzztime 5s
+	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzSnoopFilter$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/writebuffer -run '^$$' -fuzz '^FuzzQueueMatchesReferences$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzReplayMatchesLive$$' -fuzztime 5s -fuzzminimizetime 1x
 

@@ -35,7 +35,12 @@
 // on a remote cache (Probe, Downgrade, InvalidateRange, SnoopUpdate)
 // does nothing to a cache that lacks the line, so skipping a core
 // whose bit is clear changes no state or counter, and a stale bit
-// only costs one probe that finds nothing.
+// only costs one probe that finds nothing. A reference to a line no
+// other core holds, with no sharing miss pending, skips the snoop
+// altogether: no broadcast has a copy to act on, and because a
+// broadcast never clears the writer's own bit, the line's last writer
+// is always a holder, so the referencing core received no update
+// since its own last reference and has no Hybrid counter to reset.
 //
 // The simulator is deterministic: per-core state lives in slices,
 // broadcasts visit the holder set in ascending core order, and the
@@ -349,6 +354,12 @@ func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 	me := &s.cores[c]
 	d := s.entry(lineNum)
 	self := uint64(1) << c
+	if d.holders&^self == 0 && d.removed&self == 0 {
+		// No other holder and no sharing miss pending: nothing below
+		// would act (exact; see the package doc).
+		d.holders |= self
+		return
+	}
 
 	local := me.l1.Probe(addr)
 	if !local.Present && d.removed&self != 0 {

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -208,10 +209,19 @@ func residentState(s *System) [][]string {
 	return out
 }
 
+// withoutL2 zeroes st's counters at the back of the shared L2.
+func withoutL2(st Stats) Stats {
+	st.L2ToMemTransactions, st.L2ToMemBytes = 0, 0
+	st.L2ToMemWritebacks, st.L2ToMemWritebackBytes, st.L2ToMemDirtyBytes = 0, 0, 0
+	return st
+}
+
 // checkFilter replays fc's workload on a System and on the reference
-// and fails t unless every counter and every resident line agree,
-// before and after the final flush, and the single-writer invariant
-// holds.
+// and fails t unless every counter, every resident line and every
+// Hybrid update counter agree, before and after the final flush, and
+// the single-writer invariant holds. A case with an L2 is also
+// replayed without one, which must leave every L1-side counter
+// unchanged: nothing flows back from the shared level.
 func checkFilter(t *testing.T, fc filterCase) {
 	t.Helper()
 	base := synthTrace(fc.events, fc.seed, fc.footprint)
@@ -224,13 +234,20 @@ func checkFilter(t *testing.T, fc filterCase) {
 		w = &Workload{Name: w.Name, PerCore: w.PerCore, Offsets: w.Offsets}
 	}
 	cfg := Config{Cores: fc.cores, L1: fc.l1, Scheme: fc.scheme, HybridK: fc.hybridK}
+	var noL2 *System
 	if fc.withL2 {
+		noL2 = mustSystem(t, cfg)
 		cfg.L2 = l2cfg()
 	}
 	sys := mustSystem(t, cfg)
 	ref := newRefSystem(t, cfg)
-	if err := sys.Run(w); err != nil {
-		t.Fatalf("%v: %v", fc, err)
+	for _, s := range []*System{sys, noL2} {
+		if s == nil {
+			continue
+		}
+		if err := s.Run(w); err != nil {
+			t.Fatalf("%v: %v", fc, err)
+		}
 	}
 	ref.Run(w)
 	if err := sys.CheckSingleWriter(); err != nil {
@@ -240,6 +257,9 @@ func checkFilter(t *testing.T, fc filterCase) {
 		if stage == "flush" {
 			sys.Flush()
 			ref.Flush()
+			if noL2 != nil {
+				noL2.Flush()
+			}
 		}
 		if got, want := sys.Stats(), ref.Stats(); got != want {
 			t.Fatalf("%v: after %s: Stats differ:\n got %+v\nwant %+v", fc, stage, got, want)
@@ -248,12 +268,29 @@ func checkFilter(t *testing.T, fc filterCase) {
 			if got, want := sys.CoreStats(i), ref.CoreStats(i); got != want {
 				t.Fatalf("%v: after %s: CoreStats(%d) differ:\n got %+v\nwant %+v", fc, stage, i, got, want)
 			}
+			if got, want := sys.cores[i].hybrid, ref.cores[i].hybrid; !maps.Equal(got, want) {
+				t.Fatalf("%v: after %s: core %d Hybrid counters differ:\n got %v\nwant %v", fc, stage, i, got, want)
+			}
 		}
 		if got, want := sys.AggregateL1(), ref.AggregateL1(); got != want {
 			t.Fatalf("%v: after %s: AggregateL1 differs:\n got %+v\nwant %+v", fc, stage, got, want)
 		}
 		if got, want := residentState(sys), residentState(ref.System); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: after %s: resident L1 lines differ", fc, stage)
+		}
+		if noL2 == nil {
+			continue
+		}
+		if got, want := noL2.AggregateL1(), sys.AggregateL1(); got != want {
+			t.Fatalf("%v: after %s: AggregateL1 without the L2 differs:\n got %+v\nwant %+v", fc, stage, got, want)
+		}
+		for i := 0; i < fc.cores; i++ {
+			if got, want := noL2.CoreStats(i), sys.CoreStats(i); got != want {
+				t.Fatalf("%v: after %s: CoreStats(%d) without the L2 differ:\n got %+v\nwant %+v", fc, stage, i, got, want)
+			}
+		}
+		if got, want := noL2.Stats(), withoutL2(sys.Stats()); got != want {
+			t.Fatalf("%v: after %s: Stats without the L2 differ:\n got %+v\nwant %+v", fc, stage, got, want)
 		}
 	}
 }

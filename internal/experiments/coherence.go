@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"sort"
+	"sync"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/coherence"
@@ -34,15 +34,9 @@ const (
 // through 8 cores contending on the shared granules.
 var cohDegrees = []int{1, 2, 4, 8}
 
-// cohL2 is the shared second level behind the snooping bus, matching
-// the ext-l2policy geometry.
-func cohL2() cache.Config {
-	return cache.Config{Size: 64 << 10, LineSize: 64, Assoc: 4,
-		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
-}
-
 // cohRun is one coherent simulation's output: the summed per-core L1
-// counters plus the system-level coherence/traffic counters.
+// counters plus the system-level coherence/traffic counters (only the
+// traffic ones for the shared baseline).
 type cohRun struct {
 	l1  cache.Stats
 	sys coherence.Stats
@@ -52,12 +46,16 @@ type cohRun struct {
 // a sharing degree, under one L1 write-miss policy and one coherence
 // scheme. The Env simulates each key once, so ext-coh-traffic reads the
 // runs ext-coh-miss made and ext-coh-schemes adds only the schemes the
-// sweeps do not run.
+// sweeps do not run, plus its baseline.
 type cohKey struct {
 	ti     int
 	cores  int
 	policy cache.WriteMissPolicy
 	scheme coherence.Scheme
+	// shared replaces the private L1s and their protocol (scheme is
+	// ignored) with one L1 that sees the whole merged schedule: the
+	// no-coherence baseline.
+	shared bool
 }
 
 // cohDense returns trace ti region-compacted and cut to its first
@@ -66,22 +64,20 @@ type cohKey struct {
 // 0x7f000000, spanning 2GB), so no window stride could keep their raw
 // images disjoint; compacting occupied 16MB superblocks first (cache
 // index/offset bits untouched) shrinks every footprint below 64MB and
-// the default 128MB stride fits all degrees. The prefix is copied so
-// the multi-megabyte compacted image can be collected.
+// the default 128MB stride fits all degrees.
 func (e *Env) cohDense(ti int) (*trace.Trace, error) {
 	return e.dense.get(ti, func() (*trace.Trace, error) {
 		e.compactions.Add(1)
 		t := e.Traces[ti]
-		// Compact the full trace, never just the prefix: a superblock's
-		// slot is its rank among every superblock the trace touches, so
-		// one first touched after the prefix can still shift the slots
-		// (and with them the shared-granule choices) of the prefix.
-		dense, err := trace.CompactRegions(t, 24)
+		// Only the prefix is written, but its slots are ranked among
+		// every superblock the whole trace touches: one first touched
+		// after the prefix can still shift the slots (and with them
+		// the shared-granule choices) of the prefix.
+		dense, err := trace.CompactRegionsPrefix(t, 24, min(t.Len(), cohMaxEvents))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", t.Name, err)
 		}
-		n := min(dense.Len(), cohMaxEvents)
-		return &trace.Trace{Name: t.Name, Events: slices.Clone(dense.Events[:n])}, nil
+		return dense, nil
 	})
 }
 
@@ -92,6 +88,7 @@ func (e *Env) cohWorkload(ti, cores int) (*coherence.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.workloads.Add(1)
 	w, err := coherence.BuildWorkload(dense, coherence.WorkloadConfig{
 		Cores:          cores,
 		SharedFraction: cohSharedFraction,
@@ -104,10 +101,22 @@ func (e *Env) cohWorkload(ti, cores int) (*coherence.Workload, error) {
 }
 
 // cohSimulate replays trace name's workload w under k's write-miss
-// policy and coherence scheme.
+// policy and coherence scheme. The shared L2 the experiment titles name
+// is not simulated: nothing flows back from it into an L1, and no
+// printed number reads its counters.
 func cohSimulate(name string, w *coherence.Workload, k cohKey) (cohRun, error) {
-	l2 := cohL2()
-	sys, err := coherence.New(coherence.Config{Cores: k.cores, L1: policyConfig(StdCacheSize, StdLineSize, k.policy), L2: &l2, Scheme: k.scheme})
+	l1 := policyConfig(StdCacheSize, StdLineSize, k.policy)
+	if k.shared {
+		h, err := hierarchy.New(hierarchy.Config{L1: l1})
+		if err != nil {
+			return cohRun{}, fmt.Errorf("experiments: %s x%d baseline: %w", name, k.cores, err)
+		}
+		merged, _ := w.Interleaved()
+		h.AccessTrace(merged)
+		h.Flush()
+		return cohRun{l1: h.L1().Stats(), sys: coherence.Stats{Traffic: h.Stats().Traffic}}, nil
+	}
+	sys, err := coherence.New(coherence.Config{Cores: k.cores, L1: l1, Scheme: k.scheme})
 	if err != nil {
 		return cohRun{}, fmt.Errorf("experiments: %s x%d: %w", name, k.cores, err)
 	}
@@ -168,8 +177,14 @@ func (e *Env) cohRuns(keys []cohKey) (map[cohKey]cohRun, error) {
 
 // cohGroupRun computes g's missing keys on one shared workload, built
 // only if a key is missing. A workload error is memoized for every key
-// that needed it.
+// that needed it. Callers racing on the same (trace, cores) take turns,
+// so the second finds the first's keys done and builds no second
+// workload for them.
 func (e *Env) cohGroupRun(g *cohGroup) {
+	v, _ := e.cohGroups.LoadOrStore([2]int{g.ti, g.cores}, new(sync.Mutex))
+	mu := v.(*sync.Mutex)
+	mu.Lock()
+	defer mu.Unlock()
 	var (
 		w     *coherence.Workload
 		err   error
@@ -280,38 +295,20 @@ func extCohSchemes(e *Env) (Result, error) {
 	key := func(ti int, scheme coherence.Scheme) cohKey {
 		return cohKey{ti: ti, cores: cores, policy: cache.FetchOnWrite, scheme: scheme}
 	}
+	// Baseline: the identical reference schedule through one shared
+	// cache — what coherence overhead is measured against. It shares
+	// its trace's 4-core workload with the scheme runs.
+	baseKey := func(ti int) cohKey {
+		return cohKey{ti: ti, cores: cores, policy: cache.FetchOnWrite, shared: true}
+	}
 	var keys []cohKey
 	for ti := range e.Traces {
 		for _, scheme := range coherence.Schemes() {
 			keys = append(keys, key(ti, scheme))
 		}
+		keys = append(keys, baseKey(ti))
 	}
 	runs, err := e.cohRuns(keys)
-	if err != nil {
-		return Result{}, err
-	}
-	// Baseline: the identical reference schedule through one shared
-	// cache — what coherence overhead is measured against. One job per
-	// trace, fanned out like the scheme runs.
-	type baseline struct {
-		l1 cache.Stats
-		h  hierarchy.Stats
-	}
-	bases, err := fanout.Run(len(e.Traces), func(ti int) (baseline, error) {
-		w, err := e.cohWorkload(ti, cores)
-		if err != nil {
-			return baseline{}, err
-		}
-		merged, _ := w.Interleaved()
-		l2 := cohL2()
-		h, err := hierarchy.New(hierarchy.Config{L1: stdConfig(StdCacheSize, StdLineSize), L2: &l2})
-		if err != nil {
-			return baseline{}, err
-		}
-		h.AccessTrace(merged)
-		h.Flush()
-		return baseline{h.L1().Stats(), h.Stats()}, nil
-	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -326,11 +323,11 @@ func extCohSchemes(e *Env) (Result, error) {
 				fmt.Sprintf("%.2f", float64(r.sys.UpdatesReceived)/k),
 				fmt.Sprintf("%.1f", float64(r.sys.BusBytes())/k))
 		}
-		b := bases[ti]
+		b := runs[baseKey(ti)]
 		k := float64(b.l1.Refs()) / 1000
 		tbl.AddRow(t.Name, "shared-L1 (no coherence)",
 			stats.FmtPct(b.l1.MissRate()), "-", "-", "-",
-			fmt.Sprintf("%.1f", float64(b.h.L1ToL2Bytes)/k))
+			fmt.Sprintf("%.1f", float64(b.sys.L1ToL2Bytes)/k))
 	}
 	return Result{Table: tbl}, nil
 }

@@ -42,23 +42,30 @@ func sweepRuns(env *Env) uint64 {
 
 // TestCohRunsComputedOnce: on one Env the three ext-coh experiments
 // compact each trace once, ext-coh-traffic reuses every ext-coh-miss
-// run, and ext-coh-schemes adds only its update and hybrid runs — while
-// every rendering stays byte-identical to the experiment run alone.
+// run and workload, and ext-coh-schemes adds only its update, hybrid
+// and baseline runs, all three on one 4-core workload per trace —
+// while every rendering stays byte-identical to the experiment run
+// alone.
 func TestCohRunsComputedOnce(t *testing.T) {
 	env := syntheticEnv()
 	n := uint64(len(env.Traces))
+	degrees := uint64(len(cohDegrees))
 	steps := []struct {
-		id        string
-		wantTotal uint64
+		id            string
+		wantTotal     uint64
+		wantWorkloads uint64
 	}{
-		{"ext-coh-miss", sweepRuns(env)},
-		{"ext-coh-traffic", sweepRuns(env)},
-		{"ext-coh-schemes", sweepRuns(env) + 2*n},
+		{"ext-coh-miss", sweepRuns(env), degrees * n},
+		{"ext-coh-traffic", sweepRuns(env), degrees * n},
+		{"ext-coh-schemes", sweepRuns(env) + 3*n, (degrees + 1) * n},
 	}
 	for _, s := range steps {
 		got := renderID(t, env, s.id)
 		if sims := env.simulations.Load(); sims != s.wantTotal {
 			t.Errorf("after %s: %d coherent simulations, want %d", s.id, sims, s.wantTotal)
+		}
+		if w := env.workloads.Load(); w != s.wantWorkloads {
+			t.Errorf("after %s: %d workloads built, want %d", s.id, w, s.wantWorkloads)
 		}
 		if c := env.compactions.Load(); c != n {
 			t.Errorf("after %s: %d compactions for %d traces", s.id, c, n)
@@ -74,7 +81,8 @@ func TestCohRunsComputedOnce(t *testing.T) {
 
 // TestCohRunsConcurrent races ext-coh-miss and ext-coh-traffic on one
 // Env (run under -race by `make check`): each run is still simulated
-// once and both renderings match their solo runs.
+// once, each workload built once, and both renderings match their solo
+// runs.
 func TestCohRunsConcurrent(t *testing.T) {
 	env := syntheticEnv()
 	ids := []string{"ext-coh-miss", "ext-coh-traffic"}
@@ -100,6 +108,9 @@ func TestCohRunsConcurrent(t *testing.T) {
 	}
 	if sims := env.simulations.Load(); sims != sweepRuns(env) {
 		t.Errorf("%d coherent simulations, want %d", sims, sweepRuns(env))
+	}
+	if w, want := env.workloads.Load(), uint64(len(cohDegrees)*len(env.Traces)); w != want {
+		t.Errorf("%d workloads built, want %d", w, want)
 	}
 	if c := env.compactions.Load(); c != uint64(len(env.Traces)) {
 		t.Errorf("%d compactions for %d traces", c, len(env.Traces))

@@ -103,12 +103,15 @@ type Env struct {
 	curves memo[curveKey, *reuse.Curve]
 	dense  memo[int, *trace.Trace]
 	coh    memo[cohKey, cohRun]
+	// cohGroups holds a *sync.Mutex per (trace, cores) workload.
+	cohGroups sync.Map
 
 	computes       atomic.Uint64 // cache simulations (stats misses)
 	recordings     atomic.Uint64 // L1 passes recorded
 	bufferRuns     atomic.Uint64 // write-buffer runs
 	curvesComputed atomic.Uint64 // write-cache curves
-	compactions    atomic.Uint64 // CompactRegions calls
+	compactions    atomic.Uint64 // CompactRegionsPrefix calls
+	workloads      atomic.Uint64 // coherence.BuildWorkload calls
 	simulations    atomic.Uint64 // coherent runs
 }
 

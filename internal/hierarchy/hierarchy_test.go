@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"math/rand"
 	"testing"
 
 	"cachewrite/internal/cache"
@@ -108,6 +109,44 @@ func TestBacksideCountsMatchL1(t *testing.T) {
 		}
 		if got, want := h.Stats().L1ToL2Bytes, s1.BacksideBytes(false); got != want {
 			t.Errorf("%s: hierarchy counted %d bytes, L1 says %d", hit, got, want)
+		}
+	}
+}
+
+// TestL1SideIndependentOfL2: with no write cache nothing flows back
+// from the L2 into the L1, so under every write-hit x write-miss pair
+// the L1's statistics and the L1ToL2 traffic are the same with and
+// without an L2, before and after the final flush.
+func TestL1SideIndependentOfL2(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr := &trace.Trace{}
+	for i := 0; i < 4000; i++ {
+		size := uint8(1) << rng.Intn(4)
+		addr := rng.Uint32() % (8 << 10) &^ uint32(size-1)
+		tr.Append(trace.Event{Addr: addr, Size: size, Kind: trace.Kind(rng.Intn(2)), Gap: uint16(rng.Intn(4))})
+	}
+	for _, hit := range []cache.WriteHitPolicy{cache.WriteBack, cache.WriteThrough} {
+		for _, miss := range cache.WriteMissPolicies() {
+			l1 := l1cfg(hit)
+			l1.WriteMiss = miss
+			with := mustNew(t, Config{L1: l1, L2: l2cfg()})
+			without := mustNew(t, Config{L1: l1})
+			with.AccessTrace(tr)
+			without.AccessTrace(tr)
+			for _, stage := range []string{"run", "flush"} {
+				if stage == "flush" {
+					with.Flush()
+					without.Flush()
+				}
+				if got, want := without.L1().Stats(), with.L1().Stats(); got != want {
+					t.Errorf("%s/%s after %s: L1 stats without the L2 differ:\n got %+v\nwant %+v", hit, miss, stage, got, want)
+				}
+				g, w := without.Stats(), with.Stats()
+				if g.L1ToL2Transactions != w.L1ToL2Transactions || g.L1ToL2Bytes != w.L1ToL2Bytes {
+					t.Errorf("%s/%s after %s: L1ToL2 traffic without the L2 is %d/%dB, with it %d/%dB", hit, miss, stage,
+						g.L1ToL2Transactions, g.L1ToL2Bytes, w.L1ToL2Transactions, w.L1ToL2Bytes)
+				}
+			}
 		}
 	}
 }

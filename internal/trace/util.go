@@ -144,8 +144,20 @@ func Rebase(t *Trace, delta int64) (*Trace, error) {
 // spanning a block boundary remain contiguous. blockBits must be in
 // [4, 31].
 func CompactRegions(t *Trace, blockBits uint) (*Trace, error) {
+	return CompactRegionsPrefix(t, blockBits, t.Len())
+}
+
+// CompactRegionsPrefix returns the first n events of
+// CompactRegions(t, blockBits) without compacting the rest: the slots
+// still come from every superblock the whole trace touches, since one
+// first touched after the prefix can shift the prefix's slots. n must
+// be in [0, t.Len()].
+func CompactRegionsPrefix(t *Trace, blockBits uint, n int) (*Trace, error) {
 	if blockBits < 4 || blockBits > 31 {
 		return nil, fmt.Errorf("trace: compact block bits %d outside [4,31]", blockBits)
+	}
+	if n < 0 || n > t.Len() {
+		return nil, fmt.Errorf("trace: compact prefix %d outside [0,%d]", n, t.Len())
 	}
 	// Consecutive events almost always share a block, so the map is
 	// touched only when the block changes.
@@ -169,9 +181,9 @@ func CompactRegions(t *Trace, blockBits uint) (*Trace, error) {
 		slot[b] = uint32(i)
 	}
 	mask := uint32(1)<<blockBits - 1
-	out := &Trace{Name: t.Name, Events: make([]Event, t.Len())}
+	out := &Trace{Name: t.Name, Events: make([]Event, n)}
 	lastBlock, lastSlot := ^uint32(0), uint32(0)
-	for i, e := range t.Events {
+	for i, e := range t.Events[:n] {
 		if b := e.Addr >> blockBits; b != lastBlock {
 			lastBlock, lastSlot = b, slot[b]
 		}

@@ -3,6 +3,7 @@ package trace
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -258,38 +259,82 @@ func compactRegionsReference(t *Trace, blockBits uint) *Trace {
 	return out
 }
 
-// TestCompactRegionsMatchesReference: on random traces that revisit a
-// few blocks in runs, jump between them, and straddle block
-// boundaries, CompactRegions equals the map-per-event reference.
+// randomCompactTrace draws a trace that revisits a few blocks in runs,
+// jumps between them, and straddles block boundaries, with its block
+// width.
+func randomCompactTrace(rng *rand.Rand) (*Trace, uint) {
+	blockBits := uint(4 + rng.Intn(20))
+	bases := make([]uint32, 1+rng.Intn(6))
+	for i := range bases {
+		bases[i] = rng.Uint32() >> 1 &^ (1<<blockBits - 1)
+	}
+	tr := &Trace{Name: "rand"}
+	base := bases[0]
+	for i, n := 0, rng.Intn(400); i < n; i++ {
+		if rng.Intn(8) == 0 {
+			base = bases[rng.Intn(len(bases))]
+		}
+		size := uint8(1 << rng.Intn(4))
+		off := rng.Uint32() & (1<<blockBits - 1)
+		if rng.Intn(4) == 0 {
+			// The last bytes of the block, so the access spans into
+			// the next one.
+			off = 1<<blockBits - uint32(rng.Intn(int(size)))
+		}
+		tr.Append(Event{Addr: base + off, Size: size, Gap: uint16(rng.Intn(3)), Kind: Kind(rng.Intn(2))})
+	}
+	return tr, blockBits
+}
+
+// TestCompactRegionsMatchesReference: on random traces CompactRegions
+// equals the map-per-event reference.
 func TestCompactRegionsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
-		blockBits := uint(4 + rng.Intn(20))
-		bases := make([]uint32, 1+rng.Intn(6))
-		for i := range bases {
-			bases[i] = rng.Uint32() >> 1 &^ (1<<blockBits - 1)
-		}
-		tr := &Trace{Name: "rand"}
-		base := bases[0]
-		for i, n := 0, rng.Intn(400); i < n; i++ {
-			if rng.Intn(8) == 0 {
-				base = bases[rng.Intn(len(bases))]
-			}
-			size := uint8(1 << rng.Intn(4))
-			off := rng.Uint32() & (1<<blockBits - 1)
-			if rng.Intn(4) == 0 {
-				// The last bytes of the block, so the access spans
-				// into the next one.
-				off = 1<<blockBits - uint32(rng.Intn(int(size)))
-			}
-			tr.Append(Event{Addr: base + off, Size: size, Gap: uint16(rng.Intn(3)), Kind: Kind(rng.Intn(2))})
-		}
+		tr, blockBits := randomCompactTrace(rng)
 		got, err := CompactRegions(tr, blockBits)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := compactRegionsReference(tr, blockBits); !reflect.DeepEqual(got, want) {
 			t.Fatalf("iteration %d (block bits %d): CompactRegions differs from the reference", iter, blockBits)
+		}
+	}
+}
+
+// TestCompactRegionsPrefix: on random traces the first n events of
+// CompactRegionsPrefix equal the full compaction's, for n at 0, 1,
+// half and the whole length; bad block widths and prefix lengths are
+// rejected.
+func TestCompactRegionsPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for iter := 0; iter < 200; iter++ {
+		tr, blockBits := randomCompactTrace(rng)
+		full, err := CompactRegions(tr, blockBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, tr.Len() / 2, tr.Len()} {
+			if n > tr.Len() {
+				continue
+			}
+			got, err := CompactRegionsPrefix(tr, blockBits, n)
+			if err != nil {
+				t.Fatalf("iteration %d: prefix %d: %v", iter, n, err)
+			}
+			if got.Name != tr.Name || got.Len() != n || !slices.Equal(got.Events, full.Events[:n]) {
+				t.Fatalf("iteration %d (block bits %d): prefix %d differs from the full compaction's", iter, blockBits, n)
+			}
+		}
+		for _, n := range []int{-1, tr.Len() + 1} {
+			if _, err := CompactRegionsPrefix(tr, blockBits, n); err == nil {
+				t.Errorf("iteration %d: prefix %d of %d events accepted", iter, n, tr.Len())
+			}
+		}
+		for _, bits := range []uint{3, 32} {
+			if _, err := CompactRegionsPrefix(tr, bits, tr.Len()/2); err == nil {
+				t.Errorf("iteration %d: block bits %d accepted", iter, bits)
+			}
 		}
 	}
 }
