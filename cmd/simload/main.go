@@ -150,6 +150,13 @@ func main() {
 		h.violate("expected load shedding but every submit was admitted (queue never filled)")
 	}
 
+	// Read before the drain: the counter lives in the last server
+	// process, and restarts reset it along with the memo.
+	reused := "unknown"
+	if m, err := h.metrics(); err == nil {
+		reused = fmt.Sprint(m.CellsReused)
+	}
+
 	if proc != nil {
 		if err := proc.drain(30 * time.Second); err != nil {
 			h.violate("SIGTERM drain: %v", err)
@@ -162,8 +169,8 @@ func main() {
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, "simload: VIOLATION:", v)
 	}
-	fmt.Fprintf(os.Stderr, "simload: %d jobs verified, %d submits shed (503), %d transport retries, %d kills\n",
-		h.verified.Load(), h.shed.Load(), h.transportRetries.Load(), h.killCount.Load())
+	fmt.Fprintf(os.Stderr, "simload: %d jobs verified, %d submits shed (503), %d transport retries, %d kills, %s cells reused since the server last started\n",
+		h.verified.Load(), h.shed.Load(), h.transportRetries.Load(), h.killCount.Load(), reused)
 	if len(violations) > 0 {
 		fmt.Fprintf(os.Stderr, "simload: FAIL — %d violation(s)\n", len(violations))
 		os.Exit(1)
@@ -259,6 +266,20 @@ func (h *harness) waitHealthy(ctx context.Context) error {
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
+}
+
+// metrics reads the server's statusz counters.
+func (h *harness) metrics() (serve.Metrics, error) {
+	var m serve.Metrics
+	resp, err := h.client.Get(h.base + "/statusz")
+	if err != nil {
+		return m, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return m, fmt.Errorf("statusz: %s", resp.Status)
+	}
+	return m, json.NewDecoder(resp.Body).Decode(&m)
 }
 
 // runJob drives one job end to end: submit (riding out 503 shedding

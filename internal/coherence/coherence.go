@@ -50,6 +50,7 @@ package coherence
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"cachewrite/internal/cache"
@@ -109,7 +110,8 @@ type Config struct {
 	// Scheme selects the coherence protocol.
 	Scheme Scheme
 	// HybridK is the Hybrid scheme's competitive threshold; 0 means
-	// DefaultHybridK. Ignored by the other schemes.
+	// DefaultHybridK. Ignored by the other schemes. At most
+	// math.MaxUint16: each copy counts its updates in 16 bits.
 	HybridK int
 }
 
@@ -127,8 +129,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("coherence: unknown scheme %d", uint8(c.Scheme))
 	}
-	if c.HybridK < 0 {
-		return fmt.Errorf("coherence: negative HybridK %d", c.HybridK)
+	if c.HybridK < 0 || c.HybridK > math.MaxUint16 {
+		return fmt.Errorf("coherence: HybridK %d outside [0,%d]", c.HybridK, math.MaxUint16)
 	}
 	return nil
 }

@@ -74,12 +74,19 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
+	maxK := good
+	maxK.Scheme, maxK.HybridK = Hybrid, 65535
+	if err := maxK.Validate(); err != nil {
+		t.Fatalf("HybridK 65535 rejected: %v", err)
+	}
 	bad := []Config{
 		{Cores: 0, L1: good.L1},
 		{Cores: MaxCores + 1, L1: good.L1},
 		{Cores: 2, L1: cache.Config{Size: 3}},
 		{Cores: 2, L1: good.L1, Scheme: Scheme(9)},
 		{Cores: 2, L1: good.L1, HybridK: -1},
+		{Cores: 2, L1: good.L1, HybridK: 65536}, // would wrap to 0 in New's uint16
+		{Cores: 2, L1: good.L1, HybridK: 1 << 30},
 		{Cores: 2, L1: good.L1, L2: &cache.Config{Size: 512, LineSize: 8, Assoc: 1,
 			WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}}, // L2 line < L1 line
 	}

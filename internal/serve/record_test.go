@@ -169,9 +169,12 @@ func TestJournalSaveOps(t *testing.T) {
 }
 
 // TestJobFileOps pins every file operation one job costs from submit to
-// its terminal record on vfs.Mem: three record saves (admission, the
-// workload's result, the terminal state), the sweep checkpoint's load
-// and removal, and the reaping of the job's checkpoints: 37 operations.
+// its terminal record on vfs.Mem. The first job is cold: three record
+// saves (admission, the workload's result, the terminal state), the
+// sweep checkpoint's load and removal, and the reaping of the job's
+// checkpoints, 37 operations. The four identical jobs after it find
+// every cell in the memo and run no sweep, so the checkpoint's two
+// reads and two removals go: 33 operations, with the reaping kept.
 func TestJobFileOps(t *testing.T) {
 	cfs := &countFS{FS: vfs.NewMem()}
 	s, err := New(historyConfig(t, cfs, 8))
@@ -188,15 +191,30 @@ func TestJobFileOps(t *testing.T) {
 		}
 		return opsSince(before, cfs.snapshot())
 	}
-	want := map[string]int{
+	cold := map[string]int{
 		"MkdirAll": 3, "CreateTemp": 3, "Write": 6, "Sync": 3, "Close": 3,
 		"Stat": 3, "ReadFile": 4, "Rename": 5, "Remove": 7,
 	}
-	for i := range 5 {
-		got := run(i)
-		if !reflect.DeepEqual(got, want) {
+	warm := maps.Clone(cold)
+	warm["ReadFile"], warm["Remove"] = 2, 5
+	const jobs = 5
+	for i := range jobs {
+		want := warm
+		if i == 0 {
+			want = cold
+		}
+		if got := run(i); !reflect.DeepEqual(got, want) {
 			t.Fatalf("job %d: ops %v, want %v", i, got, want)
 		}
+	}
+	spec := testSpec("tenant-a", "")
+	cfgs, err := spec.Configs()
+	if err != nil {
+		t.Fatalf("Configs: %v", err)
+	}
+	m := s.MetricsSnapshot()
+	if want := int64((jobs - 1) * len(cfgs)); m.UnitsDone != 1 || m.CellsReused != want {
+		t.Errorf("units_done %d, cells_reused %d; want 1 and %d", m.UnitsDone, m.CellsReused, want)
 	}
 }
 

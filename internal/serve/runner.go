@@ -8,6 +8,7 @@ import (
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/sweep"
+	"cachewrite/internal/trace"
 	"cachewrite/internal/vfs"
 )
 
@@ -194,8 +195,9 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	s.removeCkpts(j)
 }
 
-// runWorkload sweeps one workload of one job. It returns exactly one
-// of: a result, a failure-manifest entry, or interrupted=true when the
+// runWorkload sweeps one workload of one job, reading every cell the
+// memo holds and simulating only the rest. It returns exactly one of:
+// a result, a failure-manifest entry, or interrupted=true when the
 // server (not the job) is stopping and the job should be re-queued.
 func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name string, cfgs []cache.Config) (*WorkloadResult, *Failure, bool) {
 	if jctx.Err() != nil {
@@ -220,7 +222,44 @@ func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name str
 	if j.Spec.Events > 0 && t.Len() > j.Spec.Events {
 		t = t.Slice(0, j.Spec.Events)
 	}
-	units := sweep.Shard(ti, t, cfgs)
+	key := cellKey{workload: name, scale: j.Spec.Scale, events: t.Len()}
+	stats := make([]cache.Stats, len(cfgs))
+	missing := s.cells.lookup(key, cfgs, stats)
+	if reused := len(cfgs) - len(missing); reused > 0 {
+		s.mu.Lock()
+		s.metrics.CellsReused += int64(reused)
+		s.mu.Unlock()
+	}
+	if len(missing) > 0 {
+		run := make([]cache.Config, len(missing))
+		for i, ci := range missing {
+			run[i] = cfgs[ci]
+		}
+		fresh, err := s.simulate(jctx, j, ti, t, run)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, nil, true
+			}
+			if errors.Is(err, context.DeadlineExceeded) {
+				return nil, &Failure{Workload: name, Error: "deadline exceeded"}, false
+			}
+			// A unit error reads "sweep: unit <key>: ...", so Error names
+			// the unit that failed.
+			return nil, &Failure{Workload: name, Error: err.Error(), Storage: vfs.IsStorageFault(err)}, false
+		}
+		s.cells.store(key, run, fresh)
+		for i, ci := range missing {
+			stats[ci] = fresh[i]
+		}
+	}
+	return &WorkloadResult{Workload: name, Rows: RowsFor(cfgs, stats)}, nil, false
+}
+
+// simulate sweeps cfgs on trace t under the job's sweep checkpoint for
+// workload ti. The checkpoint's fingerprint covers exactly cfgs, so a
+// resumed attempt that finds a different set of cells in the memo
+// reads an older checkpoint as stale and recomputes.
+func (s *Server) simulate(jctx context.Context, j *job, ti int, t *trace.Trace, cfgs []cache.Config) ([]cache.Stats, error) {
 	stats := make([]cache.Stats, len(cfgs))
 	opt := sweep.Options{
 		Workers:    s.cfg.SweepWorkers,
@@ -243,19 +282,8 @@ func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name str
 			s.mu.Unlock()
 		},
 	}
-	err = sweep.RunUnits(jctx, units, opt, func(u sweep.Unit, st []cache.Stats) {
+	err := sweep.RunUnits(jctx, sweep.Shard(ti, t, cfgs), opt, func(u sweep.Unit, st []cache.Stats) {
 		copy(stats[u.Base:], st)
 	})
-	if err == nil {
-		return &WorkloadResult{Workload: name, Rows: RowsFor(cfgs, stats)}, nil, false
-	}
-	if ctx.Err() != nil {
-		return nil, nil, true
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return nil, &Failure{Workload: name, Error: "deadline exceeded"}, false
-	}
-	// A unit error reads "sweep: unit <key>: ...", so Error names the
-	// unit that failed.
-	return nil, &Failure{Workload: name, Error: err.Error(), Storage: vfs.IsStorageFault(err)}, false
+	return stats, err
 }

@@ -21,6 +21,14 @@
 //     SIGKILLed server resumes every in-flight job on restart and
 //     re-derives byte-identical results; client re-submits are
 //     deduplicated by (tenant, request_id).
+//   - Each cell simulated once: the server keeps the flushed stats of
+//     every finished cell in memory, keyed by (workload, scale, prefix
+//     length simulated, cache config), and a job sweeps only the cells
+//     it does not find there. The memo holds at most maxCells cells and
+//     is cleared when an insert finds it full. It is not persisted: a
+//     restarted server starts empty, and a resumed job whose checkpoint
+//     covered a different set of missing cells reads it as stale
+//     through the sweep fingerprint and recomputes.
 //   - Deadlines: each job's deadline context reaches the gang inner
 //     loop (the pulseStride contract), so an expired or cancelled job
 //     stops mid-unit, not at the next unit boundary.
@@ -162,6 +170,9 @@ type Metrics struct {
 	JobsResumed   int64 `json:"jobs_resumed"`
 	UnitsDone     int64 `json:"units_done"`
 	UnitsRestored int64 `json:"units_restored"`
+	// CellsReused counts (workload, prefix, config) cells read from the
+	// finished-cell memo instead of simulated.
+	CellsReused int64 `json:"cells_reused"`
 	// UnitsRetried is always 0: a failed sweep unit is never retried,
 	// since the same trace and config fail the same way every time.
 	// It stays in statusz for readers that still decode it.
@@ -183,6 +194,7 @@ type Server struct {
 	logf   func(string, ...any)
 	fs     vfs.FS
 	traces *workload.SharedTraces
+	cells  *cellMemo // finished cells; has its own lock, never held across a sweep
 
 	mu         sync.Mutex
 	jobs       []*job          // admission order; persisted in this order
@@ -241,6 +253,7 @@ func New(cfg Config) (*Server, error) {
 		logf:      cfg.Logf,
 		fs:        cfg.FS,
 		traces:    workload.NewSharedTraces(cfg.TraceDir, traceMem),
+		cells:     newCellMemo(maxCells),
 		byID:      map[string]*job{},
 		byRequest: map[string]*job{},
 		breakers:  map[string]*tenantBreaker{},
