@@ -38,13 +38,14 @@ lint: require-go
 # alone, and the windowed decoder against its byte-at-a-time
 # reference), the coherence snoop filter, the write-buffer queue
 # (against the drain queue and the sliding-slice buffer it replaced),
-# the reuse stack (its write cache curve and reuse profile against the
-# write cache and a naive LRU list) and the recorded L1 pass (replayed
-# into timing, burst and hierarchy against a live L1), a
-# single-iteration smoke
-# of the sweep-engine benchmarks, the gang engine's speedup floor
-# (TestGangSpeedupFloor: at least 1.2x over one cache pass per config,
-# at one worker and at GOMAXPROCS; the race suite skips it), a run of
+# the write cache curve's top-of-stack array against the write cache,
+# the reuse profile's stack against a naive LRU list, and the recorded
+# L1 pass (replayed into timing, burst and hierarchy against a live
+# L1), a single-iteration smoke of the sweep-engine benchmarks, the
+# gang engine's speedup floor (TestGangSpeedupFloor: at least 1.2x over
+# one cache pass per config, at one worker and at GOMAXPROCS), the
+# byte-identity of `paperfigs -all` against perfbench/goldens.json
+# (TestAllMatchesGoldens; the race suite skips both), a run of
 # every example program, the SIGKILL/resume crash-safety smoke, and the
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,
 # graceful drain), and the storage-fault chaos smoke (the same plan
@@ -62,11 +63,12 @@ check: build
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(GO) test ./internal/sweep -run '^TestGangSpeedupFloor$$' -count 1
+	$(GO) test ./cmd/paperfigs -run '^TestAllMatchesGoldens$$' -count 1
 	$(MAKE) examples-smoke
 	$(MAKE) resilience-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) faultfs-smoke
-	@echo "check: gates passed: build lint vet race perfbench fuzz-smoke bench-smoke TestGangSpeedupFloor examples-smoke resilience-smoke serve-smoke faultfs-smoke"
+	@echo "check: gates passed: build lint vet race perfbench fuzz-smoke bench-smoke TestGangSpeedupFloor TestAllMatchesGoldens examples-smoke resilience-smoke serve-smoke faultfs-smoke"
 
 # FuzzDecodeMatchesReference seeds streams longer than one 64 KiB
 # decode window; minimizing a new input grown from one would spend the

@@ -102,8 +102,24 @@ func New(cfg Config) (*Cache, error) {
 	} else {
 		c.fullMask = (uint64(1) << cfg.LineSize) - 1
 	}
-	c.rng = 0x2545f4914f6cdd1d
+	c.rng = rngSeed
 	return c, nil
+}
+
+// rngSeed is the Random-replacement state of a fresh cache.
+const rngSeed = 0x2545f4914f6cdd1d
+
+// Reset empties the cache and zeroes its counters, leaving it as New
+// built it: every line invalid, the tick and the statistics at zero,
+// and the Random-replacement state at its seed. The configuration and
+// the backside stay. A Reset cache run over a trace ends in exactly
+// the state a fresh one would, so a sweep can reuse a cache instead of
+// allocating another.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.tick = 0
+	c.rng = rngSeed
+	c.stats = Stats{}
 }
 
 // MustNew is New but panics on configuration errors; for tests and

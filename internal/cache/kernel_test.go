@@ -207,3 +207,40 @@ func TestKernelZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesFresh: a cache run part-way over a trace, then Reset
+// and run over the whole trace through the batch kernels, ends on
+// exactly the stats and back-side call sequence of a fresh cache, for
+// every kernel-grid configuration (each kernel class, FIFO and Random
+// replacement, sub-block and sector variants). Reset keeps the
+// backside: the calls after it reach the one attached before.
+func TestResetMatchesFresh(t *testing.T) {
+	tr := kernelTrace(30000)
+	for _, cfg := range kernelConfigs() {
+		fresh, bfresh := MustNew(cfg), &seqBackside{}
+		used, bused := MustNew(cfg), &seqBackside{}
+		fresh.SetBackside(bfresh)
+		used.SetBackside(bused)
+
+		used.AccessEvents(tr.Events[:17000])
+		used.Reset()
+		*bused = seqBackside{}
+
+		fresh.AccessEvents(tr.Events)
+		used.AccessEvents(tr.Events)
+		if got, want := used.Stats(), fresh.Stats(); got != want {
+			t.Errorf("%s (class %d): Reset cache's stats differ:\n reset %+v\n fresh %+v", cfg, used.class, got, want)
+		}
+		fresh.Flush()
+		used.Flush()
+		if got, want := used.Stats(), fresh.Stats(); got != want {
+			t.Errorf("%s (class %d): Reset cache's flushed stats differ:\n reset %+v\n fresh %+v", cfg, used.class, got, want)
+		}
+		if *bused != *bfresh {
+			t.Errorf("%s (class %d): Reset cache's back-side sequence differs:\n reset %+v\n fresh %+v", cfg, used.class, *bused, *bfresh)
+		}
+		if used.Config() != cfg {
+			t.Errorf("Reset changed the config %s to %s", cfg, used.Config())
+		}
+	}
+}

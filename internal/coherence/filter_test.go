@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -330,12 +331,13 @@ func randomCase(rng *rand.Rand) filterCase {
 	}
 }
 
-// TestSnoopFilterMatchesReference: for every write-hit × write-miss
-// pair under every scheme (Hybrid at HybridK 1 and the default), and
-// for 64 cores under every scheme, the filtered system ends in the
-// reference's state.
-func TestSnoopFilterMatchesReference(t *testing.T) {
+// snoopCases returns TestSnoopFilterMatchesReference's cases: two
+// random cases for every write-hit × write-miss pair under every
+// scheme (Hybrid at HybridK 1 and the default), and for 64 cores under
+// every scheme, with a 1KB or smaller and a four-line L1.
+func snoopCases() []filterCase {
 	rng := rand.New(rand.NewSource(23))
+	var cases []filterCase
 	for _, l1 := range hitMissCombos() {
 		for _, scheme := range Schemes() {
 			for _, k := range []int{1, 0} {
@@ -346,7 +348,7 @@ func TestSnoopFilterMatchesReference(t *testing.T) {
 					fc := randomCase(rng)
 					fc.l1.WriteHit, fc.l1.WriteMiss = l1.WriteHit, l1.WriteMiss
 					fc.scheme, fc.hybridK = scheme, k
-					checkFilter(t, fc)
+					cases = append(cases, fc)
 				}
 			}
 		}
@@ -358,8 +360,71 @@ func TestSnoopFilterMatchesReference(t *testing.T) {
 			if tiny {
 				fc.l1.Size, fc.l1.Assoc = 4*fc.l1.LineSize, 1
 			}
-			checkFilter(t, fc)
+			cases = append(cases, fc)
 		}
+	}
+	return cases
+}
+
+// TestSnoopFilterMatchesReference: on every snoopCases case the
+// filtered system ends in the reference's state.
+func TestSnoopFilterMatchesReference(t *testing.T) {
+	for _, fc := range snoopCases() {
+		checkFilter(t, fc)
+	}
+}
+
+// TestHybridEndpoints: Hybrid reduces to its neighbours at the ends of
+// its HybridK range, on every snoopCases workload with no L2. At 65535
+// no copy ever sees that many updates, so Hybrid is Update on every
+// counter. At 1 each remote copy drops at the first update, as under
+// Invalidate, so every miss, fetch and sharing miss matches, and
+// Hybrid's self-invalidations are Invalidate's invalidations received;
+// only the traffic differs, as the writer still broadcasts the update
+// that makes the copies drop.
+func TestHybridEndpoints(t *testing.T) {
+	run := func(fc filterCase, w *Workload, scheme Scheme, k int) *System {
+		t.Helper()
+		sys := mustSystem(t, Config{Cores: fc.cores, L1: fc.l1, Scheme: scheme, HybridK: k})
+		if err := sys.Run(w); err != nil {
+			t.Fatalf("%v: %v", fc, err)
+		}
+		sys.Flush()
+		return sys
+	}
+	var updates, drops uint64
+	for _, fc := range snoopCases() {
+		w, err := BuildWorkload(synthTrace(fc.events, fc.seed, fc.footprint),
+			WorkloadConfig{Cores: fc.cores, SharedFraction: fc.sharedFraction, Stride: 1 << 20, Stagger: fc.stagger})
+		if err != nil {
+			t.Fatalf("%v: %v", fc, err)
+		}
+		upd, never := run(fc, w, Update, 0), run(fc, w, Hybrid, math.MaxUint16)
+		updates += upd.Stats().UpdatesReceived
+		if got, want := never.AggregateL1(), upd.AggregateL1(); got != want {
+			t.Errorf("%v: Hybrid at HybridK %d: AggregateL1 differs from Update's:\n got %+v\nwant %+v", fc, math.MaxUint16, got, want)
+		}
+		if got, want := never.Stats(), upd.Stats(); got != want {
+			t.Errorf("%v: Hybrid at HybridK %d: Stats differ from Update's:\n got %+v\nwant %+v", fc, math.MaxUint16, got, want)
+		}
+		inv, first := run(fc, w, Invalidate, 0), run(fc, w, Hybrid, 1)
+		got, want := first.AggregateL1(), inv.AggregateL1()
+		if got.ReadMissEvents != want.ReadMissEvents || got.WriteMissEvents != want.WriteMissEvents || got.Fetches != want.Fetches {
+			t.Errorf("%v: Hybrid at HybridK 1: read misses %d, write misses %d, fetches %d; Invalidate %d, %d, %d",
+				fc, got.ReadMissEvents, got.WriteMissEvents, got.Fetches, want.ReadMissEvents, want.WriteMissEvents, want.Fetches)
+		}
+		hs, is := first.Stats(), inv.Stats()
+		drops += hs.HybridInvalidations
+		if hs.SharingMisses != is.SharingMisses {
+			t.Errorf("%v: Hybrid at HybridK 1: %d sharing misses, Invalidate %d", fc, hs.SharingMisses, is.SharingMisses)
+		}
+		if hs.HybridInvalidations != is.InvalidationsReceived {
+			t.Errorf("%v: Hybrid at HybridK 1: %d self-invalidations, Invalidate received %d invalidations",
+				fc, hs.HybridInvalidations, is.InvalidationsReceived)
+		}
+	}
+	if updates == 0 || drops == 0 {
+		t.Errorf("the cases made %d updates and %d self-invalidations; both endpoints need some", updates, drops)
 	}
 }
 

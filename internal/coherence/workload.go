@@ -4,9 +4,8 @@
 // their base addresses so every core touches them at the same place —
 // true sharing with deterministic, address-hashed selection. The
 // per-core streams carry stagger offsets and are merged by instruction
-// time by trace.MergeByTime, either once per workload into the issue
-// order System.Run replays (coherent replay) or via
-// trace.InterleaveOffset (a single-cache baseline stream).
+// time by trace.MergeByTime, once per workload, into the issue order
+// System.Run replays and Workload.Each walks.
 package coherence
 
 import (
@@ -198,10 +197,13 @@ func sharedGranule(g uint32, threshold uint64) bool {
 	return uint64(x) < threshold
 }
 
-// Interleaved merges the per-core streams (with their stagger offsets)
-// into a single trace — the reference schedule one shared cache would
-// observe. The stats report how faithfully the merged gaps fit the
-// trace format (see trace.InterleaveStats).
-func (w *Workload) Interleaved() (*trace.Trace, trace.InterleaveStats) {
-	return trace.InterleaveOffset(w.Name, w.Offsets, w.PerCore...)
+// Each calls fn with every event of w in the merged issue order
+// System.Run replays, with the core that issues it. A baseline that
+// shares one cache among the cores replays the same order through it.
+func (w *Workload) Each(fn func(core int, e trace.Event)) {
+	var next [MaxCores]int
+	for _, c := range w.schedule() {
+		fn(int(c), w.PerCore[c].Events[next[c]])
+		next[c]++
+	}
 }

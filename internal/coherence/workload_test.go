@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/trace"
 )
 
@@ -155,6 +156,9 @@ func TestBuildWorkloadEventCap(t *testing.T) {
 	}
 }
 
+// TestWorkloadInterleaved pins trace.InterleaveOffset on a workload's
+// streams: a stagger past the gap field's range is split across
+// events, not lost.
 func TestWorkloadInterleaved(t *testing.T) {
 	base := synthTrace(200, 23, 1<<12)
 	// A stagger far beyond the Gap field's capacity exercises the
@@ -164,7 +168,7 @@ func TestWorkloadInterleaved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, st := w.Interleaved()
+	merged, st := trace.InterleaveOffset(w.Name, w.Offsets, w.PerCore...)
 	if merged.Len() != 2*base.Len() {
 		t.Fatalf("merged %d events, want %d", merged.Len(), 2*base.Len())
 	}
@@ -178,5 +182,60 @@ func TestWorkloadInterleaved(t *testing.T) {
 	}
 	if st.LostInstructions != 0 {
 		t.Errorf("lost %d instructions in the merge", st.LostInstructions)
+	}
+}
+
+// TestEachMatchesInterleaved: one L1 fed a workload's events through
+// Each ends, under every write-hit x write-miss pair, on the same
+// cache.Stats as one fed trace.InterleaveOffset's merged trace, except
+// Instructions (Each keeps each core's own gaps, the merge recomputes
+// them), and sends the same L1-to-L2 traffic: Each walks the merged
+// trace's events in its order.
+func TestEachMatchesInterleaved(t *testing.T) {
+	for _, wc := range []WorkloadConfig{
+		{Cores: 2, SharedFraction: 0.25, Stride: 1 << 20, Stagger: 100000},
+		{Cores: 4, SharedFraction: 0.5, Stride: 1 << 20, Stagger: 37},
+		{Cores: 8, SharedFraction: 1, Stride: 1 << 20},
+	} {
+		w, err := BuildWorkload(synthTrace(3000, uint64(wc.Cores), 1<<13), wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, _ := trace.InterleaveOffset(w.Name, w.Offsets, w.PerCore...)
+		i := 0
+		w.Each(func(_ int, e trace.Event) {
+			if m := merged.Events[i]; e.Addr != m.Addr || e.Size != m.Size || e.Kind != m.Kind {
+				t.Fatalf("%s: event %d is %+v, the merged trace has %+v", w.Name, i, e, m)
+			}
+			i++
+		})
+		if i != merged.Len() {
+			t.Fatalf("%s: Each walked %d events, the merged trace has %d", w.Name, i, merged.Len())
+		}
+		for _, l1 := range hitMissCombos() {
+			each, err := hierarchy.New(hierarchy.Config{L1: l1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole, err := hierarchy.New(hierarchy.Config{L1: l1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Each(func(_ int, e trace.Event) { each.Access(e) })
+			whole.AccessTrace(merged)
+			each.Flush()
+			whole.Flush()
+			got, want := each.L1().Stats(), whole.L1().Stats()
+			if got.Instructions == want.Instructions {
+				t.Errorf("%s %s: both baselines count %d instructions; the gaps were meant to differ", w.Name, l1, got.Instructions)
+			}
+			got.Instructions, want.Instructions = 0, 0
+			if got != want {
+				t.Errorf("%s %s: L1 stats differ:\n Each %+v\n merged %+v", w.Name, l1, got, want)
+			}
+			if got, want := each.Stats().Traffic, whole.Stats().Traffic; got != want {
+				t.Errorf("%s %s: traffic differs:\n Each %+v\n merged %+v", w.Name, l1, got, want)
+			}
+		}
 	}
 }

@@ -111,8 +111,7 @@ func cohSimulate(name string, w *coherence.Workload, k cohKey) (cohRun, error) {
 		if err != nil {
 			return cohRun{}, fmt.Errorf("experiments: %s x%d baseline: %w", name, k.cores, err)
 		}
-		merged, _ := w.Interleaved()
-		h.AccessTrace(merged)
+		w.Each(func(_ int, e trace.Event) { h.Access(e) })
 		h.Flush()
 		return cohRun{l1: h.L1().Stats(), sys: coherence.Stats{Traffic: h.Stats().Traffic}}, nil
 	}

@@ -17,10 +17,12 @@
 // it, visible for linpack at 64KB). The gap between predicted and
 // measured is therefore a per-benchmark conflict signature.
 //
-// The same LRU stack also serves the write cache of Figs 5 and 7-9
-// (WriteCacheCurve): that cache is fully-associative LRU over writes
-// only, so one pass over a trace's writes yields its merge rate at every
-// entry count.
+// The write cache of Figs 5 and 7-9 (WriteCacheCurve) is also
+// fully-associative LRU, over writes only, so one pass over a trace's
+// writes yields its merge rate at every entry count. It needs depths
+// only below the largest entry count asked about, so it keeps just the
+// top of its stack; Analyze's log2 buckets need every depth, so it
+// keeps the whole stack (stack, a Fenwick window over the footprint).
 package reuse
 
 import (

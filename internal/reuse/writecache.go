@@ -3,6 +3,7 @@ package reuse
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cachewrite/internal/trace"
 )
@@ -34,7 +35,11 @@ func (c *Curve) RemovedFraction(n int) float64 {
 // A write merges in an n-entry cache exactly when every line it touches
 // is within the top n of the write-only LRU stack when accessed, so
 // each write merges at every size from one more than its deepest
-// line's depth upward (and never in a zero-entry cache).
+// line's depth upward (and never in a zero-entry cache). Depths of
+// maxEntries or more merge at no size asked about, so only the top
+// maxEntries lines of the stack are kept, in a move-to-front array
+// whose index is a line's depth; a line below them is as good as cold.
+// Memory is O(maxEntries), whatever the trace's length or footprint.
 func WriteCacheCurve(t *trace.Trace, lineSize, maxEntries int) (*Curve, error) {
 	shift, err := lineShiftOf(lineSize)
 	if err != nil {
@@ -43,10 +48,10 @@ func WriteCacheCurve(t *trace.Trace, lineSize, maxEntries int) (*Curve, error) {
 	if maxEntries < 0 {
 		return nil, fmt.Errorf("reuse: max entries %d must be non-negative", maxEntries)
 	}
-	s := newStack(minWindow)
-	// need[k] counts the writes whose smallest merging cache has k
-	// entries.
-	need := make([]uint64, maxEntries+1)
+	// top[d] is the line at depth d, most recent first.
+	top := make([]uint32, 0, maxEntries)
+	// Merged[k] first counts the writes whose smallest merging cache
+	// has k entries, then is summed into the curve.
 	c := &Curve{LineSize: lineSize, Merged: make([]uint64, maxEntries+1)}
 	for _, e := range t.Events {
 		if e.Kind != trace.Write {
@@ -56,20 +61,31 @@ func WriteCacheCurve(t *trace.Trace, lineSize, maxEntries int) (*Curve, error) {
 		k := 1
 		first, end := lineSpan(e, shift)
 		for ln := first; ln != end; ln++ {
-			switch _, d := s.access(ln); {
-			case d < 0:
-				k = math.MaxInt // cold: no cache size holds the line
-			case d >= k:
+			d := slices.Index(top, ln)
+			if d < 0 {
+				// Cold, or maxEntries or more lines deep: no cache
+				// size asked about holds the line. It enters at the
+				// top, and a full array's bottom line falls out.
+				k = math.MaxInt
+				if len(top) < maxEntries {
+					top = top[:len(top)+1]
+				}
+				if d = len(top) - 1; d < 0 {
+					continue
+				}
+			} else if d >= k {
 				k = d + 1
 			}
+			copy(top[1:d+1], top[:d])
+			top[0] = ln
 		}
 		if k <= maxEntries {
-			need[k]++
+			c.Merged[k]++
 		}
 	}
 	var merged uint64
-	for n := range c.Merged {
-		merged += need[n]
+	for n, need := range c.Merged {
+		merged += need
 		c.Merged[n] = merged
 	}
 	return c, nil

@@ -129,3 +129,25 @@ func FuzzWriteCacheCurve(f *testing.F) {
 		checkCurve(t, tr, lineSize, maxEntries)
 	})
 }
+
+// TestWriteCacheCurveAllocsFlat: the curve keeps only the top of its
+// stack, so its allocations do not grow with the trace's length or
+// footprint.
+func TestWriteCacheCurveAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		tr := &trace.Trace{Name: "flat"}
+		for i := 0; i < n; i++ {
+			// Every fourth write opens a new line; the rest recur.
+			addr := uint32(i/4*64) + uint32(i%4*8)
+			tr.Append(trace.Event{Addr: addr, Size: 4, Kind: trace.Write})
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := WriteCacheCurve(tr, 8, 16); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(100), allocs(200000); long != short {
+		t.Errorf("WriteCacheCurve allocates %v times over 100 writes, %v over 200000", short, long)
+	}
+}

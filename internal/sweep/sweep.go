@@ -53,7 +53,8 @@ const DefaultShard = 8
 // use). It returns one Stats per configuration, in input order. The
 // results are bit-identical to running each configuration alone.
 func Gang(t *trace.Trace, cfgs []cache.Config) ([]cache.Stats, error) {
-	return gang(context.Background(), t, cfgs)
+	var w worker
+	return w.gang(context.Background(), t, cfgs)
 }
 
 // pulseStride is how many trace events a gang processes between
@@ -62,12 +63,39 @@ func Gang(t *trace.Trace, cfgs []cache.Config) ([]cache.Stats, error) {
 // stay invisible in the hot loop.
 const pulseStride = 8192
 
+// worker is what one gang caller keeps between units: the caches it
+// has built, by configuration, and its pre-decode window. A RunUnits
+// worker keeps both, so a later unit over the same configurations
+// Resets caches instead of allocating them; Gang's zero worker builds
+// every cache fresh.
+type worker struct {
+	// uses counts how often the sweep's units name each configuration;
+	// a cache is kept only if its configuration is named more than
+	// once. It is read-only, shared by a sweep's workers.
+	uses map[cache.Config]int
+	// kept holds the idle caches of each configuration (a slice, as a
+	// unit may name one configuration more than once).
+	kept map[cache.Config][]*cache.Cache
+	dec  []cache.Decoded
+}
+
+// cache returns an empty cache for cfg: a kept one Reset, or a new one.
+func (w *worker) cache(cfg cache.Config) (*cache.Cache, error) {
+	if idle := w.kept[cfg]; len(idle) > 0 {
+		c := idle[len(idle)-1]
+		w.kept[cfg] = idle[:len(idle)-1]
+		c.Reset()
+		return c, nil
+	}
+	return cache.New(cfg)
+}
+
 // gang is Gang under a context: every pulseStride events it polls ctx,
 // so cancellation lands mid-unit instead of only between units.
-func gang(ctx context.Context, t *trace.Trace, cfgs []cache.Config) ([]cache.Stats, error) {
+func (w *worker) gang(ctx context.Context, t *trace.Trace, cfgs []cache.Config) ([]cache.Stats, error) {
 	caches := make([]*cache.Cache, len(cfgs))
 	for i, cfg := range cfgs {
-		c, err := cache.New(cfg)
+		c, err := w.cache(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %s on %s: %w", cfg, t.Name, err)
 		}
@@ -75,17 +103,12 @@ func gang(ctx context.Context, t *trace.Trace, cfgs []cache.Config) ([]cache.Sta
 	}
 	groups := groupByGeometry(caches)
 	events := t.Events
-	scratch := pulseStride
-	if len(events) < scratch {
-		scratch = len(events)
+	if n := min(len(events), pulseStride); len(w.dec) < n {
+		w.dec = make([]cache.Decoded, n)
 	}
-	dec := make([]cache.Decoded, scratch)
 	for start := 0; start < len(events); start += pulseStride {
-		end := start + pulseStride
-		if end > len(events) {
-			end = len(events)
-		}
-		fanout(events[start:end], groups, dec)
+		end := min(start+pulseStride, len(events))
+		fanout(events[start:end], groups, w.dec)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -94,6 +117,9 @@ func gang(ctx context.Context, t *trace.Trace, cfgs []cache.Config) ([]cache.Sta
 	for i, c := range caches {
 		c.Flush()
 		out[i] = c.Stats()
+		if w.uses[cfgs[i]] > 1 {
+			w.kept[cfgs[i]] = append(w.kept[cfgs[i]], c)
+		}
 	}
 	return out, nil
 }
@@ -335,6 +361,15 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 	if ckEvery < 1 {
 		ckEvery = 4
 	}
+	// Workers keep caches only for configurations named more than
+	// once, so a sweep over one trace (serve's, cachesweep's) keeps
+	// none and holds one unit's caches at a time.
+	uses := map[cache.Config]int{}
+	for _, u := range pending {
+		for _, cfg := range u.Cfgs {
+			uses[cfg]++
+		}
+	}
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -357,6 +392,7 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			kw := worker{uses: uses, kept: map[cache.Config][]*cache.Cache{}}
 			for {
 				if gctx.Err() != nil {
 					return
@@ -367,7 +403,7 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 				}
 				u := pending[i]
 				key := u.Key()
-				stats, err := gang(gctx, u.Trace, u.Cfgs)
+				stats, err := kw.gang(gctx, u.Trace, u.Cfgs)
 				if err != nil {
 					if gctx.Err() == nil {
 						// A cancelled unit returns the bare context error;

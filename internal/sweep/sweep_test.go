@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -213,5 +214,116 @@ func TestRunEmptyAndNilCollect(t *testing.T) {
 	tr := testTrace(100)
 	if err := RunUnits(context.Background(), Shard(0, tr, policyConfigs()[:12]), Options{}, nil); err != nil {
 		t.Fatalf("RunUnits with default workers and nil collect: %v", err)
+	}
+}
+
+// TestRunUnitsReusedCachesMatchGang: one RunUnits worker runs units
+// of two traces that share configurations, so every unit after the
+// first runs on caches an earlier one left behind, Reset. In either
+// order of the traces, each unit's results equal a fresh Gang's,
+// including a unit that names one configuration twice and FIFO and
+// Random replacement, whose state Reset must restore.
+func TestRunUnitsReusedCachesMatchGang(t *testing.T) {
+	a, b := testTrace(6000), testTrace(9000).Slice(2500, 9000)
+	b.Name = "sweeptest2"
+	cfgs := policyConfigs()[:12]
+	for _, repl := range []cache.Replacement{cache.FIFO, cache.Random} {
+		cfgs = append(cfgs, cache.Config{Size: 2 << 10, LineSize: 16, Assoc: 4,
+			WriteHit: cache.WriteBack, WriteMiss: cache.WriteValidate, Replacement: repl})
+	}
+	twice := Unit{TraceIndex: 0, Trace: a, Cfgs: []cache.Config{cfgs[12], cfgs[3], cfgs[12]}, Base: len(cfgs)}
+	for _, order := range [][]*trace.Trace{{a, b}, {b, a}} {
+		var units []Unit
+		for ti, tr := range order {
+			units = append(units, Shard(ti, tr, cfgs)...)
+		}
+		units = append(units, twice)
+		got := map[string][]cache.Stats{}
+		err := RunUnits(context.Background(), units, Options{Workers: 1}, func(u Unit, st []cache.Stats) {
+			got[u.Key()] = st
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range units {
+			want, err := Gang(u.Trace, u.Cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[u.Key()], want) {
+				t.Errorf("%s then %s: unit %s differs from a fresh Gang", order[0].Name, order[1].Name, u.Key())
+			}
+		}
+	}
+}
+
+// bigLines is the line count of a bigConfigs cache: 64 KB of 16B
+// lines, 160 KB of line state.
+const bigLines = 4096
+
+// bigConfigs returns n distinct 64 KB configurations (n <= 32): every
+// write-hit x write-miss pair at 1, 2, 4 and 8 ways.
+func bigConfigs(n int) []cache.Config {
+	var cfgs []cache.Config
+	for _, assoc := range []int{1, 2, 4, 8} {
+		for _, hit := range []cache.WriteHitPolicy{cache.WriteThrough, cache.WriteBack} {
+			for _, miss := range cache.WriteMissPolicies() {
+				cfgs = append(cfgs, cache.Config{Size: bigLines * 16, LineSize: 16, Assoc: assoc, WriteHit: hit, WriteMiss: miss})
+			}
+		}
+	}
+	return cfgs[:n]
+}
+
+// TestRunUnitsBytesFlat: units that repeat the same configurations run
+// on the caches and decode window the first unit allocated, so the
+// bytes RunUnits allocates grow by far less than one cache's lines for
+// each unit added.
+func TestRunUnitsBytesFlat(t *testing.T) {
+	tr := testTrace(3000)
+	cfgs := bigConfigs(DefaultShard)
+	allocated := func(n int) uint64 {
+		var units []Unit
+		for i := 0; i < n; i++ {
+			units = append(units, Shard(i, tr, cfgs)...)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := RunUnits(context.Background(), units, Options{Workers: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const limit = 16 << 10
+	few, many := allocated(2), allocated(10)
+	if perUnit := (int64(many) - int64(few)) / 8; perUnit > limit {
+		t.Errorf("RunUnits allocates %d B for 2 units and %d B for 10: %d B a unit, over %d", few, many, perUnit, limit)
+	}
+}
+
+// TestRunUnitsKeepsNoSingleUseCache: a sweep over one trace names each
+// configuration once, so its workers keep no finished unit's caches:
+// by the last unit, the live heap holds less than one unit's line
+// state, not every earlier unit's.
+func TestRunUnitsKeepsNoSingleUseCache(t *testing.T) {
+	tr := testTrace(3000)
+	units := Shard(0, tr, bigConfigs(4*DefaultShard))
+	var before, last runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	done := 0
+	err := RunUnits(context.Background(), units, Options{Workers: 1}, func(Unit, []cache.Stats) {
+		if done++; done == len(units) {
+			runtime.GC()
+			runtime.ReadMemStats(&last)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const unitBytes = DefaultShard * bigLines * 40 // 40 B of tag, masks and stamps a line
+	if live := int64(last.HeapAlloc) - int64(before.HeapAlloc); live > unitBytes {
+		t.Errorf("after %d single-use units the live heap grew by %d B, over one unit's %d B of line state", len(units), live, unitBytes)
 	}
 }
